@@ -15,6 +15,14 @@ CI runners or boxes with fewer than 4 cores the floor relaxes to a
 sanity bar (the pool must not be pathologically slower -- fork overhead,
 delta shipping and the result queue all stay bounded), mirroring the
 kernel benches' ``speedup_floor`` convention.
+
+Measured on a 2-vCPU Xeon VM (best of two, four measurements per side):
+with the ``rng.choice``-per-symbol Markov sampler, threads took
+8.2-8.5 s and the pool 3.0-3.5 s (2.3-2.8x); with the table-driven
+sampler, threads take 0.89-1.04 s and the pool 0.44-0.50 s (1.8-2.4x).
+Sampling is still a pure-Python loop, so the pool still wins, by less:
+its fixed per-run and per-chunk costs are now a larger share.  The 2x
+bar at >= 4 cores has not been re-measured with the table-driven sampler.
 """
 
 import os

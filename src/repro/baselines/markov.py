@@ -8,10 +8,13 @@ start/end symbols, supporting both sampling and exact sequence probability.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.baselines.categorical import UniformDraws, choice_cdf
 
 START = "\x02"
 END = "\x03"
@@ -28,60 +31,89 @@ class MarkovModel:
         self.order = order
         self.smoothing = float(smoothing)
         self.max_length = max_length
-        self._counts: Dict[str, Counter] = defaultdict(Counter)
+        self._counts: Dict[str, Counter] = {}
         self._alphabet: List[str] = []
         self._fitted = False
-        # sampling caches: context -> (symbols, cumulative probabilities)
+        # context -> (symbols, probabilities), for log_prob and top_guesses
         self._dist_cache: Dict[str, Tuple[List[str], np.ndarray]] = {}
+        # context -> sampling cdf; contexts absent from the corpus all share
+        # one smoothed-uniform cdf, so they cost a dict entry, not a table
+        self._cdfs: Dict[str, List[float]] = {}
+        self._unseen_cdf: List[float] = []
 
     # ------------------------------------------------------------------
     def fit(self, passwords: Sequence[str]) -> "MarkovModel":
         """Count order-k transitions over the corpus."""
         if not passwords:
             raise ValueError("cannot fit on an empty corpus")
+        counts: Dict[str, Counter] = defaultdict(Counter)
         symbols = set()
         for password in passwords:
             padded = START * self.order + password[: self.max_length] + END
             symbols.update(password[: self.max_length])
             for i in range(self.order, len(padded)):
                 context = padded[i - self.order : i]
-                self._counts[context][padded[i]] += 1
+                counts[context][padded[i]] += 1
+        self._counts = counts
         self._alphabet = sorted(symbols) + [END]
+        self._dist_cache = {}
+        self._cdfs = {}
+        self._unseen_cdf = choice_cdf(self._probs(Counter()))
         self._fitted = True
-        self._dist_cache.clear()
         return self
+
+    def _probs(self, counts: Counter) -> np.ndarray:
+        """Add-``delta`` smoothed next-symbol probabilities over the alphabet."""
+        weights = np.array(
+            [counts.get(s, 0) + self.smoothing for s in self._alphabet], dtype=np.float64
+        )
+        return weights / weights.sum()
 
     def _distribution(self, context: str) -> Tuple[List[str], np.ndarray]:
         """Smoothed next-symbol distribution for a context (cached)."""
         cached = self._dist_cache.get(context)
         if cached is not None:
             return cached
-        counts = self._counts.get(context, Counter())
-        weights = np.array(
-            [counts.get(s, 0) + self.smoothing for s in self._alphabet], dtype=np.float64
-        )
-        probs = weights / weights.sum()
-        entry = (self._alphabet, probs)
+        entry = (self._alphabet, self._probs(self._counts.get(context, Counter())))
         self._dist_cache[context] = entry
         return entry
 
+    def _cdf(self, context: str) -> List[float]:
+        """The cdf ``rng.choice`` builds from ``context``'s distribution (cached)."""
+        counts = self._counts.get(context)
+        cdf = self._unseen_cdf if counts is None else choice_cdf(self._probs(counts))
+        self._cdfs[context] = cdf
+        return cdf
+
     # ------------------------------------------------------------------
     def sample_passwords(self, count: int, rng: np.random.Generator) -> List[str]:
-        """Draw ``count`` passwords by ancestral sampling."""
+        """Draw ``count`` passwords by ancestral sampling.
+
+        The passwords, and the state ``rng`` is left in, are those of
+        drawing each symbol with ``rng.choice(len(symbols), p=probs)``;
+        the draws go through :mod:`repro.baselines.categorical` instead,
+        one cached cdf per context and uniforms drawn in bulk.
+        """
         if not self._fitted:
             raise RuntimeError("fit() the model first")
+        cdfs = self._cdfs
+        symbols = self._alphabet
+        start = START * self.order
+        max_length = self.max_length
         out: List[str] = []
-        for _ in range(count):
-            context = START * self.order
-            chars: List[str] = []
-            while len(chars) < self.max_length:
-                symbols, probs = self._distribution(context)
-                symbol = symbols[int(rng.choice(len(symbols), p=probs))]
-                if symbol == END:
-                    break
-                chars.append(symbol)
-                context = context[1:] + symbol
-            out.append("".join(chars))
+        # each symbol drawn either ends the password or lengthens it
+        with UniformDraws(rng, count * max_length) as draws:
+            for _ in range(count):
+                context = start
+                password = ""
+                for _ in range(max_length):
+                    cdf = cdfs.get(context) or self._cdf(context)
+                    symbol = symbols[bisect_right(cdf, next(draws))]
+                    if symbol == END:
+                        break
+                    password += symbol
+                    context = context[1:] + symbol
+                out.append(password)
         return out
 
     def log_prob(self, password: str) -> float:

@@ -9,10 +9,13 @@ pre-neural state of the art the related-work section builds on.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.baselines.categorical import UniformDraws, choice_cdf
 
 
 def segment(password: str) -> List[Tuple[str, str]]:
@@ -49,58 +52,74 @@ class PCFGModel:
     def __init__(self, max_length: int = 10) -> None:
         self.max_length = max_length
         self._structures: Counter = Counter()
-        self._terminals: Dict[str, Counter] = defaultdict(Counter)
         self._fitted = False
         self._structure_items: List[str] = []
         self._structure_probs: np.ndarray | None = None
-        self._terminal_cache: Dict[str, Tuple[List[str], np.ndarray]] = {}
+        # token (e.g. "L4") -> (runs, probabilities)
+        self._terminal_dists: Dict[str, Tuple[List[str], np.ndarray]] = {}
+        # sampling tables: the structure cdf and, per structure, the
+        # (runs, cdf) pair of each of its tokens
+        self._structure_cdf: List[float] = []
+        self._structure_tokens: List[List[Tuple[List[str], List[float]]]] = []
 
     def fit(self, passwords: Sequence[str]) -> "PCFGModel":
         """Learn structures and terminals from a corpus."""
         if not passwords:
             raise ValueError("cannot fit on an empty corpus")
+        structures: Counter = Counter()
+        terminals: Dict[str, Counter] = defaultdict(Counter)
         for password in passwords:
             password = password[: self.max_length]
             if not password:
                 continue
             pieces = segment(password)
             template = " ".join(f"{k}{len(r)}" for k, r in pieces)
-            self._structures[template] += 1
+            structures[template] += 1
             for klass, run in pieces:
-                self._terminals[f"{klass}{len(run)}"][run] += 1
-        if not self._structures:
+                terminals[f"{klass}{len(run)}"][run] += 1
+        if not structures:
             raise ValueError("corpus produced no structures")
-        self._structure_items = list(self._structures)
-        counts = np.array([self._structures[s] for s in self._structure_items], dtype=np.float64)
+        self._structures = structures
+        self._structure_items = list(structures)
+        counts = np.array([structures[s] for s in self._structure_items], dtype=np.float64)
         self._structure_probs = counts / counts.sum()
-        self._terminal_cache.clear()
+        self._terminal_dists = {}
+        for token, counter in terminals.items():
+            runs = list(counter)
+            weights = np.array([counter[r] for r in runs], dtype=np.float64)
+            self._terminal_dists[token] = (runs, weights / weights.sum())
+        token_cdfs = {
+            token: (runs, choice_cdf(probs))
+            for token, (runs, probs) in self._terminal_dists.items()
+        }
+        self._structure_cdf = choice_cdf(self._structure_probs)
+        self._structure_tokens = [
+            [token_cdfs[token] for token in template.split(" ")]
+            for template in self._structure_items
+        ]
         self._fitted = True
         return self
 
-    def _terminal_distribution(self, token: str) -> Tuple[List[str], np.ndarray]:
-        cached = self._terminal_cache.get(token)
-        if cached is not None:
-            return cached
-        counter = self._terminals[token]
-        runs = list(counter)
-        counts = np.array([counter[r] for r in runs], dtype=np.float64)
-        entry = (runs, counts / counts.sum())
-        self._terminal_cache[token] = entry
-        return entry
-
     def sample_passwords(self, count: int, rng: np.random.Generator) -> List[str]:
-        """Sample structures then terminals, independently per guess."""
+        """Sample structures then terminals, independently per guess.
+
+        The passwords, and the state ``rng`` is left in, are those of one
+        ``rng.choice(n, p=probs)`` per structure and per terminal; the
+        draws go through :mod:`repro.baselines.categorical` instead.
+        """
         if not self._fitted:
             raise RuntimeError("fit() the model first")
+        structure_cdf = self._structure_cdf
+        structures = self._structure_tokens
+        # one draw for the structure, then one per token
+        limit = count * (1 + max(map(len, structures)))
         out: List[str] = []
-        n_struct = len(self._structure_items)
-        for _ in range(count):
-            template = self._structure_items[int(rng.choice(n_struct, p=self._structure_probs))]
-            pieces = []
-            for token in template.split(" "):
-                runs, probs = self._terminal_distribution(token)
-                pieces.append(runs[int(rng.choice(len(runs), p=probs))])
-            out.append("".join(pieces))
+        with UniformDraws(rng, limit) as draws:
+            for _ in range(count):
+                tokens = structures[bisect_right(structure_cdf, next(draws))]
+                out.append(
+                    "".join([runs[bisect_right(cdf, next(draws))] for runs, cdf in tokens])
+                )
         return out
 
     def log_prob(self, password: str) -> float:
@@ -113,7 +132,7 @@ class PCFGModel:
         idx = self._structure_items.index(template)
         total = float(np.log(self._structure_probs[idx]))
         for klass_run, token in zip(segment(password), template.split(" ")):
-            runs, probs = self._terminal_distribution(token)
+            runs, probs = self._terminal_dists[token]
             try:
                 total += float(np.log(probs[runs.index(klass_run[1])]))
             except ValueError:
@@ -143,8 +162,7 @@ class PCFGModel:
 
         # per-token terminals sorted by descending probability
         sorted_terminals = {}
-        for token in self._terminals:
-            runs, probs = self._terminal_distribution(token)
+        for token, (runs, probs) in self._terminal_dists.items():
             order = sorted(range(len(runs)), key=lambda i: -probs[i])
             sorted_terminals[token] = (
                 [runs[i] for i in order], [float(probs[i]) for i in order]
