@@ -41,14 +41,11 @@ The same spec strings drive the CLI::
 
 from repro.core import (
     ConditionalGuesser,
-    DynamicSampler,
     DynamicSamplingConfig,
     GaussianSmoother,
-    GuessingAttack,
     GuessingReport,
     PassFlow,
     PassFlowConfig,
-    StaticSampler,
     StepPenalization,
     interpolate,
     paper_schedule,
@@ -69,12 +66,9 @@ __version__ = "1.1.0"
 __all__ = [
     "PassFlow",
     "PassFlowConfig",
-    "StaticSampler",
-    "DynamicSampler",
     "DynamicSamplingConfig",
     "GaussianSmoother",
     "StepPenalization",
-    "GuessingAttack",
     "GuessingReport",
     "ConditionalGuesser",
     "interpolate",

@@ -781,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--executor",
         default="auto",
-        help="shard executor: auto|local|process|worksteal|processpool "
+        help="shard executor: auto|local|worksteal|processpool "
         "(default auto picks per schedule/platform; processpool = "
         "fork-server pool with sticky shard affinity -- multi-core "
         "throughput for GIL-bound strategies, same report bytes as "

@@ -8,25 +8,16 @@ conditioned the prior for gamma batches is dropped (step phi), pushing the
 search into fresher high-density regions.
 
 The streaming implementation (batching notes included) lives in
-:class:`repro.strategies.passflow.DynamicStrategy`; this module keeps the
-Algorithm 1 configuration/schedule plus :class:`DynamicSampler`, a
-deprecated facade whose ``attack`` produces bit-identical reports through
-the :class:`repro.strategies.AttackEngine`.
+:class:`repro.strategies.passflow.DynamicStrategy`, driven by the
+:class:`repro.strategies.AttackEngine`; this module keeps the Algorithm 1
+configuration and the Table I schedule.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
 
-import numpy as np
-
-from repro.core.guesser import GuessingReport
-from repro.core.model import PassFlow
 from repro.core.penalization import PhiFunction, StepPenalization
-from repro.core.smoothing import GaussianSmoother
-from repro.flows.priors import GaussianMixturePrior
 
 
 @dataclass
@@ -78,83 +69,3 @@ def paper_schedule(num_guesses: int, batch_size: int = 2048) -> DynamicSamplingC
         phi=StepPenalization(gamma=row["gamma"]),
         batch_size=batch_size,
     )
-
-
-class DynamicSampler:
-    """Algorithm 1: feedback-driven guess generation.
-
-    Deprecated facade over
-    :class:`repro.strategies.passflow.DynamicStrategy`; the matched-latent
-    memory (M, Mh) lives on the wrapped strategy and is exposed through the
-    ``matched_latents`` / ``usage_counts`` properties for continuity.
-    """
-
-    def __init__(
-        self,
-        model: PassFlow,
-        config: Optional[DynamicSamplingConfig] = None,
-        smoother: Optional[GaussianSmoother] = None,
-    ) -> None:
-        from repro.strategies.passflow import DynamicStrategy
-
-        self._strategy = DynamicStrategy(model, config, smoother=smoother)
-
-    @property
-    def model(self) -> PassFlow:
-        return self._strategy.model
-
-    @property
-    def config(self) -> DynamicSamplingConfig:
-        return self._strategy.config
-
-    @property
-    def smoother(self) -> Optional[GaussianSmoother]:
-        return self._strategy.smoother
-
-    # The sets M and Mh of Algorithm 1 (delegated to the strategy).
-    @property
-    def matched_latents(self) -> List[np.ndarray]:
-        return self._strategy.matched_latents
-
-    @matched_latents.setter
-    def matched_latents(self, value: List[np.ndarray]) -> None:
-        self._strategy.matched_latents = list(value)
-
-    @property
-    def usage_counts(self) -> List[int]:
-        return self._strategy.usage_counts
-
-    @usage_counts.setter
-    def usage_counts(self, value: List[int]) -> None:
-        self._strategy.usage_counts = list(value)
-
-    # ------------------------------------------------------------------
-    # prior construction (Eq. 14)
-    # ------------------------------------------------------------------
-    def _mixture_prior(self) -> Optional[GaussianMixturePrior]:
-        return self._strategy.mixture_prior()
-
-    def _note_usage(self) -> None:
-        self._strategy._note_usage()
-
-    # ------------------------------------------------------------------
-    # attack loop
-    # ------------------------------------------------------------------
-    def attack(
-        self,
-        test_set: Set[str],
-        budgets: Sequence[int],
-        rng: np.random.Generator,
-        method: str = "PassFlow-Dynamic",
-    ) -> GuessingReport:
-        """Run Algorithm 1 up to the final budget; return the report."""
-        warnings.warn(
-            "DynamicSampler.attack is deprecated; build a strategy with "
-            "repro.strategies.build('passflow:dynamic', model=...) and run it "
-            "through repro.strategies.AttackEngine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.strategies.engine import AttackEngine
-
-        return AttackEngine(test_set, budgets).run(self._strategy, rng, method=method)

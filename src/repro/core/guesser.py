@@ -796,35 +796,3 @@ class GuessAccounting:
             non_matched_samples=list(self.non_matched_samples),
             matched_samples=list(self.matched_samples),
         )
-
-
-class GuessingAttack:
-    """Facade running any string generator through the accounting.
-
-    ``generator`` is anything with ``sample_passwords(count, rng)`` or a
-    plain callable ``(count, rng) -> list[str]``; this covers PassFlow in
-    static mode and all the baselines.  Dynamic Sampling has its own driver
-    (:class:`repro.core.dynamic.DynamicSampler`) because it feeds matches
-    back into the prior.
-    """
-
-    def __init__(
-        self,
-        test_set: Set[str],
-        budgets: Sequence[int],
-        batch_size: int = 2048,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.test_set = set(test_set)
-        self.budgets = list(budgets)
-        self.batch_size = batch_size
-
-    def run(self, generator, rng, method: str = "generator") -> GuessingReport:
-        """Generate up to the final budget and return the report."""
-        generate = getattr(generator, "sample_passwords", generator)
-        accounting = GuessAccounting(self.test_set, self.budgets)
-        while not accounting.done:
-            count = min(self.batch_size, accounting.remaining)
-            accounting.observe(generate(count, rng))
-        return accounting.report(method)

@@ -6,18 +6,17 @@ Three layers sit between a strategy spec and a Table II/III report:
   workers, giving each shard a named RNG stream
   (``spawn_rng(seed, "shard-i")``) and per-budget marks that sum exactly
   to the global budgets;
-* :class:`LocalExecutor` (in-process, the deterministic reference) and
-  :class:`ProcessExecutor` (one forked process per shard; strategies are
-  rebuilt in the worker from their registry spec via
-  :class:`StrategySource`) run static shards;
-  :class:`WorkStealingExecutor` runs elastic chunk chains over a
-  persistent thread pool (any idle worker pulls the next chunk of any
-  shard, and dry shards' budgets are re-planned onto the live fleet at
-  checkpoint boundaries -- see :mod:`repro.runtime.elastic`);
-  :class:`ProcessPoolExecutor` (:mod:`repro.runtime.pool`) runs either
-  schedule on a fork-server pool of long-lived workers with sticky
-  shard-to-process affinity -- real multi-core throughput for GIL-bound
-  strategies under elastic re-planning;
+* :class:`LocalExecutor` (in-process, the deterministic reference) runs
+  either schedule sequentially; :class:`WorkStealingExecutor` runs
+  elastic chunk chains over a persistent thread pool (any idle worker
+  pulls the next chunk of any shard, and dry shards' budgets are
+  re-planned onto the live fleet at checkpoint boundaries -- see
+  :mod:`repro.runtime.elastic`); :class:`ProcessPoolExecutor`
+  (:mod:`repro.runtime.pool`) runs either schedule on a fork-server pool
+  of long-lived workers with sticky shard-to-process affinity
+  (strategies are rebuilt in the worker from their registry spec via
+  :class:`StrategySource`) -- real multi-core throughput, including for
+  GIL-bound strategies under elastic re-planning;
 * :class:`ParallelAttackEngine` merges the shards' checkpoint deltas into
   the same :class:`~repro.core.guesser.BudgetRow` checkpoints the serial
   engine emits.  Shards that account in interned-id key space (every
@@ -51,7 +50,6 @@ from repro.runtime.elastic import (
 )
 from repro.runtime.executor import (
     LocalExecutor,
-    ProcessExecutor,
     ShardOutcome,
     ShardTask,
     StrategySource,
@@ -79,7 +77,6 @@ __all__ = [
     "ElasticShardOutcome",
     "LocalExecutor",
     "ParallelAttackEngine",
-    "ProcessExecutor",
     "ProcessPoolExecutor",
     "ShardOutcome",
     "ShardPlan",

@@ -1,4 +1,4 @@
-"""Shard execution backends: in-process reference and multiprocessing.
+"""Shard execution backends: the in-process reference and a thread pool.
 
 A shard worker needs three things: a way to build a fresh strategy (every
 shard gets its own instance so feedback state like Dynamic Sampling's
@@ -11,11 +11,12 @@ counters -- which the
 :class:`~repro.runtime.parallel.ParallelAttackEngine` merges.
 
 :class:`LocalExecutor` runs shards sequentially in-process and is the
-deterministic reference; :class:`ProcessExecutor` forks one OS process per
-shard (strategies are rebuilt inside the worker from their registry spec
-string via the inherited :class:`StrategySource`; only outcomes cross the
-process boundary).  Both produce bit-identical outcomes for a fixed
-``(seed, workers)``.
+deterministic reference.  Multi-process execution lives in
+:mod:`repro.runtime.pool`: :class:`~repro.runtime.pool.ProcessPoolExecutor`
+runs the same :func:`execute_shard` in forked workers (strategies are
+rebuilt there from their registry spec string via the inherited
+:class:`StrategySource`; only outcomes cross the process boundary), so
+both produce bit-identical outcomes for a fixed ``(seed, workers)``.
 
 Elastic schedules use a second, chunk-level protocol: ``run_chains`` takes
 one ordered *chain* of chunk thunks per shard and runs them with the
@@ -41,9 +42,7 @@ either, per shard.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -53,10 +52,7 @@ from repro.core.guesser import Delta, GuessAccounting, KeyedCheckpointDelta
 from repro.runtime.planner import ShardPlan
 from repro.strategies.engine import AttackEngine, AttackState
 from repro.strategies.registry import build
-from repro.utils.logging import get_logger
 from repro.utils.progress import ProgressReporter
-
-logger = get_logger("runtime.executor")
 
 
 @dataclass
@@ -208,7 +204,7 @@ def build_shard_strategy(source, index: int):
 
 
 def execute_shard(task: ShardTask, plan: ShardPlan) -> ShardOutcome:
-    """Run one shard to completion (used by both executors)."""
+    """Run one shard to completion (in-process or in a pool worker)."""
     local_budgets = plan.local_budgets
     outcome = ShardOutcome(index=plan.index, local_budgets=local_budgets)
     if not local_budgets:
@@ -278,6 +274,25 @@ class LocalExecutor:
                     errors[index] = exc
                     break
         return errors
+
+
+class ProcessExecutor:
+    """Old name of a static fleet on forked workers; runs on the pool.
+
+    ``ProcessExecutor().run(task, plans)`` is
+    ``ProcessPoolExecutor(processes=len(plans)).run(task, plans)``: one
+    worker process per shard, the fleet ``--executor auto`` builds for
+    static schedules.  There is no second process implementation behind
+    this name, and it is not an ``--executor`` choice; it stays resolvable
+    because ``perfbench/tracing.py`` names ``ProcessExecutor.run`` as a
+    trace target.
+    """
+
+    def run(self, task: ShardTask, plans: Sequence[ShardPlan]) -> List[ShardOutcome]:
+        """Run every shard on a one-process-per-shard fork-server pool."""
+        from repro.runtime.pool import ProcessPoolExecutor  # pool imports this module
+
+        return ProcessPoolExecutor(processes=len(plans)).run(task, plans)
 
 
 class WorkStealingExecutor:
@@ -383,158 +398,3 @@ class WorkStealingExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-def picklable_exception(exc: BaseException) -> Optional[BaseException]:
-    """The exception itself when it survives pickling, else ``None``.
-
-    Worker processes ship their failures to the parent through a result
-    queue; an exception that can cross it intact is re-raised with its
-    original type (e.g. a clean ``SpecError``), anything else degrades to
-    the traceback string the caller sends alongside.
-    """
-    try:
-        import pickle
-
-        pickle.dumps(exc)
-        return exc
-    except Exception:
-        return None
-
-
-def reap_processes(processes: Sequence) -> None:
-    """Terminate and join every child, no matter how the parent is exiting.
-
-    The shared teardown tail of both process executors: called from a
-    ``finally`` so a parent raising mid-collection (KeyboardInterrupt, a
-    re-raised shard error) never leaves forked children running.  Safe on
-    the clean path too -- a worker that already reported its result is
-    either exiting or blocked in a queue feeder; ``terminate`` just
-    hastens it.  Joins get a bounded timeout with a ``kill`` fallback so
-    teardown cannot hang on a wedged child.
-    """
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=5.0)
-        if process.is_alive():  # terminate ignored (e.g. masked SIGTERM)
-            process.kill()
-            process.join(timeout=5.0)
-
-
-class CorpseWatch:
-    """Detects workers that died without reporting a result.
-
-    Both process executors drain a result queue with a timeout; on every
-    timeout they feed this watch the indices of workers that are no
-    longer alive but still owe results.  A worker that just exited may
-    have its final message in flight through the queue's feeder pipe, so
-    the watch only gives up after ``grace`` consecutive idle rounds with
-    corpses present; any successful receive resets it.
-    """
-
-    def __init__(self, grace: int = 3) -> None:
-        self.grace = grace
-        self._idle_rounds = 0
-
-    def note_receive(self) -> None:
-        """A message arrived; the queue is live again."""
-        self._idle_rounds = 0
-
-    def note_timeout(self, dead: Sequence[int]) -> Optional[List[int]]:
-        """An idle round elapsed; returns the corpse list once out of grace."""
-        self._idle_rounds = self._idle_rounds + 1 if dead else 0
-        if self._idle_rounds >= self.grace:
-            return list(dead)
-        return None
-
-
-def _shard_entry(queue, task: ShardTask, plan: ShardPlan) -> None:
-    try:
-        queue.put((plan.index, execute_shard(task, plan), None))
-    except BaseException as exc:  # surface worker failures in the parent
-        queue.put(
-            (plan.index, None, (picklable_exception(exc), traceback.format_exc()))
-        )
-
-
-class ProcessExecutor:
-    """One forked OS process per shard.
-
-    Fork start is required: workers inherit the strategy source's heavy
-    resources (trained model, corpus, test set) by address-space copy, and
-    only the compact :class:`ShardOutcome` crosses the result queue.  On
-    platforms without fork this raises at construction; callers fall back
-    to :class:`LocalExecutor` (identical results, no parallelism).
-    """
-
-    def __init__(self) -> None:
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError("ProcessExecutor requires the fork start method")
-        self._context = multiprocessing.get_context("fork")
-        self._processes: List = []
-
-    @staticmethod
-    def _receive(queue):
-        """One blocking result-queue read (seam for cleanup regression tests)."""
-        return queue.get(timeout=1.0)
-
-    def run(self, task: ShardTask, plans: Sequence[ShardPlan]) -> List[ShardOutcome]:
-        """Fork one worker per shard; gather outcomes in shard-index order.
-
-        Raises the original worker exception (when picklable) or a
-        RuntimeError naming shards that died without reporting.
-        """
-        queue = self._context.Queue()
-        processes = [
-            self._context.Process(
-                target=_shard_entry, args=(queue, task, plan), daemon=True
-            )
-            for plan in plans
-        ]
-        self._processes = processes  # inspectable by cleanup regression tests
-        for process in processes:
-            process.start()
-        outcomes: List[Optional[ShardOutcome]] = [None] * len(plans)
-        failure: Optional[str] = None
-        shard_exception: Optional[BaseException] = None
-        collected = 0
-        watch = CorpseWatch()
-        try:
-            while collected < len(plans) and failure is None:
-                try:
-                    index, outcome, error = self._receive(queue)
-                except Exception:  # queue.Empty: check for silently dead workers
-                    corpses = watch.note_timeout(
-                        [
-                            plan.index
-                            for plan, process in zip(plans, processes)
-                            if not process.is_alive() and outcomes[plan.index] is None
-                        ]
-                    )
-                    if corpses is not None:
-                        failure = (
-                            f"shard(s) {corpses} died without reporting a result"
-                        )
-                    continue
-                watch.note_receive()
-                if error is not None:
-                    shard_exception, trace = error
-                    failure = f"shard {index} failed:\n{trace}"
-                else:
-                    outcomes[index] = outcome
-                    collected += 1
-        finally:
-            # unconditional: a parent raising mid-collection (KeyboardInterrupt,
-            # a shard error re-raise below) must not orphan live children
-            reap_processes(processes)
-            queue.close()
-        if failure is not None:
-            if shard_exception is not None:
-                # re-raise with the original type so callers can handle it
-                # (e.g. the CLI turning a SpecError into a clean exit)
-                logger.warning("%s", failure)
-                raise shard_exception
-            raise RuntimeError(failure)
-        return [outcome for outcome in outcomes if outcome is not None]

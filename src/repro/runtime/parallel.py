@@ -52,7 +52,6 @@ from repro.core.guesser import (
 from repro.runtime.elastic import ElasticShardOutcome, run_elastic
 from repro.runtime.executor import (
     LocalExecutor,
-    ProcessExecutor,
     ShardOutcome,
     ShardTask,
     StrategyFactory,
@@ -67,24 +66,23 @@ logger = get_logger("runtime.parallel")
 
 SCHEDULES = ("static", "elastic")
 
-EXECUTOR_NAMES = ("auto", "local", "process", "worksteal", "processpool")
+EXECUTOR_NAMES = ("auto", "local", "worksteal", "processpool")
 
 
 def default_executor(workers: int, schedule: str = "static"):
     """The executor a schedule wants when the caller doesn't pick one.
 
-    Static schedules fork one process per shard when the platform allows
-    it (else in-process, identical results); elastic schedules run on a
-    work-stealing thread pool -- chunk chains need shared strategy state,
-    which processes cannot migrate -- with the sequential
-    :class:`LocalExecutor` for a single worker.
+    Static fleets run on a fork-server pool with one worker process per
+    shard when the platform allows it (else in-process, identical
+    results); elastic schedules run on a work-stealing thread pool, with
+    the sequential :class:`LocalExecutor` for a single worker.
     """
     if schedule == "elastic":
         return LocalExecutor() if workers <= 1 else WorkStealingExecutor(workers)
     if workers <= 1:
         return LocalExecutor()
     try:
-        return ProcessExecutor()
+        return ProcessPoolExecutor(processes=workers)
     except RuntimeError:
         logger.warning("fork unavailable; running %d shards in-process", workers)
         return LocalExecutor()
@@ -107,23 +105,9 @@ def resolve_executor(name: Optional[str], workers: int, schedule: str = "static"
         if schedule != "elastic":
             raise ValueError(
                 "--executor worksteal only runs elastic schedules; use "
-                "'local', 'process' or 'processpool' with --schedule static"
+                "'local' or 'processpool' with --schedule static"
             )
         return LocalExecutor() if workers <= 1 else WorkStealingExecutor(workers)
-    if name == "process":
-        if schedule == "elastic":
-            raise ValueError(
-                "--executor process cannot run elastic schedules (shard "
-                "state cannot migrate across forks); use 'processpool', "
-                "'worksteal' or 'local'"
-            )
-        try:
-            return ProcessExecutor()
-        except RuntimeError:
-            raise ValueError(
-                "--executor process requires the fork start method, which "
-                "this platform does not provide; use --executor local"
-            ) from None
     if name == "processpool":
         try:
             return ProcessPoolExecutor(processes=workers)
@@ -233,7 +217,7 @@ class ParallelAttackEngine:
         if schedule == "static" and not hasattr(self.executor, "run"):
             raise ValueError(
                 f"{type(self.executor).__name__} cannot run static schedules; "
-                "use LocalExecutor, ProcessExecutor or ProcessPoolExecutor"
+                "use LocalExecutor or ProcessPoolExecutor"
             )
         self.sample_cap = sample_cap
 

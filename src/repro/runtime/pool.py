@@ -1,5 +1,6 @@
 """Fork-server process pool: long-lived workers with sticky shard affinity.
 
+This is the runtime's one multi-process executor, for both schedules.
 The thread-backed elastic runtime (:class:`~repro.runtime.executor.
 WorkStealingExecutor`) re-plans budgets beautifully but runs every chunk
 under the GIL, so GIL-bound strategies (markov, PCFG, conditional
@@ -19,8 +20,8 @@ per worker, one shared result queue):
   worker its shards' :class:`~repro.runtime.planner.ShardPlan`\\ s; workers
   run :func:`~repro.runtime.executor.execute_shard` and stream back
   compact :class:`~repro.runtime.executor.ShardOutcome`\\ s -- the same
-  wire format :class:`~repro.runtime.executor.ProcessExecutor` uses, so
-  merged reports are bit-identical.
+  outcomes :class:`~repro.runtime.executor.LocalExecutor` builds
+  in-process, so merged reports are bit-identical.
 * **Elastic** (:meth:`ProcessPoolExecutor.elastic_host`): the parent
   streams *chunk descriptors* (``(shard, [chunk sizes])``) down the
   pipes; workers run the chunks through the same
@@ -38,6 +39,11 @@ chunk policy, and shard state is process-sticky, so for a fixed
 :class:`~repro.runtime.executor.LocalExecutor` and
 :class:`~repro.runtime.executor.WorkStealingExecutor`.  See
 ``docs/parallel.md`` for the executor-selection matrix.
+
+Process lifecycle lives here too: :func:`picklable_exception` ships
+worker failures, :class:`CorpseWatch` spots workers that died without
+reporting, and :func:`reap_processes` tears a fleet down from any exit
+path.
 """
 
 from __future__ import annotations
@@ -47,18 +53,76 @@ import traceback
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.runtime.elastic import ChunkAssignment, ElasticShardOutcome, _ShardRun
-from repro.runtime.executor import (
-    CorpseWatch,
-    ShardOutcome,
-    ShardTask,
-    execute_shard,
-    picklable_exception,
-    reap_processes,
-)
+from repro.runtime.executor import ShardOutcome, ShardTask, execute_shard
 from repro.runtime.planner import ShardPlan, ShardProgress
 from repro.utils.logging import get_logger
 
 logger = get_logger("runtime.pool")
+
+
+def picklable_exception(exc: BaseException) -> Optional[BaseException]:
+    """The exception itself when it survives pickling, else ``None``.
+
+    Worker processes ship their failures to the parent through a result
+    queue; an exception that can cross it intact is re-raised with its
+    original type (e.g. a clean ``SpecError``), anything else degrades to
+    the traceback string the caller sends alongside.
+    """
+    try:
+        import pickle
+
+        pickle.dumps(exc)
+        return exc
+    except Exception:
+        return None
+
+
+def reap_processes(processes: Sequence) -> None:
+    """Terminate and join every child, no matter how the parent is exiting.
+
+    The teardown tail of :meth:`_ForkServer.stop`: called from a
+    ``finally`` so a parent raising mid-collection (KeyboardInterrupt, a
+    re-raised shard error) never leaves forked children running.  Safe on
+    the clean path too -- a worker that already reported its result is
+    either exiting or blocked in a queue feeder; ``terminate`` just
+    hastens it.  Joins get a bounded timeout with a ``kill`` fallback so
+    teardown cannot hang on a wedged child.
+    """
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+    for process in processes:
+        process.join(timeout=5.0)
+        if process.is_alive():  # terminate ignored (e.g. masked SIGTERM)
+            process.kill()
+            process.join(timeout=5.0)
+
+
+class CorpseWatch:
+    """Detects workers that died without reporting a result.
+
+    Both pool protocols drain the result queue with a timeout; on every
+    timeout they feed this watch the indices of workers that are no
+    longer alive but still owe results.  A worker that just exited may
+    have its final message in flight through the queue's feeder pipe, so
+    the watch only gives up after ``grace`` consecutive idle rounds with
+    corpses present; any successful receive resets it.
+    """
+
+    def __init__(self, grace: int = 3) -> None:
+        self.grace = grace
+        self._idle_rounds = 0
+
+    def note_receive(self) -> None:
+        """A message arrived; the queue is live again."""
+        self._idle_rounds = 0
+
+    def note_timeout(self, dead: Sequence[int]) -> Optional[List[int]]:
+        """An idle round elapsed; returns the corpse list once out of grace."""
+        self._idle_rounds = self._idle_rounds + 1 if dead else 0
+        if self._idle_rounds >= self.grace:
+            return list(dead)
+        return None
 
 
 def _pool_worker(worker_id: int, task: ShardTask, fleet: int, commands, results) -> None:
@@ -458,13 +522,12 @@ class ProcessPoolExecutor:
         """Static schedule: dispatch whole shards to their sticky workers.
 
         Bit-identical outcomes to
-        :class:`~repro.runtime.executor.ProcessExecutor` (the same
+        :class:`~repro.runtime.executor.LocalExecutor` (the same
         :func:`~repro.runtime.executor.execute_shard` runs in the
-        worker); the difference is lifecycle -- P long-lived workers
-        instead of one fork per shard.  Raises the original worker
-        exception when picklable, or a ``RuntimeError`` naming shards
-        whose worker died without reporting.  All children are reaped in
-        a ``finally`` regardless of how collection ends.
+        worker).  Raises the original worker exception when picklable,
+        or a ``RuntimeError`` naming shards whose worker died without
+        reporting.  All children are reaped in a ``finally`` regardless
+        of how collection ends.
         """
         server = _ForkServer(
             self._context, task, len(plans), self.processes or len(plans)

@@ -125,9 +125,9 @@ class AttackContext:
     def next_count(self, batch_size: int) -> int:
         """The batch size a strategy should produce next.
 
-        Matches the eager samplers' ``min(batch_size, remaining)`` so a
-        strategy driven by the engine draws exactly the same RNG sequence
-        as the legacy ``.attack()`` loops.
+        Matches the seed-era eager samplers' ``min(batch_size, remaining)``
+        so a strategy driven by the engine draws exactly the same RNG
+        sequence as those loops did.
         """
         remaining = self.remaining
         if remaining is None:

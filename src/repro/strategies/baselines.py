@@ -60,8 +60,8 @@ class SampledModelStrategy(GuessingStrategy):
 
     Covers all five baselines (and any future model with the common
     sampling interface); the guess stream is the model's i.i.d. sampler,
-    batch-sized to the remaining budget like the legacy
-    :class:`~repro.core.guesser.GuessingAttack` loop.
+    one ``sample_passwords`` call per batch, each call capped at the
+    remaining budget.
     """
 
     #: The stream is feedback-free i.i.d. sampling: a pure function of

@@ -10,10 +10,10 @@
 Static also accepts ``gs=true`` (``passflow:static?gs=true``) for the
 smoothed-static arm of Table V-style ablations.
 
-The streaming loops here are RNG-faithful ports of the eager
-``StaticSampler.attack`` / ``DynamicSampler.attack`` bodies: driven by an
+The streaming loops here are RNG-faithful ports of the seed-era eager
+static and Algorithm 1 attack loops: driven by an
 :class:`~repro.strategies.engine.AttackEngine` over the same budgets they
-reproduce the legacy reports exactly.
+reproduce those loops' reports exactly.
 
 The latent decodes these loops spend their time in dispatch through the
 active kernel backend (:mod:`repro.kernels`, ``--kernels`` /
@@ -148,7 +148,7 @@ class DynamicStrategy(GuessingStrategy):
 
     The engine notifies fresh matches through :meth:`on_matches`; the
     matched latents (set M) and usage counts (Mh) condition the Eq. 14
-    mixture prior exactly as in the eager sampler.
+    mixture prior (:meth:`mixture_prior`).
     """
 
     def __init__(

@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.dynamic import (
-    PAPER_SCHEDULE,
-    DynamicSampler,
-    DynamicSamplingConfig,
-    paper_schedule,
-)
+from repro.core.dynamic import PAPER_SCHEDULE, DynamicSamplingConfig, paper_schedule
 from repro.core.penalization import NoPenalization, StepPenalization
 from repro.core.smoothing import GaussianSmoother
 from repro.flows.priors import GaussianMixturePrior
+from repro.strategies import AttackEngine
+from repro.strategies.passflow import DynamicStrategy
 
 
 class TestConfig:
@@ -48,49 +45,49 @@ class TestPaperSchedule:
 
 
 class TestMixtureConstruction:
-    def _sampler(self, trained_model, alpha=1, phi=None):
+    def _strategy(self, trained_model, alpha=1, phi=None):
         config = DynamicSamplingConfig(
             alpha=alpha, sigma=0.1, phi=phi or StepPenalization(2), batch_size=64
         )
-        return DynamicSampler(trained_model, config)
+        return DynamicStrategy(trained_model, config)
 
     def test_no_mixture_before_alpha(self, trained_model):
-        sampler = self._sampler(trained_model, alpha=2)
-        sampler.matched_latents = [np.zeros(10), np.ones(10)]
-        sampler.usage_counts = [0, 0]
-        assert sampler._mixture_prior() is None  # len == alpha, needs >
+        strategy = self._strategy(trained_model, alpha=2)
+        strategy.matched_latents = [np.zeros(10), np.ones(10)]
+        strategy.usage_counts = [0, 0]
+        assert strategy.mixture_prior() is None  # len == alpha, needs >
 
     def test_mixture_after_alpha(self, trained_model):
-        sampler = self._sampler(trained_model, alpha=1)
-        sampler.matched_latents = [np.zeros(10), np.ones(10)]
-        sampler.usage_counts = [0, 0]
-        prior = sampler._mixture_prior()
+        strategy = self._strategy(trained_model, alpha=1)
+        strategy.matched_latents = [np.zeros(10), np.ones(10)]
+        strategy.usage_counts = [0, 0]
+        prior = strategy.mixture_prior()
         assert isinstance(prior, GaussianMixturePrior)
         assert prior.num_components == 2
 
     def test_fully_penalized_falls_back(self, trained_model):
-        sampler = self._sampler(trained_model, alpha=0)
-        sampler.matched_latents = [np.zeros(10)]
-        sampler.usage_counts = [99]  # beyond gamma=2
-        assert sampler._mixture_prior() is None
+        strategy = self._strategy(trained_model, alpha=0)
+        strategy.matched_latents = [np.zeros(10)]
+        strategy.usage_counts = [99]  # beyond gamma=2
+        assert strategy.mixture_prior() is None
 
     def test_usage_counting(self, trained_model):
-        sampler = self._sampler(trained_model, alpha=0)
-        sampler.matched_latents = [np.zeros(10), np.ones(10)]
-        sampler.usage_counts = [0, 5]  # second already penalized out
-        prior = sampler._mixture_prior()
+        strategy = self._strategy(trained_model, alpha=0)
+        strategy.matched_latents = [np.zeros(10), np.ones(10)]
+        strategy.usage_counts = [0, 5]  # second already penalized out
+        prior = strategy.mixture_prior()
         assert prior.num_components == 2  # built over window, weight 0 for idx 1
-        sampler._note_usage()
-        assert sampler.usage_counts == [1, 5]  # only active component charged
+        strategy._note_usage()
+        assert strategy.usage_counts == [1, 5]  # only active component charged
 
     def test_max_components_window(self, trained_model):
         config = DynamicSamplingConfig(
             alpha=0, sigma=0.1, phi=NoPenalization(), batch_size=8, max_components=3
         )
-        sampler = DynamicSampler(trained_model, config)
-        sampler.matched_latents = [np.full(10, float(i)) for i in range(10)]
-        sampler.usage_counts = [0] * 10
-        prior = sampler._mixture_prior()
+        strategy = DynamicStrategy(trained_model, config)
+        strategy.matched_latents = [np.full(10, float(i)) for i in range(10)]
+        strategy.usage_counts = [0] * 10
+        prior = strategy.mixture_prior()
         assert prior.num_components == 3
         assert np.allclose(prior.means[0], 7.0)  # most recent window
 
@@ -98,35 +95,36 @@ class TestMixtureConstruction:
 class TestAttack:
     def test_attack_produces_report(self, trained_model, trained_dataset):
         config = DynamicSamplingConfig(alpha=1, sigma=0.12, batch_size=128)
-        sampler = DynamicSampler(trained_model, config)
-        report = sampler.attack(
-            trained_dataset.test_set, [128, 512], np.random.default_rng(0)
+        report = AttackEngine(trained_dataset.test_set, [128, 512]).run(
+            DynamicStrategy(trained_model, config), np.random.default_rng(0)
         )
         assert [r.guesses for r in report.rows] == [128, 512]
         assert report.method == "PassFlow-Dynamic"
 
     def test_matches_recorded_in_latent_memory(self, trained_model, trained_dataset):
         config = DynamicSamplingConfig(alpha=1, sigma=0.12, batch_size=256)
-        sampler = DynamicSampler(trained_model, config)
-        report = sampler.attack(
-            trained_dataset.test_set, [2048], np.random.default_rng(3)
+        strategy = DynamicStrategy(trained_model, config)
+        report = AttackEngine(trained_dataset.test_set, [2048]).run(
+            strategy, np.random.default_rng(3)
         )
-        assert len(sampler.matched_latents) == report.final().matched
-        assert len(sampler.usage_counts) == len(sampler.matched_latents)
+        assert len(strategy.matched_latents) == report.final().matched
+        assert len(strategy.usage_counts) == len(strategy.matched_latents)
 
     def test_attack_with_smoother_runs(self, trained_model, trained_dataset):
         config = DynamicSamplingConfig(alpha=1, sigma=0.12, batch_size=128)
-        sampler = DynamicSampler(
+        strategy = DynamicStrategy(
             trained_model, config, smoother=GaussianSmoother(trained_model.encoder)
         )
-        report = sampler.attack(trained_dataset.test_set, [512], np.random.default_rng(1))
+        report = AttackEngine(trained_dataset.test_set, [512]).run(
+            strategy, np.random.default_rng(1)
+        )
         assert report.final().guesses == 512
+        assert report.method == "PassFlow-Dynamic+GS"
 
     def test_rows_monotone(self, trained_model, trained_dataset):
         config = DynamicSamplingConfig(alpha=1, sigma=0.15, batch_size=128)
-        sampler = DynamicSampler(trained_model, config)
-        report = sampler.attack(
-            trained_dataset.test_set, [128, 256, 512], np.random.default_rng(2)
+        report = AttackEngine(trained_dataset.test_set, [128, 256, 512]).run(
+            DynamicStrategy(trained_model, config), np.random.default_rng(2)
         )
         uniques = [r.unique for r in report.rows]
         matches = [r.matched for r in report.rows]

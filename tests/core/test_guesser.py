@@ -1,9 +1,11 @@
-"""Guess accounting and the generic attack facade."""
+"""Guess accounting, reports, and the generic sampled-model strategy."""
 
 import numpy as np
 import pytest
 
-from repro.core.guesser import BudgetRow, GuessAccounting, GuessingAttack, GuessingReport
+from repro.core.guesser import BudgetRow, GuessAccounting, GuessingReport
+from repro.strategies import AttackEngine
+from repro.strategies.baselines import SampledModelStrategy
 
 
 class TestAccounting:
@@ -100,25 +102,34 @@ class TestReport:
         assert row.as_dict()["unique"] == 8
 
 
-class TestGuessingAttack:
-    def test_runs_callable_generator(self):
-        counter = {"n": 0}
+class TestSampledModelStrategy:
+    def test_runs_any_sample_passwords_generator(self):
+        class Counterfeit:
+            def __init__(self):
+                self.n = 0
 
-        def generate(count, rng):
-            start = counter["n"]
-            counter["n"] += count
-            return [f"pw{start + i}" for i in range(count)]
+            def sample_passwords(self, count, rng):
+                start = self.n
+                self.n += count
+                return [f"pw{start + i}" for i in range(count)]
 
-        attack = GuessingAttack({"pw5", "pw999"}, [10], batch_size=4)
-        report = attack.run(generate, np.random.default_rng(0), method="counterfeit")
+        strategy = SampledModelStrategy(Counterfeit(), "counterfeit", batch_size=4)
+        report = AttackEngine({"pw5", "pw999"}, [10]).run(
+            strategy, np.random.default_rng(0)
+        )
+        assert report.method == "counterfeit"
         assert report.rows[0].guesses == 10
         assert report.rows[0].matched == 1  # pw5 seen, pw999 not reached
 
-    def test_runs_object_with_sample_passwords(self, trained_model):
-        attack = GuessingAttack({"love12"}, [50], batch_size=25)
-        report = attack.run(trained_model, np.random.default_rng(0))
+    def test_runs_trained_model(self, trained_model):
+        strategy = SampledModelStrategy(trained_model, "passflow", batch_size=25)
+        report = AttackEngine({"love12"}, [50]).run(strategy, np.random.default_rng(0))
         assert report.rows[0].guesses == 50
 
-    def test_invalid_batch_size(self):
+    def test_invalid_batch_size(self, trained_model):
         with pytest.raises(ValueError):
-            GuessingAttack(set(), [10], batch_size=0)
+            SampledModelStrategy(trained_model, "passflow", batch_size=0)
+
+    def test_requires_sample_passwords(self):
+        with pytest.raises(TypeError, match="sample_passwords"):
+            SampledModelStrategy(object(), "nothing")

@@ -1,29 +1,31 @@
-"""Static sampler and Gaussian Smoothing."""
+"""Static sampling strategy and Gaussian Smoothing."""
 
 import numpy as np
 import pytest
 
-from repro.core.sampling import StaticSampler
 from repro.core.smoothing import GaussianSmoother
-from repro.flows.priors import StandardNormalPrior
+from repro.strategies import AttackEngine
+from repro.strategies.passflow import StaticStrategy
 
 
-class TestStaticSampler:
+def attack(test_set, budgets, strategy, seed):
+    return AttackEngine(test_set, budgets).run(strategy, np.random.default_rng(seed))
+
+
+class TestStaticStrategy:
     def test_validation(self, trained_model):
         with pytest.raises(ValueError):
-            StaticSampler(trained_model, batch_size=0)
+            StaticStrategy(trained_model, batch_size=0)
 
     def test_attack_report_shape(self, trained_model, trained_dataset):
-        sampler = StaticSampler(trained_model, batch_size=128)
-        report = sampler.attack(
-            trained_dataset.test_set, [100, 400], np.random.default_rng(0)
-        )
+        strategy = StaticStrategy(trained_model, batch_size=128)
+        report = attack(trained_dataset.test_set, [100, 400], strategy, seed=0)
         assert [r.guesses for r in report.rows] == [100, 400]
         assert report.method == "PassFlow-Static"
 
     def test_total_guesses_exact(self, trained_model, trained_dataset):
-        sampler = StaticSampler(trained_model, batch_size=77)  # non-divisor batch
-        report = sampler.attack(trained_dataset.test_set, [200], np.random.default_rng(0))
+        strategy = StaticStrategy(trained_model, batch_size=77)  # non-divisor batch
+        report = attack(trained_dataset.test_set, [200], strategy, seed=0)
         assert report.final().guesses == 200
 
     def test_concentrated_prior_causes_collisions(self, trained_model, trained_dataset):
@@ -33,8 +35,11 @@ class TestStaticSampler:
 
         center = trained_model.encode_passwords(["love12"])
         tight = GaussianMixturePrior(center, sigmas=0.02)
-        report = StaticSampler(trained_model, prior=tight).attack(
-            trained_dataset.test_set, [1000], np.random.default_rng(1)
+        report = attack(
+            trained_dataset.test_set,
+            [1000],
+            StaticStrategy(trained_model, prior=tight),
+            seed=1,
         )
         assert report.final().unique < 500
 
@@ -45,14 +50,22 @@ class TestStaticSampler:
 
         center = trained_model.encode_passwords(["love12"])
         tight = GaussianMixturePrior(center, sigmas=0.02)
-        plain = StaticSampler(trained_model, prior=tight).attack(
-            trained_dataset.test_set, [1000], np.random.default_rng(2)
+        plain = attack(
+            trained_dataset.test_set,
+            [1000],
+            StaticStrategy(trained_model, prior=tight),
+            seed=2,
         )
-        smoothed = StaticSampler(
-            trained_model,
-            prior=tight,
-            smoother=GaussianSmoother(trained_model.encoder),
-        ).attack(trained_dataset.test_set, [1000], np.random.default_rng(2))
+        smoothed = attack(
+            trained_dataset.test_set,
+            [1000],
+            StaticStrategy(
+                trained_model,
+                prior=tight,
+                smoother=GaussianSmoother(trained_model.encoder),
+            ),
+            seed=2,
+        )
         assert smoothed.final().unique > plain.final().unique
 
 

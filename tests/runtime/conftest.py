@@ -3,7 +3,7 @@
 Three registry-buildable strategy families simulate the failure modes the
 elastic scheduler exists to absorb.  They register themselves at import
 time (this conftest loads once per session) so spec strings like
-``"drying?limit=40"`` cross the :class:`~repro.runtime.ProcessExecutor`
+``"drying?limit=40"`` cross the :class:`~repro.runtime.ProcessPoolExecutor`
 fork boundary exactly like real strategies -- forked workers rebuild them
 through the inherited registry.
 
@@ -20,8 +20,8 @@ through the inherited registry.
 * ``crashing`` -- ``sequence`` that fails once ``at`` guesses were
   produced: ``mode=raise`` raises RuntimeError (the recoverable elastic
   case), ``mode=exit`` kills the worker process outright with
-  ``os._exit`` (the ProcessExecutor dead-worker case -- no exception
-  payload ever reaches the parent).
+  ``os._exit`` (the pool's dead-worker case -- no exception payload
+  ever reaches the parent).
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.runtime import (
     LocalExecutor,
     ParallelAttackEngine,
-    ProcessExecutor,
     ShardPlanner,
     ShardProgress,
     ShardTask,
@@ -207,18 +206,6 @@ class TestStealOrderIndependence:
         assert rows_of(again) == rows_of(local)
         assert stolen.matched_samples == local.matched_samples
         assert stolen.non_matched_samples == local.non_matched_samples
-
-    def test_process_executor_rejected_for_elastic(self):
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        with pytest.raises(ValueError, match="cannot run elastic"):
-            ParallelAttackEngine(
-                set(TEST_SET),
-                BUDGETS,
-                workers=2,
-                executor=ProcessExecutor(),
-                schedule="elastic",
-            )
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):

@@ -1,12 +1,9 @@
-"""ProcessExecutor fault paths: dead workers, crashing strategies.
+"""In-process and thread-pool executor fault paths.
 
-The dead-worker path is the one failure mode no exception can report: a
-forked shard that is OOM-killed (or calls ``os._exit``) never puts
-anything on the result queue.  The parent must notice the silent corpse
-and raise instead of waiting on the queue forever.  The ``crashing``
-fixture family (see ``conftest.py``) drives both flavors through real
-registry spec strings, exactly as a production strategy would cross the
-fork boundary.
+A crashing strategy must fail the same way without any fork involved,
+and failing elastic runs must release their work-stealing threads.  The
+process pool's fault paths (dead workers, crashes crossing the fork,
+orphan cleanup) live in ``test_pool.py``.
 """
 
 import threading
@@ -17,7 +14,6 @@ import pytest
 from repro.runtime import (
     LocalExecutor,
     ParallelAttackEngine,
-    ProcessExecutor,
     StrategySource,
     WorkStealingExecutor,
 )
@@ -25,82 +21,14 @@ from repro.runtime import (
 TEST_SET = {f"g{n:07d}" for n in range(0, 200, 5)}
 
 
-def _process_executor():
-    try:
-        return ProcessExecutor()
-    except RuntimeError:
-        pytest.skip("no fork start method on this platform")
-
-
-class TestDeadWorker:
-    def test_killed_worker_surfaces_clean_error_instead_of_hanging(self):
-        """A worker dying without reporting raises a shard-naming error."""
-        engine = ParallelAttackEngine(
-            set(TEST_SET),
-            [400],
-            workers=2,
-            executor=_process_executor(),
-        )
-        with pytest.raises(RuntimeError, match="died without reporting"):
-            engine.run(StrategySource("crashing?at=30&mode=exit&batch=16"), seed=3)
-
-    def test_surviving_worker_does_not_mask_the_death(self):
-        """One healthy shard plus one corpse still fails loudly.
-
-        Budget 401 splits into marks [201, 200]; a crash threshold of 200
-        kills only shard 0 (shard 1 stops exactly on its mark and reports
-        cleanly), so the parent sees one good outcome and one silent
-        death -- and must still raise.
-        """
-        engine = ParallelAttackEngine(
-            set(TEST_SET), [401], workers=2, executor=_process_executor()
-        )
-        with pytest.raises(RuntimeError, match="shard\\(s\\) \\[0\\] died"):
-            engine.run(StrategySource("crashing?at=200&mode=exit&batch=16"), seed=3)
-
-
 class TestCrashingStrategy:
-    def test_raised_exception_crosses_fork_with_original_type(self):
-        """mode=raise: the parent re-raises the worker's RuntimeError."""
-        engine = ParallelAttackEngine(
-            set(TEST_SET), [400], workers=2, executor=_process_executor()
-        )
-        with pytest.raises(RuntimeError, match="hit its mark"):
-            engine.run(StrategySource("crashing?at=30&batch=16"), seed=3)
-
     def test_local_executor_raises_in_process(self):
-        """The same spec fails identically without any fork involved."""
+        """A raising strategy fails identically without any fork involved."""
         engine = ParallelAttackEngine(
             set(TEST_SET), [400], workers=2, executor=LocalExecutor()
         )
         with pytest.raises(RuntimeError, match="hit its mark"):
             engine.run(StrategySource("crashing?at=30&batch=16"), seed=3)
-
-
-class TestOrphanCleanup:
-    def test_interrupt_mid_collection_reaps_children(self, monkeypatch):
-        """Regression: a parent raising mid-collection must not orphan forks.
-
-        ``_receive`` is the seam the collection loop reads results
-        through; making it raise KeyboardInterrupt models an operator ^C
-        while straggling shards are still generating.  Before the fix the
-        ``finally`` block only terminated children after *shard* errors,
-        so this exact path left live straggler processes behind.
-        """
-        executor = _process_executor()
-        engine = ParallelAttackEngine(
-            set(TEST_SET), [5000], workers=2, executor=executor
-        )
-
-        def interrupted(queue):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(ProcessExecutor, "_receive", staticmethod(interrupted))
-        with pytest.raises(KeyboardInterrupt):
-            engine.run(StrategySource("straggler?delay=0.05&batch=16"), seed=3)
-        assert executor._processes  # the run really forked a fleet
-        for process in executor._processes:
-            assert not process.is_alive()
 
 
 class TestThreadPoolRelease:

@@ -20,6 +20,7 @@ lists every live child of this process, so an empty list after a run
 means the fork server really tore its fleet down.
 """
 
+import logging
 import multiprocessing
 
 import pytest
@@ -32,6 +33,8 @@ from repro.runtime import (
     WorkStealingExecutor,
     resolve_executor,
 )
+from repro.runtime.executor import ProcessExecutor
+from repro.runtime.pool import _ForkServer
 from repro.strategies.registry import build
 
 TEST_SET = {f"g{n:07d}" for n in range(0, 8000, 7)}
@@ -111,6 +114,19 @@ class TestReportParity:
         assert _rows(base) == _rows(pool)
         _no_orphans()
 
+    def test_process_executor_name_runs_on_the_pool(self):
+        """The old static-fleet name is the pool, one worker per shard."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        source = StrategySource("sequence?batch=16")
+        base = _engine([1200, 3600], 2, "static", LocalExecutor()).run(source, seed=11)
+        named = _engine([1200, 3600], 2, "static", ProcessExecutor()).run(
+            source, seed=11
+        )
+        assert _rows(base) == _rows(named)
+        assert base.matched_samples == named.matched_samples
+        _no_orphans()
+
 
 class TestFaultAbsorption:
     def test_dry_shard_budget_reabsorbed_matches_local(self):
@@ -172,6 +188,53 @@ class TestFaultAbsorption:
             )
         _no_orphans()
 
+    def test_static_surviving_worker_does_not_mask_the_death(self):
+        """One healthy shard plus one corpse still fails loudly.
+
+        Budget 401 splits into marks [201, 200]; a crash threshold of 200
+        kills only shard 0's worker (shard 1 stops exactly on its mark and
+        reports cleanly), so the parent sees one good outcome and one
+        silent death -- and must still raise.
+        """
+        with pytest.raises(RuntimeError, match="shard\\(s\\) \\[0\\] died"):
+            _engine([401], 2, "static", _pool()).run(
+                StrategySource("crashing?at=200&mode=exit&batch=16"), seed=3
+            )
+        _no_orphans()
+
+    def test_static_interrupt_mid_collection_reaps_workers(self, monkeypatch):
+        """A parent raising mid-collection must not orphan its workers.
+
+        ``_ForkServer.receive`` is the seam the collection loop reads
+        results through; making it raise KeyboardInterrupt models an
+        operator ^C while straggling shards are still generating.
+        """
+        servers = []
+
+        def interrupted(server, timeout=1.0):
+            servers.append(server)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_ForkServer, "receive", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _engine([5000], 2, "static", _pool()).run(
+                StrategySource("straggler?delay=0.05&batch=16"), seed=3
+            )
+        assert len(servers[0].procs) == 2  # the run really forked a fleet
+        assert not any(process.is_alive() for process in servers[0].procs)
+        _no_orphans()
+
+    def test_static_dry_tail_matches_local(self):
+        """Dry tails cross the pool's pipes into the same close-out row."""
+        source = StrategySource("drying?limit=35&batch=16")
+        base = _engine([20, 500], 2, "static", LocalExecutor()).run(source, seed=3)
+        pool = _engine([20, 500], 2, "static", _pool()).run(source, seed=3)
+        assert [row.guesses for row in base.rows] == [20, 70]
+        assert _rows(base) == _rows(pool)
+        assert base.matched_samples == pool.matched_samples
+        assert base.non_matched_samples == pool.non_matched_samples
+        _no_orphans()
+
     @pytest.mark.slow
     def test_straggler_fleet_completes(self):
         source = ShardedSource(
@@ -197,17 +260,34 @@ class TestResolveExecutor:
             resolve_executor(None, 4, "elastic"), WorkStealingExecutor
         )
 
+    def test_auto_static_fleet_runs_on_the_pool(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        executor = resolve_executor("auto", 3, "static")
+        assert isinstance(executor, ProcessPoolExecutor)
+        assert executor.processes == 3  # one worker process per shard
+
+    def test_auto_static_without_fork_runs_in_process(self, monkeypatch, caplog):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.parallel"):
+            executor = resolve_executor("auto", 2, "static")
+        assert isinstance(executor, LocalExecutor)
+        assert "fork unavailable" in caplog.text
+
     def test_worksteal_static_is_actionable(self):
         with pytest.raises(ValueError, match="only runs elastic"):
             resolve_executor("worksteal", 2, "static")
 
-    def test_process_elastic_is_actionable(self):
-        with pytest.raises(ValueError, match="cannot run elastic"):
-            resolve_executor("process", 2, "elastic")
-
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError, match="processpool"):
-            resolve_executor("threads", 2)
+    @pytest.mark.parametrize("name", ["threads", "process"])
+    def test_unknown_name_lists_choices(self, name):
+        with pytest.raises(ValueError) as excinfo:
+            resolve_executor(name, 2)
+        assert str(excinfo.value) == (
+            f"unknown executor {name!r}; choose from "
+            "auto, local, worksteal, processpool"
+        )
 
     def test_engine_accepts_executor_names(self):
         engine = _engine([100], 2, "elastic", "processpool")
@@ -217,7 +297,5 @@ class TestResolveExecutor:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        with pytest.raises(ValueError, match="use --executor local"):
-            resolve_executor("process", 2, "static")
         with pytest.raises(ValueError, match="local or worksteal"):
             resolve_executor("processpool", 2, "elastic")

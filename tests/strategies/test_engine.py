@@ -1,19 +1,15 @@
-"""Streaming AttackEngine: determinism vs the legacy eager attacks,
-resumable state, early stop, and the deprecation shims."""
+"""Streaming AttackEngine: resumable state, early stop, ``take``, encoded
+batches and progress reporting.
 
-import warnings
+Report bytes of the serial engine are pinned by SHA-256 in
+``tests/golden/test_report_digests.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicSampler, DynamicSamplingConfig
-from repro.core.guesser import GuessingAttack
-from repro.core.penalization import StepPenalization
-from repro.core.sampling import StaticSampler
-from repro.core.smoothing import GaussianSmoother
 from repro.strategies import AttackEngine, build, take
 from repro.strategies.base import AttackContext, GuessBatch, GuessingStrategy
-from repro.strategies.passflow import DynamicStrategy, StaticStrategy
 
 BUDGETS = [200, 600]
 
@@ -22,109 +18,13 @@ def rows_of(report):
     return [(r.guesses, r.unique, r.matched, r.match_percent) for r in report.rows]
 
 
-def legacy(call):
-    """Run a deprecated .attack() while asserting the warning fires."""
-    with pytest.warns(DeprecationWarning):
-        return call()
-
-
-class TestEagerEquivalence:
-    """The engine must reproduce the seed samplers' numbers exactly."""
-
-    def test_static_matches_legacy(self, trained_model, trained_dataset):
-        test_set = trained_dataset.test_set
-        old = legacy(
-            lambda: StaticSampler(trained_model, batch_size=128).attack(
-                test_set, BUDGETS, np.random.default_rng(0)
-            )
-        )
-        new = AttackEngine(test_set, BUDGETS).run(
-            build("passflow:static?batch=128", model=trained_model),
-            np.random.default_rng(0),
-        )
-        assert rows_of(new) == rows_of(old)
-
-    def test_dynamic_matches_legacy(self, trained_model, trained_dataset):
-        test_set = trained_dataset.test_set
-        config = DynamicSamplingConfig(
-            alpha=1, sigma=0.12, phi=StepPenalization(2), batch_size=128
-        )
-        old = legacy(
-            lambda: DynamicSampler(trained_model, config).attack(
-                test_set, BUDGETS, np.random.default_rng(1)
-            )
-        )
-        new = AttackEngine(test_set, BUDGETS).run(
-            build(
-                "passflow:dynamic?alpha=1&batch=128&gamma=2&sigma=0.12",
-                model=trained_model,
-            ),
-            np.random.default_rng(1),
-        )
-        assert rows_of(new) == rows_of(old)
-
-    def test_dynamic_gs_matches_legacy(self, trained_model, trained_dataset):
-        test_set = trained_dataset.test_set
-        config = DynamicSamplingConfig(
-            alpha=1, sigma=0.12, phi=StepPenalization(2), batch_size=128
-        )
-        old = legacy(
-            lambda: DynamicSampler(
-                trained_model, config, smoother=GaussianSmoother(trained_model.encoder)
-            ).attack(test_set, BUDGETS, np.random.default_rng(2))
-        )
-        new = AttackEngine(test_set, BUDGETS).run(
-            build(
-                "passflow:dynamic+gs?alpha=1&batch=128&gamma=2&sigma=0.12",
-                model=trained_model,
-            ),
-            np.random.default_rng(2),
-        )
-        assert rows_of(new) == rows_of(old)
-
-    def test_sampled_model_matches_guessing_attack(self, corpus, trained_dataset):
-        from repro.baselines import MarkovModel
-
-        model = MarkovModel(order=3).fit(corpus[:500])
-        test_set = trained_dataset.test_set
-        old = GuessingAttack(test_set, BUDGETS, batch_size=256).run(
-            model, np.random.default_rng(3), "Markov-3"
-        )
-        new = AttackEngine(test_set, BUDGETS).run(
-            build("markov:3?batch=256", model=model), np.random.default_rng(3)
-        )
-        assert rows_of(new) == rows_of(old)
-        assert new.method == old.method == "Markov-3"
-
+class TestStreamingAndResume:
     def test_report_method_defaults_to_strategy_name(self, trained_model, trained_dataset):
         report = AttackEngine(trained_dataset.test_set, [100]).run(
             build("passflow:static", model=trained_model), np.random.default_rng(0)
         )
         assert report.method == "PassFlow-Static"
 
-
-class TestShims:
-    def test_shim_warns_and_preserves_latent_memory(self, trained_model, trained_dataset):
-        config = DynamicSamplingConfig(alpha=1, sigma=0.12, batch_size=256)
-        sampler = DynamicSampler(trained_model, config)
-        report = legacy(
-            lambda: sampler.attack(
-                trained_dataset.test_set, [600], np.random.default_rng(3)
-            )
-        )
-        assert len(sampler.matched_latents) == report.final().matched
-        assert len(sampler.usage_counts) == len(sampler.matched_latents)
-
-    def test_shim_state_assignment_round_trips(self, trained_model):
-        sampler = DynamicSampler(trained_model)
-        sampler.matched_latents = [np.zeros(10), np.ones(10)]
-        sampler.usage_counts = [0, 0]
-        assert sampler._mixture_prior() is None  # alpha=5 default: below threshold
-        sampler.usage_counts[0] = 7
-        assert sampler.usage_counts == [7, 0]
-
-
-class TestStreamingAndResume:
     def test_stream_yields_checkpoints_in_order(self, trained_model, trained_dataset):
         engine = AttackEngine(trained_dataset.test_set, BUDGETS)
         state = engine.begin()

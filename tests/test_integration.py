@@ -7,16 +7,7 @@ check the structural invariants that must hold at any scale.
 
 import numpy as np
 
-from repro import (
-    ConditionalGuesser,
-    DynamicSampler,
-    DynamicSamplingConfig,
-    GaussianSmoother,
-    GuessingAttack,
-    StaticSampler,
-    StepPenalization,
-    interpolate,
-)
+from repro import AttackEngine, ConditionalGuesser, build, interpolate
 from repro.baselines import MarkovModel, PCFGModel
 from repro.eval.metrics import plausibility_rate
 from repro.flows.priors import StandardNormalPrior
@@ -34,19 +25,15 @@ class TestFullPipeline:
     def test_all_samplers_produce_consistent_reports(self, trained_model, trained_dataset):
         budgets = [256, 1024]
         test_set = trained_dataset.test_set
-        config = DynamicSamplingConfig(
-            alpha=1, sigma=0.12, phi=StepPenalization(2), batch_size=256
-        )
+        engine = AttackEngine(test_set, budgets)
+        specs = [
+            "passflow:static?batch=256",
+            "passflow:dynamic?alpha=1&batch=256&gamma=2&sigma=0.12",
+            "passflow:dynamic+gs?alpha=1&batch=256&gamma=2&sigma=0.12",
+        ]
         reports = [
-            StaticSampler(trained_model, batch_size=256).attack(
-                test_set, budgets, np.random.default_rng(0)
-            ),
-            DynamicSampler(trained_model, config).attack(
-                test_set, budgets, np.random.default_rng(1)
-            ),
-            DynamicSampler(
-                trained_model, config, smoother=GaussianSmoother(trained_model.encoder)
-            ).attack(test_set, budgets, np.random.default_rng(2)),
+            engine.run(build(spec, model=trained_model), np.random.default_rng(seed))
+            for seed, spec in enumerate(specs)
         ]
         for report in reports:
             assert [r.guesses for r in report.rows] == budgets
@@ -76,12 +63,14 @@ class TestFullPipeline:
         assert all(g.startswith("love") and len(g) == 5 for g in guesses)
 
     def test_baselines_run_through_same_attack(self, corpus, trained_dataset):
-        attack = GuessingAttack(trained_dataset.test_set, [512], batch_size=256)
-        markov_report = attack.run(
-            MarkovModel(order=2).fit(corpus[:1500]), np.random.default_rng(5), "markov"
+        engine = AttackEngine(trained_dataset.test_set, [512])
+        markov_report = engine.run(
+            build("markov:2?batch=256", model=MarkovModel(order=2).fit(corpus[:1500])),
+            np.random.default_rng(5),
         )
-        pcfg_report = attack.run(
-            PCFGModel().fit(corpus[:1500]), np.random.default_rng(6), "pcfg"
+        pcfg_report = engine.run(
+            build("pcfg?batch=256", model=PCFGModel().fit(corpus[:1500])),
+            np.random.default_rng(6),
         )
         assert markov_report.final().guesses == 512
         assert pcfg_report.final().guesses == 512
@@ -93,12 +82,14 @@ class TestFullPipeline:
 
         path = trained_model.save(tmp_path / "model.npz")
         restored = PassFlow.load(path)
-        budgets = [256]
-        a = StaticSampler(trained_model, batch_size=128).attack(
-            trained_dataset.test_set, budgets, np.random.default_rng(7)
+        engine = AttackEngine(trained_dataset.test_set, [256])
+        a = engine.run(
+            build("passflow:static?batch=128", model=trained_model),
+            np.random.default_rng(7),
         )
-        b = StaticSampler(restored, batch_size=128).attack(
-            trained_dataset.test_set, budgets, np.random.default_rng(7)
+        b = engine.run(
+            build("passflow:static?batch=128", model=restored),
+            np.random.default_rng(7),
         )
         assert a.final().unique == b.final().unique
         assert a.final().matched == b.final().matched
