@@ -9,6 +9,10 @@ acceptance bars:
 * ``test_batched_throughput_floor`` -- ``score_batch`` over a probe set
   must beat the scalar loop by >= 3x wall time (>= 1.5x under ``CI=true``,
   the suite's relaxed-CI convention);
+* ``test_stacked_audit_floor`` -- a 1024-password ``log_prob_batch``,
+  which stacks its 16 chunks into one flow pass, must beat one flow call
+  per 64-row chunk (the loop it replaced) by >= 1.4x (>= 1.15x under
+  ``CI=true``);
 * ``test_daemon_p99_latency_ceiling`` -- a closed-loop 8-client soak
   through a threaded :class:`ServeApp` must keep p99 request latency
   under a generous ceiling, and must actually batch (fewer flushes than
@@ -23,13 +27,15 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import assert_speedup, speedup_floor
-from repro.core.strength import StrengthEstimator
+from repro.core.strength import EVAL_ROWS, StrengthEstimator
 from repro.serve import ServeApp
 
 PROBE = 192  # passwords per throughput measurement
+AUDIT = 1024  # passwords per audit request (one stacked flow pass)
 SOAK_CLIENTS = 8
 SOAK_REQUESTS = 40  # per client, closed loop
 
@@ -79,6 +85,27 @@ def test_batched_throughput_floor(estimator, ctx):
         batched,
         speedup_floor(3.0, 1.5),
         f"score_batch vs scalar loop over {PROBE} passwords",
+    )
+
+
+def test_stacked_audit_floor(estimator, ctx):
+    passwords = ctx.corpus[:AUDIT]
+    model = estimator.model
+
+    def per_chunk():
+        out = np.empty(len(passwords))
+        for start in range(0, len(passwords), EVAL_ROWS):
+            rows = passwords[start : start + EVAL_ROWS]
+            padded = rows + [rows[0]] * (EVAL_ROWS - len(rows))
+            out[start : start + len(rows)] = model.log_prob(padded)[: len(rows)]
+        return out
+
+    assert np.array_equal(estimator.log_prob_batch(passwords), per_chunk())
+    assert_speedup(
+        per_chunk,
+        lambda: estimator.log_prob_batch(passwords),
+        speedup_floor(1.4, 1.15),
+        f"stacked log_prob_batch vs one flow call per chunk over {AUDIT} passwords",
     )
 
 

@@ -620,7 +620,8 @@ def cmd_strength(args) -> int:
     if args.corpus:
         estimator.calibrate(_read_corpus(args.corpus, model.alphabet)[:5000])
     started = time.perf_counter()
-    # the batch-vectorized path: ceil(N/batch) flow evaluations, not N
+    # the batch-vectorized path: stacked 64-row chunks, one flow call per
+    # 16 chunks, not one per password
     report = estimator.report(args.passwords, batch_size=args.batch)
     elapsed = time.perf_counter() - started
     headers = ["password", "log_prob"] + (
@@ -916,8 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         type=int,
         default=256,
-        help="passwords per flow evaluation, capped at the fixed "
-        "evaluation shape (64); results are bitwise identical to "
+        help="real passwords per 64-row chunk (capped at 64); chunks are "
+        "stacked 16 to a flow call, and results are bitwise identical to "
         "scoring one at a time regardless of the value",
     )
     p.add_argument("passwords", nargs="+")

@@ -19,19 +19,22 @@ password*, which is what a request-per-call service would pay.  The
 ``*_batch`` methods (:meth:`StrengthEstimator.log_prob_batch`,
 :meth:`StrengthEstimator.percentile_batch`,
 :meth:`StrengthEstimator.score_batch`) push a whole batch through the
-vectorized encoder and one flow pass per ``batch_size`` chunk instead.
+vectorized encoder and lay it out as stacked ``EVAL_ROWS``-row chunks,
+up to :data:`MAX_STACKED_CHUNKS` of them per flow pass, so the flow's
+per-call overhead is paid once per 1024 rows instead of once per 64.
 
 Bitwise determinism (the contract the micro-batching daemon in
 :mod:`repro.serve` is built on): BLAS picks different accumulation
 orders for different matrix shapes, so the *same* password can come back
 with different low bits depending on how many rows share its evaluation.
-The estimator therefore pads **every** flow evaluation -- scalar and
-batched -- to exactly :data:`EVAL_ROWS` rows.  A password's row is then
-always computed at one canonical gemm shape, and its result is bitwise
-identical whether it was scored alone, in a CLI batch, or in whatever
-micro-batch interleaving the daemon happened to flush (per-row results
-are independent of the other rows' contents and positions; the padded
-rows are discarded).
+The estimator therefore pads **every** chunk -- scalar and batched -- to
+exactly :data:`EVAL_ROWS` rows, and stacks chunks as a ``(k, EVAL_ROWS,
+D)`` array rather than concatenating them: ``np.matmul`` runs one gemm
+per stacked slice, so each chunk is still computed at one canonical gemm
+shape.  A password's result is then bitwise identical whether it was
+scored alone, in a CLI batch, or in whatever micro-batch interleaving the
+daemon happened to flush (per-row results are independent of the other
+rows' contents and positions; the padded rows are discarded).
 
 Unencodable passwords (over-length, out-of-alphabet) raise in the scalar
 methods; the batch methods mark them with defined sentinels instead
@@ -49,12 +52,19 @@ from repro.core.model import PassFlow
 
 BAND_LABELS = ("very weak", "weak", "fair", "strong", "very strong")
 
-#: Fixed row count of every strength evaluation.  Short chunks are padded
-#: up to this shape (repeating a real row) so the flow always runs one
-#: canonical gemm shape -- the mechanism behind the scalar == batched
-#: bitwise guarantee; see the module docstring.  ``batch_size`` arguments
-#: above this value are capped to it.
+#: Fixed row count of every strength chunk.  Short chunks are padded up
+#: to this shape (repeating a real row) and stacked, never concatenated,
+#: so every gemm the flow runs has this canonical row count -- the
+#: mechanism behind the scalar == batched bitwise guarantee; see the
+#: module docstring.  ``batch_size`` arguments above this value are
+#: capped to it.
 EVAL_ROWS = 64
+
+#: Chunks stacked into one flow pass by the batch methods: 1024 rows,
+#: one full daemon request (``MAX_PASSWORDS_PER_REQUEST`` in
+#: :mod:`repro.serve.protocol`).  It bounds the per-thread kernel
+#: workspace; it does not change any result bit.
+MAX_STACKED_CHUNKS = 16
 
 #: Sentinel returned by :meth:`StrengthEstimator.score_batch` for
 #: passwords the model's codec cannot represent (never a valid 0..4 band).
@@ -157,39 +167,46 @@ class StrengthEstimator:
     def log_prob_batch(
         self, passwords: Sequence[str], batch_size: Optional[int] = None
     ) -> np.ndarray:
-        """Exact log p per password in chunked vectorized flow passes.
+        """Exact log p per password in stacked vectorized flow passes.
 
         Returns an (N,) float64 array bitwise equal to
         ``[self.log_prob(p) for p in passwords]`` for encodable inputs;
         unencodable entries (over-length / out-of-alphabet, which the
         scalar path raises on) come back as ``nan`` sentinels.
 
-        ``batch_size`` bounds the real rows per flow evaluation (capped
-        at :data:`EVAL_ROWS`, the fixed evaluation shape): scoring N
-        passwords makes exactly ``ceil(N_encodable / min(batch_size,
-        EVAL_ROWS))`` flow calls (``None`` = full :data:`EVAL_ROWS`
-        chunks), which is both the memory bound and the call-count seam
-        the CLI/daemon tests pin.  Every call is padded to exactly
-        :data:`EVAL_ROWS` rows, so the returned bits do not depend on
-        the chunking.
+        The encodable passwords are split into chunks of ``batch_size``
+        real rows (capped at :data:`EVAL_ROWS`; ``None`` = full chunks),
+        each padded to exactly :data:`EVAL_ROWS` rows by repeating its
+        first row.  Up to :data:`MAX_STACKED_CHUNKS` chunks go to
+        ``Flow.log_prob`` as one ``(k, EVAL_ROWS, D)`` array, so N
+        encodable passwords cost ``ceil(chunks / MAX_STACKED_CHUNKS)``
+        flow calls.  Every chunk is still evaluated at the canonical
+        shape, so the returned bits do not depend on ``batch_size``.
         """
-        passwords = list(passwords)
-        out = np.full(len(passwords), np.nan, dtype=np.float64)
-        if not passwords:
-            return out
-        encodable = [i for i, p in enumerate(passwords) if self.model.encoder.can_encode(p)]
-        if not encodable:
-            return out
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        passwords = list(passwords)
+        out = np.full(len(passwords), np.nan, dtype=np.float64)
+        encoder = self.model.encoder
+        encodable = np.array(
+            [i for i, p in enumerate(passwords) if encoder.can_encode(p)], dtype=np.intp
+        )
+        if not len(encodable):
+            return out
+        features = encoder.encode_batch([passwords[i] for i in encodable])
         step = EVAL_ROWS if batch_size is None else min(int(batch_size), EVAL_ROWS)
-        for start in range(0, len(encodable), step):
-            chunk = encodable[start : start + step]
-            rows = [passwords[i] for i in chunk]
-            # pad to the canonical shape: a few wasted flops buy
-            # shape-invariant bits (see EVAL_ROWS)
-            padded = rows + [rows[0]] * (EVAL_ROWS - len(rows))
-            out[chunk] = self.model.log_prob(padded)[: len(rows)]
+        # chunk c holds feature rows [c*step, c*step + step); its padding
+        # repeats row c*step -- a few wasted flops buy shape-invariant bits
+        starts = np.arange(0, len(encodable), step)
+        offsets = np.arange(EVAL_ROWS)
+        rows = starts[:, None] + offsets
+        real = (offsets < step) & (rows < len(encodable))
+        rows = np.where(real, rows, starts[:, None])
+        flow = self.model.flow
+        for first in range(0, len(starts), MAX_STACKED_CHUNKS):
+            block = slice(first, first + MAX_STACKED_CHUNKS)
+            log_probs = flow.log_prob(features[rows[block]])
+            out[encodable[rows[block][real[block]]]] = log_probs[real[block]]
         return out
 
     def _percentiles_from_log_probs(self, log_probs: np.ndarray) -> np.ndarray:
@@ -257,9 +274,9 @@ class StrengthEstimator:
     ) -> List[dict]:
         """Strength summary rows for a batch of passwords.
 
-        Runs on the batch-vectorized path (one flow evaluation per
-        ``batch_size`` chunk rather than per password); unencodable
-        passwords get ``None`` log-probs and the ``unscorable`` band.
+        Runs on the batch-vectorized path (stacked chunks, not one flow
+        evaluation per password); unencodable passwords get ``None``
+        log-probs and the ``unscorable`` band.
         """
         passwords = list(passwords)
         percentiles = scores = None

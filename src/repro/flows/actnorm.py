@@ -33,6 +33,7 @@ class ActNorm(Bijector):
     def initialize_from(self, batch: np.ndarray) -> None:
         """Set bias/scale so this batch maps to zero mean, unit variance."""
         batch = np.asarray(batch, dtype=np.float64)
+        batch = batch.reshape(-1, batch.shape[-1])  # stacked batches pool their rows
         mean = batch.mean(axis=0)
         std = batch.std(axis=0) + 1e-6
         self.bias.data = mean

@@ -89,7 +89,12 @@ class Flow(Module):
         return x
 
     def log_prob(self, x: np.ndarray) -> np.ndarray:
-        """log p_theta(x) without building a graph."""
+        """log p_theta(x) without building a graph.
+
+        ``x`` is ``(N, D)`` or a stack ``(..., N, D)`` of batches (the
+        result is then ``(..., N)``); each stacked batch gets the bits it
+        would get alone, since the kernels run one gemm per ``(N, D)`` slice.
+        """
         z = np.atleast_2d(np.asarray(x, dtype=np.float64))
         total: Optional[np.ndarray] = None
         for bijector in self.bijectors:

@@ -11,8 +11,9 @@ backends registered here instead of being spelled inline:
     suite (``tests/kernels/``) pins every other backend against it.
 ``numpy``
     The default.  Same floating-point operations in the same order as
-    ``reference`` (results are bit-identical), but fused: preallocated
-    scratch buffers, ``out=`` arithmetic, no per-op temporaries.
+    ``reference`` (results are bit-identical), but fused: one per-thread
+    MLP workspace shared by every module, ``out=`` arithmetic, no per-op
+    temporaries.
 ``numba``
     Optional (``pip install numba``): ``@njit``-compiled loops.  Decoded
     guess streams and bank artifacts are identical to ``numpy``; raw

@@ -19,6 +19,12 @@ backend exactly; the parity suite pins both claims.
 
 ``fastmath`` stays off everywhere: reassociation would break the
 ulp-level contract for no measurable win on these loops.
+
+Stacked ``(..., N, D)`` inputs on the log-prob path run through the same
+compiled 2-D loops, so each slice keeps the bits a 2-D call on it alone
+returns: the row-wise kernels see the leading axes flattened into rows
+(no row's result depends on the others), and ``_mlp2`` runs once per
+``(N, D)`` slice so every gemm keeps its 2-D shape.
 """
 
 from __future__ import annotations
@@ -82,10 +88,19 @@ def _mlp2(x, wi, bi, w1a, b1a, w2a, b2a, w1b, b1b, w2b, b2b, wo, bo):
     return out
 
 
-def mlp_forward(params: List[Array], x: Array, num_blocks: int, scratch: Dict) -> Array:
+def _rows(a: Array) -> Array:
+    """``a`` with its leading axes flattened: the 2-D row-loop view."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def mlp_forward(params: List[Array], x: Array, num_blocks: int) -> Array:
     if num_blocks != 2:  # only the paper's shape is specialized
-        return _np_backend.mlp_forward(params, x, num_blocks, scratch)
-    return _mlp2(np.ascontiguousarray(x), *params)
+        return _np_backend.mlp_forward(params, x, num_blocks)
+    if x.ndim == 2:
+        return _mlp2(np.ascontiguousarray(x), *params)
+    slices = x.reshape((-1,) + x.shape[-2:])
+    out = np.stack([_mlp2(np.ascontiguousarray(s), *params) for s in slices])
+    return out.reshape(x.shape[:-1] + out.shape[-1:])
 
 
 @njit(cache=True)
@@ -110,7 +125,10 @@ def _coupling_forward(x, inv_mask, raw_scale, translate, clamp):
 def coupling_forward(
     x: Array, masked: Array, inv_mask: Array, raw_scale: Array, translate: Array, clamp: float
 ) -> Tuple[Array, Array]:
-    return _coupling_forward(x, inv_mask, raw_scale, translate, clamp)
+    z, log_det = _coupling_forward(
+        _rows(x), inv_mask, _rows(raw_scale), _rows(translate), clamp
+    )
+    return z.reshape(x.shape), log_det.reshape(x.shape[:-1])
 
 
 @njit(cache=True)
@@ -150,7 +168,8 @@ def _additive_forward(x, inv_mask, translate):
 def additive_forward(
     x: Array, masked: Array, inv_mask: Array, translate: Array
 ) -> Tuple[Array, Array]:
-    return _additive_forward(x, inv_mask, translate), np.zeros(x.shape[0])
+    z = _additive_forward(_rows(x), inv_mask, _rows(translate))
+    return z.reshape(x.shape), np.zeros(x.shape[:-1])
 
 
 @njit(cache=True)
@@ -190,7 +209,8 @@ def _logit_forward(x, alpha):
 
 
 def logit_forward(x: Array, alpha: float) -> Tuple[Array, Array]:
-    return _logit_forward(x, alpha)
+    y, log_det = _logit_forward(_rows(x), alpha)
+    return y.reshape(x.shape), log_det.reshape(x.shape[:-1])
 
 
 @njit(cache=True)
@@ -230,7 +250,8 @@ def _actnorm_forward(x, bias, log_scale):
 
 
 def actnorm_forward(x: Array, bias: Array, log_scale: Array) -> Tuple[Array, Array]:
-    return _actnorm_forward(x, bias, log_scale)
+    z, log_det = _actnorm_forward(_rows(x), bias, log_scale)
+    return z.reshape(x.shape), log_det.reshape(x.shape[:-1])
 
 
 @njit(cache=True)

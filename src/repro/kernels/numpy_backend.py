@@ -2,16 +2,19 @@
 
 Bit-identical to :mod:`repro.kernels.reference` -- every kernel executes
 the same floating-point operations in the same order -- but with the
-temporaries eliminated: preallocated scratch buffers for the MLP forward
-and the Adam step, and ``out=`` arithmetic everywhere an intermediate
-would otherwise be allocated.  Only IEEE-exact rewrites are used
-(commuting a multiply, ``a - b`` for ``a + (-b)``, ``np.full`` for
-``scalar * ones``), so fixed ``(seed, spec)`` guess streams and bank
-checksums are unchanged from the seed-era Tensor path.
+temporaries eliminated: a shared hidden-width workspace for the MLP
+forward, preallocated scratch for the Adam step, and ``out=`` arithmetic
+everywhere an intermediate would otherwise be allocated.  Only IEEE-exact
+rewrites are used (commuting a multiply, ``a - b`` for ``a + (-b)``,
+``np.full`` for ``scalar * ones``), so fixed ``(seed, spec)`` guess
+streams and bank checksums are unchanged from the seed-era Tensor path.
 
-MLP scratch buffers are keyed by ``(thread id, batch shape)``: the
-elastic runtime runs shard chunks on threads sharing one model, so two
-concurrent decodes must never write into the same buffer.
+The MLP workspace is one set of hidden-width buffers per thread, shared
+by every module: the elastic runtime runs shard chunks on threads sharing
+one model, so two concurrent decodes must never write into the same
+buffer, while one thread never runs two MLP forwards at once.  It grows
+to the largest batch the thread has evaluated and its contents never
+outlive a call.
 
 See :mod:`repro.kernels.reference` for the shared kernel conventions
 (argument meanings, mutation rules, ``*_train_forward`` contracts).
@@ -19,6 +22,7 @@ See :mod:`repro.kernels.reference` for the shared kernel conventions
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, List, Tuple
 
@@ -29,29 +33,34 @@ NAME = "numpy"
 Array = np.ndarray
 
 
-class _MLPScratch:
-    """Preallocated buffers for one (thread, batch, hidden, out) shape."""
+class _Workspace(threading.local):
+    """One thread's hidden-width MLP buffers, viewed at each call's shape."""
 
-    __slots__ = ("h", "a", "c", "mask", "out")
+    def __init__(self) -> None:
+        self.size = 0
+        self.buffers: Tuple[Array, ...] = ()
 
-    def __init__(self, n: int, hidden: int, out_dim: int) -> None:
-        self.h = np.empty((n, hidden))
-        self.a = np.empty((n, hidden))
-        self.c = np.empty((n, hidden))
-        self.mask = np.empty((n, hidden), dtype=bool)
-        self.out = np.empty((n, out_dim))
+    def views(self, shape: Tuple[int, ...], hidden: int) -> Tuple[Array, ...]:
+        """``(h, a, c, mask)`` views of shape ``shape + (hidden,)``."""
+        size = math.prod(shape) * hidden
+        if size > self.size:
+            self.buffers = (
+                np.empty(size),
+                np.empty(size),
+                np.empty(size),
+                np.empty(size, dtype=bool),
+            )
+            self.size = size
+        full = shape + (hidden,)
+        return tuple(buf[:size].reshape(full) for buf in self.buffers)
 
 
-def mlp_forward(params: List[Array], x: Array, num_blocks: int, scratch: Dict) -> Array:
-    """Residual-MLP forward into scratch buffers (valid until the next call)."""
-    n = x.shape[0]
-    hidden = params[0].shape[1]
-    out_dim = params[-2].shape[1]
-    key = (threading.get_ident(), n, hidden, out_dim)
-    bufs = scratch.get(key)
-    if bufs is None:
-        bufs = scratch[key] = _MLPScratch(n, hidden, out_dim)
-    h, a, c, mask = bufs.h, bufs.a, bufs.c, bufs.mask
+_WORKSPACE = _Workspace()
+
+
+def mlp_forward(params: List[Array], x: Array, num_blocks: int) -> Array:
+    """Residual-MLP forward on this thread's workspace; returns a fresh array."""
+    h, a, c, mask = _WORKSPACE.views(x.shape[:-1], params[0].shape[1])
     np.matmul(x, params[0], out=h)
     np.add(h, params[1], out=h)
     np.greater(h, 0, out=mask)
@@ -69,9 +78,9 @@ def mlp_forward(params: List[Array], x: Array, num_blocks: int, scratch: Dict) -
         np.greater(c, 0, out=mask)
         np.multiply(c, mask, out=c)
         np.add(h, c, out=h)
-    np.matmul(h, params[i], out=bufs.out)
-    np.add(bufs.out, params[i + 1], out=bufs.out)
-    return bufs.out
+    out = np.matmul(h, params[i])
+    np.add(out, params[i + 1], out=out)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +162,7 @@ def additive_forward(
     z = np.add(x, translate)
     np.multiply(z, inv_mask, out=z)
     np.add(z, masked, out=z)
-    return z, np.zeros(x.shape[0])
+    return z, np.zeros(x.shape[:-1])
 
 
 def additive_inverse(z: Array, masked: Array, inv_mask: Array, translate: Array) -> Array:
@@ -221,7 +230,7 @@ def actnorm_forward(x: Array, bias: Array, log_scale: Array) -> Tuple[Array, Arr
     exp_ls = np.exp(log_scale)
     z = np.subtract(x, bias)
     np.multiply(z, exp_ls, out=z)
-    return z, np.full(x.shape[0], np.sum(log_scale))
+    return z, np.full(x.shape[:-1], np.sum(log_scale))
 
 
 def actnorm_inverse(z: Array, bias: Array, log_scale: Array) -> Array:

@@ -16,9 +16,12 @@ Shared conventions (all backends):
 
 * arrays are float64; kernels never mutate their inputs (``adam_step``,
   which updates ``param``/``m``/``v`` in place by contract, is the one
-  exception);
-* ``mlp_forward`` may return an internal scratch buffer -- the value is
-  only guaranteed until the next call with the same ``scratch`` dict;
+  exception) and every returned array is fresh, owned by the caller;
+* the forward kernels on the log-prob path (``mlp_forward``,
+  ``coupling_forward``, ``additive_forward``, ``logit_forward``,
+  ``actnorm_forward``) also take stacked ``(..., N, D)`` batches: each
+  ``(N, D)`` slice comes back bitwise equal to a call on that slice
+  alone, because ``np.matmul`` runs one gemm per stacked slice;
 * ``mask``/``inv_mask`` are the binary coupling masks ``b`` / ``1 - b``;
   ``masked`` is the precomputed ``x * b`` (callers already need it to
   feed the conditioner networks);
@@ -41,11 +44,11 @@ Array = np.ndarray
 # ----------------------------------------------------------------------
 # residual MLP (Linear -> relu -> blocks of x + relu(fc2(relu(fc1 x))))
 # ----------------------------------------------------------------------
-def mlp_forward(params: List[Array], x: Array, num_blocks: int, scratch: Dict) -> Array:
+def mlp_forward(params: List[Array], x: Array, num_blocks: int) -> Array:
     """Forward of :class:`~repro.nn.residual.ResidualMLP` on raw arrays.
 
     ``params`` is the flat weight list ``[W_in, b_in, (W1, b1, W2, b2) per
-    block..., W_out, b_out]``; ``scratch`` is ignored by this backend.
+    block..., W_out, b_out]``.
     """
     h = x @ params[0] + params[1]
     h = h * (h > 0)
@@ -119,7 +122,7 @@ def additive_forward(
     x: Array, masked: Array, inv_mask: Array, translate: Array
 ) -> Tuple[Array, Array]:
     z = masked + inv_mask * (x + translate)
-    return z, np.zeros(x.shape[0])
+    return z, np.zeros(x.shape[:-1])
 
 
 def additive_inverse(z: Array, masked: Array, inv_mask: Array, translate: Array) -> Array:
@@ -176,7 +179,7 @@ def logit_backward_log_det(gld: Array, p: Array, alpha: float) -> Array:
 # ----------------------------------------------------------------------
 def actnorm_forward(x: Array, bias: Array, log_scale: Array) -> Tuple[Array, Array]:
     z = (x - bias) * np.exp(log_scale)
-    log_det = np.sum(log_scale) * np.ones(x.shape[0])
+    log_det = np.sum(log_scale) * np.ones(x.shape[:-1])
     return z, log_det
 
 

@@ -65,9 +65,10 @@ class ResidualMLP(Module):
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         """Kernel-dispatched forward on a raw batch (no Tensor graph).
 
-        The returned array may be backend scratch memory: it is only valid
-        until this module's next ``forward_array`` call, so callers that
-        need to keep it must copy.
+        ``x`` is ``(N, in_features)`` or a stack ``(..., N, in_features)``
+        of such batches.  The hidden activations live in the backend's
+        per-thread workspace; the returned array is fresh and the
+        caller's to keep.
         """
         params = [self.input.weight.data, self.input.bias.data]
         for i in range(self.num_blocks):
@@ -81,5 +82,4 @@ class ResidualMLP(Module):
                 )
             )
         params.extend((self.output.weight.data, self.output.bias.data))
-        scratch = self.__dict__.setdefault("_kernel_scratch", {})
-        return kernels.active().mlp_forward(params, x, self.num_blocks, scratch)
+        return kernels.active().mlp_forward(params, x, self.num_blocks)

@@ -8,9 +8,11 @@ The daemon's config surface is the registry spec grammar
     **once** at startup, calibrated against the corpus, and pinned to
     the service's batcher worker thread -- the warm model pool.  Extra
     parameters: ``sample`` (calibration corpus cap, default 5000),
-    ``batch`` (rows per flow evaluation inside a flush, default
-    ``max_batch``), ``name`` (routing key when several models are
-    served; requests pick one with their ``model`` field).
+    ``batch`` (real rows per 64-row chunk inside a flush, default
+    ``max_batch``; results are identical for every value), ``name``
+    (routing key when several models are served; requests pick one
+    with their ``model`` field).  ``sample`` and ``batch`` must be
+    positive integers.
 
 ``bank:<path.bank>``
     A targeted-guessing lookup service over a memory-mapped guess bank:
@@ -52,6 +54,15 @@ from repro.utils.rng import spawn_rng
 
 class ServeConfigError(ValueError):
     """Unusable ``--spec`` configuration (one-line message)."""
+
+
+def _positive_int(value: Any, param: str) -> int:
+    """A ``strength`` spec count, or a one-line :class:`ServeConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ServeConfigError(
+            f"strength spec parameter {param} must be a positive integer, got {value!r}"
+        )
+    return value
 
 
 def _float_or_none(value: float) -> Optional[float]:
@@ -100,8 +111,11 @@ class StrengthService:
         params.pop("name", None)
         model_path = params.pop("model", None)
         corpus_path = params.pop("corpus", None)
-        sample = params.pop("sample", 5000)
+        sample = _positive_int(params.pop("sample", 5000), "sample")
         batch = params.pop("batch", None)
+        if batch is not None:
+            batch = _positive_int(batch, "batch")
+            batcher_kwargs = dict(batcher_kwargs, score_batch_size=batch)
         if params:
             unknown = ", ".join(sorted(str(k) for k in params))
             raise ServeConfigError(
@@ -131,11 +145,9 @@ class StrengthService:
             raise ServeConfigError(f"cannot read corpus {corpus_path}: {exc}") from exc
         estimator = StrengthEstimator(model)
         try:
-            estimator.calibrate(reference[: int(sample)])
+            estimator.calibrate(reference[:sample])
         except ValueError as exc:
             raise ServeConfigError(f"calibration failed: {exc}") from exc
-        if batch is not None:
-            batcher_kwargs = dict(batcher_kwargs, score_batch_size=int(batch))
         return cls(name, estimator, **batcher_kwargs)
 
     # ------------------------------------------------------------------

@@ -5,6 +5,10 @@ passwords (encodable or not), any ``batch_size``, and any kernel backend,
 ``score_batch``/``log_prob_batch``/``percentile_batch`` return exactly --
 bit for bit -- what a loop over the scalar methods returns, with defined
 sentinels where the scalar path raises.
+
+The scalar and batched methods share the stacked flow pass, so a mistake
+in it would pass those comparisons; :class:`TestOracleLoop` also pins
+both against the original one-flow-call-per-chunk loop.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.core.strength import (
     EVAL_ROWS,
+    MAX_STACKED_CHUNKS,
     UNSCORABLE_LABEL,
     UNSCORABLE_SCORE,
     StrengthEstimator,
@@ -139,48 +144,99 @@ class TestSentinels:
         assert rows[0]["log_prob"] is not None and rows[0]["band"] != UNSCORABLE_LABEL
         assert rows[1]["log_prob"] is None and rows[1]["band"] == UNSCORABLE_LABEL
 
-    def test_bad_batch_size_raises(self, estimator):
-        with pytest.raises(ValueError):
-            estimator.log_prob_batch(["abc"], batch_size=0)
+    @pytest.mark.parametrize("passwords", [["abc"], [], ["Ω"]])
+    def test_bad_batch_size_raises(self, estimator, passwords):
+        # checked before the empty and all-unencodable early returns
+        with pytest.raises(ValueError, match="batch_size"):
+            estimator.log_prob_batch(passwords, batch_size=0)
 
     def test_scalar_path_still_raises_on_unencodable(self, estimator):
         with pytest.raises((KeyError, ValueError)):
             estimator.log_prob("Ω")
 
 
+def oracle_log_probs(model, passwords, batch_size):
+    """The pre-stacking loop: one ``model.log_prob`` call per padded chunk."""
+    out = np.full(len(passwords), np.nan)
+    encodable = [i for i, p in enumerate(passwords) if model.encoder.can_encode(p)]
+    step = EVAL_ROWS if batch_size is None else min(batch_size, EVAL_ROWS)
+    for start in range(0, len(encodable), step):
+        chunk = encodable[start : start + step]
+        rows = [passwords[i] for i in chunk]
+        out[chunk] = model.log_prob(rows + [rows[0]] * (EVAL_ROWS - len(rows)))[
+            : len(rows)
+        ]
+    return out
+
+
+class TestOracleLoop:
+    """Stacked scoring == the one-call-per-chunk loop, bit for bit.
+
+    The N encodable passwords cross the chunk boundary (63/64/65) and the
+    ``MAX_STACKED_CHUNKS`` cap (1024/1025 rows; 2500 is three flow calls);
+    two unencodable ones ride along.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1024, 1025, 2500])
+    def test_matches_per_chunk_loop_bitwise(self, estimator, corpus, backend, n):
+        passwords = list(np.random.default_rng(n).choice(corpus, size=n))
+        passwords.insert(n // 2, "Ω")
+        passwords.append("x" * 30)
+        with kernels.use_backend(backend):
+            for batch_size in (None, 1, 7, 64):
+                stacked = estimator.log_prob_batch(passwords, batch_size=batch_size)
+                expected = oracle_log_probs(estimator.model, passwords, batch_size)
+                assert np.array_equal(stacked, expected, equal_nan=True), batch_size
+
+
 class TestCallCountSeam:
-    """``batch_size`` is the flow-call budget: exactly ceil(N/batch) calls."""
+    """Chunks are stacked: ceil(chunks / MAX_STACKED_CHUNKS) flow calls."""
 
     def count_calls(self, estimator, passwords, batch_size, monkeypatch):
-        calls = []
-        real = estimator.model.log_prob
+        shapes = []
+        flow = estimator.model.flow
+        real = flow.log_prob
 
-        def counting(pwds):
-            calls.append(len(pwds))
-            return real(pwds)
+        def counting(x):
+            shapes.append(np.shape(x))
+            return real(x)
 
-        monkeypatch.setattr(estimator.model, "log_prob", counting)
+        # an instance attribute, deleted again on undo
+        monkeypatch.setitem(vars(flow), "log_prob", counting)
         estimator.log_prob_batch(passwords, batch_size=batch_size)
-        return calls
+        return shapes
 
-    @pytest.mark.parametrize("n, batch_size", [(1, 1), (5, 2), (7, 7), (10, 3), (64, 64)])
-    def test_exactly_ceil_n_over_batch_calls(
+    def assert_stacked(self, shapes, chunks):
+        """Every call is a ``(k, EVAL_ROWS, D)`` stack, k <= the cap."""
+        assert len(shapes) == math.ceil(chunks / MAX_STACKED_CHUNKS)
+        for k, rows, _ in shapes:
+            assert 1 <= k <= MAX_STACKED_CHUNKS and rows == EVAL_ROWS
+        assert sum(k for k, _, _ in shapes) == chunks
+
+    @pytest.mark.parametrize(
+        "n, batch_size",
+        [(1, 1), (5, 2), (7, 7), (10, 3), (64, 64), (100, 1), (1024, None), (1025, 64)],
+    )
+    def test_ceil_chunks_over_cap_calls(
         self, estimator, corpus, monkeypatch, n, batch_size
     ):
-        calls = self.count_calls(estimator, corpus[:n], batch_size, monkeypatch)
-        assert len(calls) == math.ceil(n / batch_size)
-        # every call is the canonical padded shape
-        assert all(size == EVAL_ROWS for size in calls)
+        shapes = self.count_calls(estimator, corpus[:n], batch_size, monkeypatch)
+        step = EVAL_ROWS if batch_size is None else batch_size
+        self.assert_stacked(shapes, math.ceil(n / step))
 
-    def test_unencodable_rows_cost_no_flow_calls(
-        self, estimator, corpus, monkeypatch
-    ):
+    def test_one_audit_request_is_one_flow_call(self, estimator, corpus, monkeypatch):
+        shapes = self.count_calls(estimator, corpus[:1024], None, monkeypatch)
+        assert shapes == [(MAX_STACKED_CHUNKS, EVAL_ROWS, estimator.model.flow.dim)]
+
+    def test_unencodable_rows_cost_no_chunks(self, estimator, corpus, monkeypatch):
         passwords = corpus[:3] + ["Ω"] * 5
-        calls = self.count_calls(estimator, passwords, 2, monkeypatch)
-        assert len(calls) == math.ceil(3 / 2)  # only encodable rows chunked
+        shapes = self.count_calls(estimator, passwords, 2, monkeypatch)
+        self.assert_stacked(shapes, math.ceil(3 / 2))  # only encodable rows chunked
+        assert self.count_calls(estimator, ["Ω"] * 5, 2, monkeypatch) == []
 
     def test_batch_size_above_eval_rows_is_capped(
         self, estimator, corpus, monkeypatch
     ):
-        calls = self.count_calls(estimator, corpus[:130], 4096, monkeypatch)
-        assert len(calls) == math.ceil(130 / EVAL_ROWS)
+        shapes = self.count_calls(estimator, corpus[:130], 4096, monkeypatch)
+        self.assert_stacked(shapes, math.ceil(130 / EVAL_ROWS))

@@ -25,6 +25,8 @@ needs_numba = pytest.mark.skipif(
     not kernels.numba_available(), reason="numba not installed"
 )
 
+BACKENDS = ["reference", "numpy"] + (["numba"] if kernels.numba_available() else [])
+
 flow_case = st.tuples(
     st.integers(min_value=4, max_value=8),  # dim
     st.integers(min_value=1, max_value=3),  # couplings
@@ -56,6 +58,18 @@ def build_flow(dim, couplings, seed, actnorm=True, additive=False):
     flow = Flow(bijectors)
     flow.eval()
     return flow
+
+
+def mlp_params(rng, dim, hidden, num_blocks=2):
+    params = [rng.normal(size=(dim, hidden)) * 0.3, rng.normal(size=hidden)]
+    for _ in range(num_blocks):
+        params += [
+            rng.normal(size=(hidden, hidden)) * 0.3,
+            rng.normal(size=hidden),
+            rng.normal(size=(hidden, hidden)) * 0.3,
+            rng.normal(size=hidden),
+        ]
+    return params + [rng.normal(size=(hidden, dim)) * 0.3, rng.normal(size=dim)]
 
 
 def tensor_encode(flow, x):
@@ -182,26 +196,97 @@ class TestKernelLevelParity:
     @settings(max_examples=20, deadline=None)
     def test_mlp_forward_matches_reference(self, n, seed):
         rng = np.random.default_rng(seed)
-        dim, hidden = 5, 12
-        params = [rng.normal(size=(dim, hidden)) * 0.3, rng.normal(size=hidden)]
-        for _ in range(2):
-            params += [
-                rng.normal(size=(hidden, hidden)) * 0.3,
-                rng.normal(size=hidden),
-                rng.normal(size=(hidden, hidden)) * 0.3,
-                rng.normal(size=hidden),
-            ]
-        params += [rng.normal(size=(hidden, dim)) * 0.3, rng.normal(size=dim)]
-        x = rng.normal(size=(n, dim))
+        params = mlp_params(rng, 5, 12)
+        x = rng.normal(size=(n, 5))
         ref = kernels._load("reference")
         fused = kernels._load("numpy")
-        expected = ref.mlp_forward(params, x, 2, {})
-        scratch = {}
-        assert np.array_equal(fused.mlp_forward(params, x, 2, scratch), expected)
-        # the scratch buffer is reused across calls with the same shape
-        again = fused.mlp_forward(params, x, 2, scratch)
+        expected = ref.mlp_forward(params, x, 2)
+        first = fused.mlp_forward(params, x, 2)
+        assert np.array_equal(first, expected)
+        # a second call reuses the thread's workspace and leaves the first
+        # call's (fresh) output untouched
+        again = fused.mlp_forward(params, x, 2)
         assert np.array_equal(again, expected)
-        assert len(scratch) == 1
+        assert np.array_equal(first, expected)
+
+
+class TestStackedInputs:
+    """The log-prob kernels on a stacked ``(k, 64, D)`` batch.
+
+    Each slice must be bitwise what a 2-D call on that slice alone
+    returns -- the property stacked strength scoring rests on -- and the
+    numpy backend must stay bitwise equal to ``reference`` when stacked.
+    """
+
+    SHAPE = (3, 64, 10)
+    KERNELS = (
+        "mlp_forward",
+        "mlp_forward_3_blocks",
+        "coupling_forward",
+        "logit_forward",
+        "actnorm_forward",
+        "additive_forward",
+    )
+
+    def stacked_cases(self, seed):
+        rng = np.random.default_rng(seed)
+        d = self.SHAPE[-1]
+        mask = (np.arange(d) % 2).astype(np.float64)
+        x = rng.random(self.SHAPE) * 0.9 + 0.05
+        raw = rng.normal(size=self.SHAPE) * 3.0
+        t = rng.normal(size=self.SHAPE)
+        bias, log_scale = rng.normal(size=d), rng.normal(size=d) * 0.5
+        return {
+            "mlp_forward": (
+                lambda b, x, p: b.mlp_forward(p, x, 2),
+                (x, mlp_params(rng, d, 48)),
+            ),
+            "mlp_forward_3_blocks": (
+                lambda b, x, p: b.mlp_forward(p, x, 3),
+                (x, mlp_params(rng, d, 16, num_blocks=3)),
+            ),
+            "coupling_forward": (
+                lambda b, x, raw, t: b.coupling_forward(
+                    x, x * mask, 1.0 - mask, raw, t, 2.0
+                ),
+                (x, raw, t),
+            ),
+            "logit_forward": (lambda b, x: b.logit_forward(x, 0.05), (x,)),
+            "actnorm_forward": (
+                lambda b, x: b.actnorm_forward(x, bias, log_scale),
+                (x,),
+            ),
+            "additive_forward": (
+                lambda b, x, t: b.additive_forward(x, x * mask, 1.0 - mask, t),
+                (x, t),
+            ),
+        }
+
+    @staticmethod
+    def outputs(result):
+        return result if isinstance(result, tuple) else (result,)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_each_slice_equals_its_2d_call(self, backend, kernel):
+        call, args = self.stacked_cases(seed=21)[kernel]
+        module = kernels._load(backend)
+        stacked = self.outputs(call(module, *args))
+        k = self.SHAPE[0]
+        for i in range(k):
+            sliced = [a[i] if isinstance(a, np.ndarray) else a for a in args]
+            alone = self.outputs(call(module, *sliced))
+            for got, want in zip(stacked, alone):
+                assert got.shape[1:] == want.shape
+                assert np.array_equal(got[i], want), (backend, kernel, i)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_numpy_matches_reference_stacked(self, kernel):
+        call, args = self.stacked_cases(seed=22)[kernel]
+        ref = self.outputs(call(kernels._load("reference"), *args))
+        fused = self.outputs(call(kernels._load("numpy"), *args))
+        for a, b in zip(ref, fused):
+            assert np.array_equal(a, b), kernel
 
 
 @needs_numba
@@ -225,17 +310,8 @@ class TestNumbaParity:
 
     def test_mlp2_specialization_allclose(self):
         rng = np.random.default_rng(3)
-        dim, hidden = 6, 16
-        params = [rng.normal(size=(dim, hidden)) * 0.3, rng.normal(size=hidden)]
-        for _ in range(2):
-            params += [
-                rng.normal(size=(hidden, hidden)) * 0.3,
-                rng.normal(size=hidden),
-                rng.normal(size=(hidden, hidden)) * 0.3,
-                rng.normal(size=hidden),
-            ]
-        params += [rng.normal(size=(hidden, dim)) * 0.3, rng.normal(size=dim)]
-        x = rng.normal(size=(8, dim))
-        expected = kernels._load("numpy").mlp_forward(params, x, 2, {})
-        got = kernels._load("numba").mlp_forward(params, x, 2, {})
+        params = mlp_params(rng, 6, 16)
+        x = rng.normal(size=(8, 6))
+        expected = kernels._load("numpy").mlp_forward(params, x, 2)
+        got = kernels._load("numba").mlp_forward(params, x, 2)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)

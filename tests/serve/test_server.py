@@ -120,6 +120,18 @@ class TestConfig:
         with pytest.raises(ServeConfigError, match="cannot load model"):
             ServeApp([f"strength?model={tmp_path}/no.npz&corpus={tmp_path}/no.txt"])
 
+    @pytest.mark.parametrize(
+        "param, value",
+        [("batch", "abc"), ("batch", "0"), ("batch", "-3"), ("sample", "-250"), ("sample", "abc")],
+    )
+    def test_counts_must_be_positive_integers(self, strength_spec, param, value):
+        # strength_spec already sets sample=500; drop it so each case sets its own
+        base = strength_spec.replace("&sample=500", "")
+        with pytest.raises(ServeConfigError, match=f"{param} must be a positive integer") as info:
+            ServeApp([f"{base}&{param}={value}"])
+        message = str(info.value)
+        assert value in message and "\n" not in message
+
 
 class TestSocketServer:
     def test_request_response_over_unix_socket(self, server):

@@ -290,20 +290,20 @@ class TestLatentCommands:
         assert "percentile" in out and "band" in out
         assert "ms/password" in out  # the per-password timing line
 
-    def test_strength_scores_in_ceil_n_over_batch_flow_calls(
+    def test_strength_scores_in_one_stacked_flow_call(
         self, model_file, corpus_file, capsys, monkeypatch
     ):
         """The batch-vectorized seam: N passwords != N flow evaluations."""
-        from repro.core.model import PassFlow
+        from repro.flows.flow import Flow
 
-        calls = []
-        real = PassFlow.log_prob
+        shapes = []
+        real = Flow.log_prob
 
-        def counting(self, passwords):
-            calls.append(len(passwords))
-            return real(self, passwords)
+        def counting(self, x):
+            shapes.append(x.shape)
+            return real(self, x)
 
-        monkeypatch.setattr(PassFlow, "log_prob", counting)
+        monkeypatch.setattr(Flow, "log_prob", counting)
         passwords = [f"pw{i}" for i in range(5)]
         code = main(
             ["strength", "--model", str(model_file), "--corpus", str(corpus_file),
@@ -311,8 +311,10 @@ class TestLatentCommands:
         )
         assert code == 0
         capsys.readouterr()
-        # 1 calibration pass + ceil(5/2) scoring chunks, nothing per-password
-        assert len(calls) == 1 + 3
+        # 1 calibration pass, then the ceil(5/2) = 3 padded 64-row chunks
+        # stacked into one flow call; nothing per-password
+        assert len(shapes) == 2
+        assert shapes[1][:2] == (3, 64)
 
     def test_strength_unscorable_password_is_reported_not_fatal(
         self, model_file, corpus_file, capsys
