@@ -3,7 +3,7 @@
 The daemon's pitch is that micro-batching amortizes the flow's per-call
 fixed costs: one request per flow evaluation (what a naive scoring
 service pays, and exactly what the scalar :meth:`StrengthEstimator.score`
-path costs) versus up to ``max_batch`` requests per evaluation.  Two
+path costs) versus up to ``max_batch`` requests per evaluation.  Three
 acceptance bars:
 
 * ``test_batched_throughput_floor`` -- ``score_batch`` over a probe set
@@ -17,9 +17,11 @@ acceptance bars:
   through a threaded :class:`ServeApp` must keep p99 request latency
   under a generous ceiling, and must actually batch (fewer flushes than
   requests) -- the regression this catches is a scheduler that degrades
-  to one-request batches or parks requests past its ``max_wait``.
+  to one-request batches or parks requests in front of an idle worker.
+  Requests that arrive while a flush runs leave together in the next
+  one, so eight closed loops batch without any wait timer.
 
-Both run on the in-process scoring path (no sockets): transport cost is
+All three run on the in-process scoring path (no sockets): transport cost is
 negligible next to flow evaluation and would only add CI noise.
 """
 
@@ -63,7 +65,6 @@ def serve_app(tmp_path_factory, model, ctx):
     app = ServeApp(
         [f"strength?model={model_path}&corpus={corpus_path}&sample=2000"],
         max_batch=64,
-        max_wait_ms=2.0,
     )
     app.start()
     yield app

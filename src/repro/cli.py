@@ -645,7 +645,6 @@ def cmd_serve(args) -> int:
         app = ServeApp(
             args.spec,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             max_queue=args.max_queue,
             default_deadline_ms=args.deadline_ms,
             threaded=not args.once,
@@ -944,13 +943,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=64,
-        help="flush the scoring queue at this many passwords",
-    )
-    p.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="flush when the oldest queued request has waited this long",
+        help="most passwords one flush of the scoring queue collects (the "
+        "worker flushes what is queued as soon as it is free)",
     )
     p.add_argument(
         "--max-queue",

@@ -37,8 +37,14 @@ class _Workspace(threading.local):
     """One thread's hidden-width MLP buffers, viewed at each call's shape."""
 
     def __init__(self) -> None:
+        # empty buffers, so a thread's first call may have zero rows
         self.size = 0
-        self.buffers: Tuple[Array, ...] = ()
+        self.buffers: Tuple[Array, ...] = (
+            np.empty(0),
+            np.empty(0),
+            np.empty(0),
+            np.empty(0, dtype=bool),
+        )
 
     def views(self, shape: Tuple[int, ...], hidden: int) -> Tuple[Array, ...]:
         """``(h, a, c, mask)`` views of shape ``shape + (hidden,)``."""

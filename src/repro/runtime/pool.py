@@ -14,7 +14,7 @@ strategy instance, RNG bookkeeping and accounting state live in exactly
 one process for the whole run and never migrate.
 
 Two protocols run over the same pair of OS channels (one command pipe
-per worker, one shared result queue):
+per worker, one shared result pipe):
 
 * **Static** (:meth:`ProcessPoolExecutor.run`): the parent sends each
   worker its shards' :class:`~repro.runtime.planner.ShardPlan`\\ s; workers
@@ -63,8 +63,8 @@ logger = get_logger("runtime.pool")
 def picklable_exception(exc: BaseException) -> Optional[BaseException]:
     """The exception itself when it survives pickling, else ``None``.
 
-    Worker processes ship their failures to the parent through a result
-    queue; an exception that can cross it intact is re-raised with its
+    Worker processes ship their failures to the parent through the result
+    pipe; an exception that can cross it intact is re-raised with its
     original type (e.g. a clean ``SpecError``), anything else degrades to
     the traceback string the caller sends alongside.
     """
@@ -84,9 +84,9 @@ def reap_processes(processes: Sequence) -> None:
     ``finally`` so a parent raising mid-collection (KeyboardInterrupt, a
     re-raised shard error) never leaves forked children running.  Safe on
     the clean path too -- a worker that already reported its result is
-    either exiting or blocked in a queue feeder; ``terminate`` just
-    hastens it.  Joins get a bounded timeout with a ``kill`` fallback so
-    teardown cannot hang on a wedged child.
+    either exiting or blocked writing a reply nobody reads any more;
+    ``terminate`` just hastens it.  Joins get a bounded timeout with a
+    ``kill`` fallback so teardown cannot hang on a wedged child.
     """
     for process in processes:
         if process.is_alive():
@@ -101,12 +101,12 @@ def reap_processes(processes: Sequence) -> None:
 class CorpseWatch:
     """Detects workers that died without reporting a result.
 
-    Both pool protocols drain the result queue with a timeout; on every
+    Both pool protocols drain the result pipe with a timeout; on every
     timeout they feed this watch the indices of workers that are no
     longer alive but still owe results.  A worker that just exited may
-    have its final message in flight through the queue's feeder pipe, so
-    the watch only gives up after ``grace`` consecutive idle rounds with
-    corpses present; any successful receive resets it.
+    have its final messages still unread in the pipe, so the watch only
+    gives up after ``grace`` consecutive idle rounds with corpses
+    present; any successful receive resets it.
     """
 
     def __init__(self, grace: int = 3) -> None:
@@ -114,7 +114,7 @@ class CorpseWatch:
         self._idle_rounds = 0
 
     def note_receive(self) -> None:
-        """A message arrived; the queue is live again."""
+        """A message arrived; the channel is live again."""
         self._idle_rounds = 0
 
     def note_timeout(self, dead: Sequence[int]) -> Optional[List[int]]:
@@ -125,6 +125,36 @@ class CorpseWatch:
         return None
 
 
+class _ResultChannel:
+    """The workers' shared reply pipe, guarded by one write lock.
+
+    :meth:`put` writes the whole message in the calling thread before it
+    returns, so a worker's own code only runs between whole writes: a
+    strategy that ends its process (``os._exit``) cannot leave the lock
+    held.  A ``multiprocessing.Queue`` writes from a feeder thread
+    instead, and a worker exiting while that thread held the lock would
+    wedge every survivor's replies behind it.
+    """
+
+    def __init__(self, context) -> None:
+        self._reader, self._writer = context.Pipe(duplex=False)
+        self._lock = context.Lock()
+
+    def put(self, message) -> None:
+        with self._lock:
+            self._writer.send(message)
+
+    def get(self, timeout: float):
+        """The next message, or ``None`` when none arrives in ``timeout`` s."""
+        if not self._reader.poll(timeout):
+            return None
+        return self._reader.recv()
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
 def _pool_worker(worker_id: int, task: ShardTask, fleet: int, commands, results) -> None:
     """One fork-server worker: serve shard/chunk commands until told to stop.
 
@@ -132,9 +162,9 @@ def _pool_worker(worker_id: int, task: ShardTask, fleet: int, commands, results)
     shard with affinity to this worker (built lazily on the shard's
     first chunk).  Commands arrive strictly in order on this worker's
     pipe, so chunks of one shard always run in sequence; replies go to
-    the shared result queue.  Delta payloads are streamed incrementally
+    the shared result pipe.  Delta payloads are streamed incrementally
     -- each reply carries only the checkpoints added since the last one
-    -- and each shard's codec crosses the queue at most once.
+    -- and each shard's codec crosses the pipe at most once.
     """
     runs: Dict[int, _ShardRun] = {}
     streamed: Dict[int, int] = {}  # deltas already shipped, per shard
@@ -248,7 +278,7 @@ class _ForkServer:
 
     def __init__(self, context, task: ShardTask, shards: int, size: int) -> None:
         self.size = max(1, min(size, shards))
-        self.results = context.Queue()
+        self.results = _ResultChannel(context)
         self.pipes = []
         self.procs = []
         for worker_id in range(self.size):
@@ -279,11 +309,8 @@ class _ForkServer:
             self.alive.discard(worker_id)
 
     def receive(self, timeout: float = 1.0):
-        """One result-queue read; ``None`` after an idle timeout."""
-        try:
-            return self.results.get(timeout=timeout)
-        except Exception:  # queue.Empty
-            return None
+        """One result-pipe read; ``None`` after an idle timeout."""
+        return self.results.get(timeout)
 
     def dead_workers(self, worker_ids) -> List[int]:
         """The subset of ``worker_ids`` whose processes are gone."""

@@ -6,11 +6,11 @@ package turns the one-shot CLI paths into a long-lived service:
 
 * :mod:`repro.serve.protocol` -- the NDJSON request/response schema,
 * :mod:`repro.serve.batcher` -- the micro-batching scheduler (bounded
-  queue, flush on size or age, per-request deadlines),
+  queue, flush as soon as the worker is free, per-request deadlines),
 * :mod:`repro.serve.service` -- warm model pool + request routing,
 * :mod:`repro.serve.server` -- the socket transport and ``--once`` loop,
 * :mod:`repro.serve.client` -- a minimal line client for tests/scripts,
-* :mod:`repro.serve.clock` -- the virtual-time seam the timing tests use,
+* :mod:`repro.serve.clock` -- the virtual-time seam the deadline tests use,
 * :mod:`repro.serve.stats` -- the ``stats`` endpoint's counters.
 
 See ``docs/serve.md`` for the protocol and the determinism contract

@@ -6,10 +6,13 @@ kernel layer does for per-op overhead: the flow's per-batch fixed costs
 (bijector dispatch, scratch setup) are paid once per flush instead of
 once per request.
 
-Scheduling contract:
+Scheduling contract (continuous batching):
 
-* a flush fires when the queue holds ``max_batch`` passwords **or** the
-  oldest request has waited ``max_wait_ms``, whichever comes first;
+* the worker flushes whatever is queued as soon as it is free -- a
+  request that finds it idle is scored at once, and requests that
+  arrive during a flush leave together in the next one, as whole
+  requests up to ``max_batch`` passwords, so batching grows with load
+  and no request waits in front of an idle worker;
 * requests are never split across flushes (a request larger than
   ``max_batch`` forms its own oversized batch, preserving one-reply-per-
   request);
@@ -29,8 +32,9 @@ answers a caller sees do not depend on which other requests happened to
 share its flush -- asserted by the soak test in
 ``tests/serve/test_server.py``.
 
-All waiting runs through the :mod:`repro.serve.clock` seam, so the
-timing behavior is testable under virtual time (no real sleeps).
+Deadlines and latency stats read time through the
+:mod:`repro.serve.clock` seam, so they are testable under virtual time
+(no real sleeps).
 """
 
 from __future__ import annotations
@@ -107,9 +111,8 @@ class MicroBatcher:
         ``flush(passwords) -> sequence`` scoring N passwords in one
         vectorized pass; result is scattered back per request by slice.
     max_batch:
-        Flush as soon as this many passwords are queued.
-    max_wait_ms:
-        Flush when the oldest queued request has waited this long.
+        Most passwords one flush collects (whole requests only; a larger
+        request is flushed on its own).
     max_queue:
         Bounded queue capacity in passwords; ``submit`` beyond it raises
         :class:`QueueFull`.
@@ -122,20 +125,16 @@ class MicroBatcher:
         flush: Callable[[List[str]], Sequence[Any]],
         *,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         max_queue: int = 4096,
         clock=None,
         stats: Optional[ServeStats] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if max_queue < max_batch:
             raise ValueError("max_queue must be >= max_batch")
         self._flush = flush
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1000.0
         self.max_queue = int(max_queue)
         self.clock = clock if clock is not None else SystemClock()
         self.stats = stats if stats is not None else ServeStats()
@@ -192,23 +191,6 @@ class MicroBatcher:
             self._queued_passwords -= sum(len(p.passwords) for p in expired)
         return expired
 
-    def _flush_due_locked(self, now: float) -> bool:
-        if not self._pending:
-            return False
-        if self._queued_passwords >= self.max_batch:
-            return True
-        return now - self._pending[0].enqueued_at >= self.max_wait
-
-    def _next_wakeup_locked(self, now: float) -> Optional[float]:
-        """Seconds until the next timer event (None = nothing queued)."""
-        if not self._pending:
-            return None
-        due = self._pending[0].enqueued_at + self.max_wait
-        deadlines = [p.deadline_at for p in self._pending if p.deadline_at is not None]
-        if deadlines:
-            due = min(due, min(deadlines))
-        return max(0.0, due - now)
-
     def _collect_locked(self) -> List[_Pending]:
         """Pop the batch to flush: whole requests up to ``max_batch``."""
         batch: List[_Pending] = []
@@ -255,21 +237,17 @@ class MicroBatcher:
             latencies.append(done - request.enqueued_at)
         self.stats.record_batch(len(batch), len(passwords), latencies)
 
-    def pump(self, force: bool = False) -> int:
-        """Run flush/expiry decisions once, now; returns requests completed.
+    def pump(self) -> int:
+        """Reject expired requests and flush one batch; returns requests completed.
 
-        The non-threaded drive used by ``serve --once`` and the timing
-        tests: with ``force=True`` everything queued is flushed regardless
-        of the size/wait triggers.
+        The non-threaded drive used by ``serve --once`` and the tests: one
+        call flushes whatever is queued, up to ``max_batch`` passwords of
+        whole requests (0 when the queue is empty).
         """
         now = self.clock.monotonic()
         with self._cond:
             expired = self._expire_locked(now)
-            batch = (
-                self._collect_locked()
-                if force or self._flush_due_locked(now)
-                else []
-            )
+            batch = self._collect_locked()
         self._reject(expired)
         self._execute(batch)
         return len(expired) + len(batch)
@@ -288,23 +266,15 @@ class MicroBatcher:
         return self
 
     def _run(self) -> None:
+        # the worker never idles while work is queued, so it needs no
+        # timed wakeup: it sleeps until submit or close notifies it
         while True:
             with self._cond:
-                while True:
-                    now = self.clock.monotonic()
-                    expired = self._expire_locked(now)
-                    if expired or self._flush_due_locked(now) or self._closing:
-                        break
-                    self.clock.wait(self._cond, self._next_wakeup_locked(now))
-                if self._closing and not self._pending and not expired:
+                while not self._pending and not self._closing:
+                    self._cond.wait()
+                if not self._pending:
                     return
-                batch = (
-                    self._collect_locked()
-                    if self._closing or self._flush_due_locked(now)
-                    else []
-                )
-            self._reject(expired)
-            self._execute(batch)
+            self.pump()
 
     def close(self, drain: bool = True, timeout: Optional[float] = 10.0) -> None:
         """Stop accepting requests; with ``drain`` flush what is queued.
@@ -326,4 +296,5 @@ class MicroBatcher:
         if thread is not None:
             thread.join(timeout)
         elif drain:
-            self.pump(force=True)
+            while self.pump():
+                pass

@@ -1,27 +1,23 @@
-"""The time seam the micro-batcher schedules against.
+"""The time seam the micro-batcher reads.
 
-Flush-on-``max_wait_ms`` and per-request deadlines are pure functions of
-"what time is it" and "wait until"; routing both through a tiny
-:class:`Clock` interface lets the timing tests run the *real* batcher
-loop under a :class:`FakeClock` -- virtual time advances instead of the
-test sleeping, so a full flush-timeout/deadline-expiry suite finishes in
-milliseconds and never flakes on a loaded machine.
+Per-request deadlines and the latency stats are pure functions of "what
+time is it"; routing that question through a tiny :class:`Clock`
+interface lets the tests run the *real* batcher under a
+:class:`FakeClock` -- virtual time advances instead of the test
+sleeping, so a deadline-expiry suite finishes in milliseconds and never
+flakes on a loaded machine.  The batcher never waits on a clock: its
+worker sleeps until a request arrives and flushes as soon as it is free.
 
 Two implementations:
 
-* :class:`SystemClock` -- ``time.monotonic`` and a plain
-  ``Condition.wait``; what the daemon runs on.
-* :class:`FakeClock` -- a manually advanced virtual monotonic time whose
-  ``wait`` *jumps* time forward by the timeout instead of sleeping (an
-  untimed wait still blocks on the condition, so idle loops park rather
-  than spin).
+* :class:`SystemClock` -- ``time.monotonic``; what the daemon runs on.
+* :class:`FakeClock` -- a manually advanced virtual monotonic time.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Optional
 
 
 class SystemClock:
@@ -30,18 +26,13 @@ class SystemClock:
     def monotonic(self) -> float:
         return time.monotonic()
 
-    def wait(self, condition: threading.Condition, timeout: Optional[float]) -> bool:
-        """Wait on ``condition`` (held); returns False on timeout."""
-        return condition.wait(timeout)
-
 
 class FakeClock:
     """Deterministic virtual time for batcher tests.
 
-    ``wait(cond, timeout)`` advances :meth:`monotonic` by ``timeout`` and
-    returns immediately (as a timeout), so a batcher thread blocked until
-    its ``max_wait_ms`` flush point experiences the wait instantly.
-    ``advance`` moves time from the test side.
+    :meth:`monotonic` only moves when the test calls :meth:`advance`, so
+    deadlines expire exactly when a test says and a flush that finds the
+    worker idle records a latency of exactly zero.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -57,10 +48,3 @@ class FakeClock:
             raise ValueError("time cannot go backwards")
         with self._lock:
             self._now += seconds
-
-    def wait(self, condition: threading.Condition, timeout: Optional[float]) -> bool:
-        if timeout is None:
-            return condition.wait(None)
-        with self._lock:
-            self._now += timeout
-        return False

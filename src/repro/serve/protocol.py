@@ -28,6 +28,7 @@ Responses always carry ``"ok"``: ``{"ok": true, "op": ..., "id": ...,
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Optional
 
 #: Operations the daemon understands.
@@ -100,6 +101,12 @@ def _optional_number(payload: Dict[str, Any], field: str, minimum: float = 0.0):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(f"{field!r} must be a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not finite:
+        raise ProtocolError(f"{field!r} must be a finite number")
     if value < minimum:
         raise ProtocolError(f"{field!r} must be >= {minimum}")
     return value

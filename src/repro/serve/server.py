@@ -232,7 +232,7 @@ def run_once(app: ServeApp, lines, out: TextIO) -> int:
     """The ``serve --once`` loop: NDJSON in, NDJSON out, no socket.
 
     Serves each line through the same app/batcher path as the daemon
-    (requests are submitted, then force-flushed), writes one response
+    (each request is submitted, then pumped), writes one response
     line per request, and returns 0 -- the in-process smoke mode that
     keeps every serving code path drivable from a pipe or a test.
     """

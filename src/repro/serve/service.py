@@ -80,7 +80,6 @@ class StrengthService:
         estimator: StrengthEstimator,
         *,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         max_queue: int = 4096,
         score_batch_size: Optional[int] = None,
         clock=None,
@@ -97,7 +96,6 @@ class StrengthService:
         self.batcher = MicroBatcher(
             self._flush,
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             max_queue=max_queue,
             clock=self.clock,
             stats=self.stats,
@@ -237,7 +235,6 @@ class ServeApp:
         specs: List[str],
         *,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         max_queue: int = 4096,
         default_deadline_ms: Optional[float] = None,
         clock=None,
@@ -268,7 +265,6 @@ class ServeApp:
                     spec,
                     name,
                     max_batch=max_batch,
-                    max_wait_ms=max_wait_ms,
                     max_queue=max_queue,
                     clock=self.clock,
                     stats=self.stats,
@@ -386,7 +382,7 @@ class ServeApp:
         )
         ticket = service.batcher.submit(request.passwords, deadline_ms=deadline)
         if not self.threaded:
-            service.batcher.pump(force=True)
+            service.batcher.pump()
         return ticket
 
     def finish_scoring(self, request: Request, ticket) -> Dict[str, Any]:

@@ -7,6 +7,9 @@ Every residual MLP evaluates on one hidden-width workspace per thread
   interpreter interleaves them and whatever batch sizes they run;
 * evaluating a large batch leaves one workspace behind per thread, not a
   buffer set per module and batch shape.
+
+A zero-row batch on a thread that has evaluated nothing yet must also
+work on every backend: a fresh workspace holds empty buffers.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro import kernels
 from repro.autograd import Tensor
@@ -24,7 +28,9 @@ from repro.core.model import PassFlow, PassFlowConfig
 from repro.core.strength import StrengthEstimator
 from repro.data.synthetic import SyntheticConfig, SyntheticRockYou
 from repro.nn.module import Module
+from repro.nn.residual import ResidualMLP
 
+BACKENDS = ["reference", "numpy"] + (["numba"] if kernels.numba_available() else [])
 THREADS = 8
 ROUNDS = 10
 DEADLINE_S = 30.0
@@ -132,3 +138,35 @@ def test_calibration_retains_one_workspace_not_a_buffer_set_per_module():
     for module in model.flow.modules():
         for array in held_arrays(module):
             assert config.hidden not in array.shape, (type(module).__name__, array.shape)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_zero_rows_on_a_fresh_thread(backend):
+    model = random_model(PassFlowConfig.tiny(seed=5))
+    flow = model.flow
+    mlp = next(m for m in flow.modules() if isinstance(m, ResidualMLP))
+    in_features = mlp.input.weight.data.shape[0]
+    out_features = mlp.output.weight.data.shape[1]
+    results: dict = {}
+    errors: list = []
+
+    def worker() -> None:
+        # a new thread: its workspace has evaluated nothing yet
+        try:
+            results["mlp_forward"] = mlp.forward_array(np.empty((0, in_features)))
+            results["log_prob"] = flow.log_prob(np.empty((0, flow.dim)))
+            results["decode"] = flow.decode(np.empty((0, flow.dim)))
+            results["passwords"] = model.log_prob([])
+        except Exception as exc:  # surfaced by the asserts below
+            errors.append(exc)
+
+    with kernels.use_backend(backend):
+        thread = threading.Thread(target=worker, daemon=True)
+        thread.start()
+        thread.join(timeout=JOIN_TIMEOUT_S)
+    assert not thread.is_alive()
+    assert not errors, errors
+    assert results["mlp_forward"].shape == (0, out_features)
+    assert results["log_prob"].shape == (0,)
+    assert results["decode"].shape == (0, flow.dim)
+    assert results["passwords"].shape == (0,)

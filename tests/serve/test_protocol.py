@@ -21,6 +21,7 @@ from repro.serve import protocol
 from repro.serve.protocol import (
     MAX_PASSWORDS_PER_REQUEST,
     ProtocolError,
+    Request,
     encode_response,
     error_response,
     ok_response,
@@ -102,6 +103,22 @@ class TestArbitraryInputNeverCrashes:
         else:
             assert request.op in protocol.OPS
 
+    @given(
+        op=st.sampled_from(["score", "band", "guess_number", "lookup"]),
+        field=st.sampled_from(["deadline_ms", "sample_size", "top"]),
+        value=st.floats(allow_nan=True, allow_infinity=True),
+    )
+    @settings(max_examples=150)
+    def test_any_float_field_parses_or_raises_protocol_error_only(self, op, field, value):
+        # json.dumps writes NaN and +-Infinity, which json.loads accepts
+        line = json.dumps({"op": op, "password": "x", field: value})
+        try:
+            request = parse_request(line)
+        except ProtocolError as exc:
+            assert "\n" not in str(exc)
+        else:
+            assert isinstance(request, Request)
+
     @given(payload=st.dictionaries(st.text(max_size=10), st.integers(), max_size=5))
     @settings(max_examples=80)
     def test_any_json_object_parses_or_raises_protocol_error_only(self, payload):
@@ -137,6 +154,15 @@ class TestStrictValidation:
             ('{"op": "guess_number", "password": "x", "seed": "a"}', "'seed' must be"),
             ('{"op": "guess_number", "password": "x", "sample_size": 0}', "must be >="),
             ('{"op": "lookup", "password": "x", "top": 0}', "must be >="),
+            ('{"op": "score", "password": "x", "deadline_ms": NaN}', "'deadline_ms' must be a finite number"),
+            ('{"op": "score", "password": "x", "deadline_ms": Infinity}', "'deadline_ms' must be a finite number"),
+            ('{"op": "guess_number", "password": "x", "sample_size": NaN}', "'sample_size' must be a finite number"),
+            ('{"op": "guess_number", "password": "x", "sample_size": Infinity}', "'sample_size' must be a finite number"),
+            ('{"op": "guess_number", "password": "x", "sample_size": 1e999}', "'sample_size' must be a finite number"),
+            ('{"op": "lookup", "password": "x", "top": NaN}', "'top' must be a finite number"),
+            ('{"op": "lookup", "password": "x", "top": -Infinity}', "'top' must be a finite number"),
+            ('{"op": "lookup", "password": "x", "top": 1e999}', "'top' must be a finite number"),
+            ('{"op": "lookup", "password": "x", "top": 1' + "0" * 400 + "}", "'top' must be a finite number"),
         ],
     )
     def test_misuse_is_one_actionable_line(self, line, match):

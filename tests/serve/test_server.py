@@ -35,7 +35,7 @@ def serial_estimator(trained_model, corpus):
 
 @pytest.fixture()
 def server(strength_spec, tmp_path):
-    app = ServeApp([strength_spec], max_batch=16, max_wait_ms=2.0)
+    app = ServeApp([strength_spec], max_batch=16)
     srv = ScoringServer(app, socket_path=str(tmp_path / "serve.sock")).start()
     yield srv
     srv.stop()
@@ -148,12 +148,28 @@ class TestSocketServer:
         assert [r["id"] for r in responses] == list(range(20))
         assert all(r["ok"] for r in responses)
 
-    def test_malformed_socket_traffic_never_kills_the_daemon(self, server):
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("}{ not json", "not valid JSON"),
+            ('{"op":"guess_number","password":"x","sample_size":1e999}',
+             "'sample_size' must be a finite number"),
+            ('{"op":"guess_number","password":"x","sample_size":NaN}',
+             "'sample_size' must be a finite number"),
+            ('{"op":"lookup","password":"x","top":Infinity}',
+             "'top' must be a finite number"),
+            ('{"op":"score","password":"x","deadline_ms":NaN}',
+             "'deadline_ms' must be a finite number"),
+        ],
+    )
+    def test_malformed_socket_traffic_never_kills_the_daemon(self, server, line, error):
         with ServeClient(socket_path=server.address) as client:
-            client._sock.sendall(b"}{ not json\n")
-            assert client.recv()["ok"] is False
+            # one write: the ping is pipelined behind the bad line
+            client._sock.sendall((line + '\n{"op":"ping"}\n').encode())
+            response = client.recv()
+            assert response["ok"] is False and error in response["error"]
             # the connection and the daemon both survive
-            assert client.request(op="ping")["ok"]
+            assert client.recv() == {"ok": True, "op": "ping"}
         with ServeClient(socket_path=server.address) as fresh:
             assert fresh.request(op="ping")["ok"]
 
