@@ -70,7 +70,8 @@ accept ``--kernels
 auto|numpy|numba|reference`` (default: the ``REPRO_KERNELS`` environment
 variable, else ``auto``) to pick the fused kernel backend the flow/NN hot
 paths run on; guess streams are backend-independent for a fixed seed and
-the attack report records the backend used.  See ``docs/kernels.md``.
+the attack report records the backend used, and the BLAS library and
+thread count beside it (``"blas"``).  See ``docs/kernels.md``.
 """
 
 from __future__ import annotations
@@ -179,6 +180,12 @@ def _emit_attack_report(report, args, budgets: List[int], described: str) -> Non
         payload["workers"] = args.workers
         payload["schedule"] = args.schedule
         payload["executor"] = getattr(args, "executor", None) or "auto"
+        payload["blas"] = kernels.blas.describe()
+        if payload["blas"]["threads"] is None:
+            print(
+                "note: BLAS thread count unmanaged (no known OpenBLAS symbol found)",
+                file=sys.stderr,
+            )
         payload["strategy"] = described
         payload["policy"] = getattr(args, "policy", None)
         payload["target_corpus"] = getattr(args, "target_corpus", None)

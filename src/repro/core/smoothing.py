@@ -67,12 +67,13 @@ class GaussianSmoother:
             raise ValueError("features/passwords length mismatch")
 
         # Collisions are duplicates against everything generated so far,
-        # *including earlier samples of this batch*.
-        working = set(seen)
+        # *including earlier samples of this batch*.  ``seen`` grows with
+        # the attack, so it is read in place, never copied.
+        batch: Set[str] = set()
         colliding: List[int] = []
         for i, password in enumerate(passwords):
-            if password and password not in working:
-                working.add(password)
+            if password and password not in seen and password not in batch:
+                batch.add(password)
             else:
                 colliding.append(i)
         if not colliding:
@@ -87,8 +88,8 @@ class GaussianSmoother:
             decoded = self.encoder.decode_batch(features[idx])
             still: List[int] = []
             for j, candidate in zip(idx, decoded):
-                if candidate and candidate not in working:
-                    working.add(candidate)
+                if candidate and candidate not in seen and candidate not in batch:
+                    batch.add(candidate)
                     passwords[j] = candidate
                 else:
                     still.append(int(j))

@@ -20,9 +20,11 @@ overflowing early in training (standard in RealNVP/Glow implementations).
 Hot-path dispatch: the training ``forward`` routes the combine + log-det
 through :func:`repro.autograd.fused_affine_coupling` (one tape node instead
 of ~ten), and the ``*_array`` inference paths call the active kernel
-backend directly.  ``inverse`` keeps the seed-era Tensor composition -- it
-is off the training path, and doubles as the pre-kernel baseline the
-benchmarks measure speedups against.
+backend directly, evaluating ``s`` and ``t`` in one ``mlp_forward_pair``
+call (on two threads for large batches on the numpy backend).
+``inverse`` keeps the seed-era Tensor composition -- it is off the
+training path, and doubles as the pre-kernel baseline the benchmarks
+measure speedups against.
 """
 
 from __future__ import annotations
@@ -108,11 +110,19 @@ class AffineCoupling(Bijector):
         scale, translate = self._scale_translate(masked)
         return masked + inv_mask * ((z - translate) * (-scale).exp())
 
+    def _scale_translate_array(self, backend, masked: np.ndarray):
+        """Raw ``s`` and ``t`` outputs (two threads on large numpy batches)."""
+        return backend.mlp_forward_pair(
+            self.scale_net.kernel_params(),
+            self.translate_net.kernel_params(),
+            masked,
+            self.scale_net.num_blocks,
+        )
+
     def forward_array(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         backend = kernels.active()
         masked = x * self.mask
-        raw_scale = self.scale_net.forward_array(masked)
-        translate = self.translate_net.forward_array(masked)
+        raw_scale, translate = self._scale_translate_array(backend, masked)
         return backend.coupling_forward(
             x, masked, 1.0 - self.mask, raw_scale, translate, self.scale_clamp
         )
@@ -120,8 +130,7 @@ class AffineCoupling(Bijector):
     def inverse_array(self, z: np.ndarray) -> np.ndarray:
         backend = kernels.active()
         masked = z * self.mask
-        raw_scale = self.scale_net.forward_array(masked)
-        translate = self.translate_net.forward_array(masked)
+        raw_scale, translate = self._scale_translate_array(backend, masked)
         return backend.coupling_inverse(
             z, masked, 1.0 - self.mask, raw_scale, translate, self.scale_clamp
         )

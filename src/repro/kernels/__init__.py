@@ -25,6 +25,10 @@ Selection follows the same pattern as ``REPRO_ATTACK_WORKERS``: the
 / ``reference``, default ``auto`` = numba when importable, else numpy)
 resolved lazily on first use, or an explicit ``--kernels`` CLI flag /
 :func:`select` call.  Invalid values raise a one-line :class:`ValueError`.
+
+Importing this package sets numpy's BLAS to one thread (:mod:`.blas`):
+the process spends its cores on its own threads and worker processes
+instead (``docs/kernels.md``, "Threads").
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ import importlib.util
 import os
 from typing import Iterator, Optional
 
+from repro.kernels import blas
+
 VALID_BACKENDS = ("auto", "numpy", "numba", "reference")
 
 _MODULES = {
@@ -44,6 +50,8 @@ _MODULES = {
 }
 
 _active = None  # lazily resolved backend module
+
+blas.set_threads(1)
 
 
 def numba_available() -> bool:

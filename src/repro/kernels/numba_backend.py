@@ -103,6 +103,14 @@ def mlp_forward(params: List[Array], x: Array, num_blocks: int) -> Array:
     return out.reshape(x.shape[:-1] + out.shape[-1:])
 
 
+def mlp_forward_pair(
+    first: List[Array], second: List[Array], x: Array, num_blocks: int
+) -> Tuple[Array, Array]:
+    # sequential: the compiled loops hold the GIL, so a second thread
+    # would only wait for it
+    return mlp_forward(first, x, num_blocks), mlp_forward(second, x, num_blocks)
+
+
 @njit(cache=True)
 def _coupling_forward(x, inv_mask, raw_scale, translate, clamp):
     n, d = x.shape

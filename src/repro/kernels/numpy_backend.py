@@ -16,6 +16,14 @@ buffer, while one thread never runs two MLP forwards at once.  It grows
 to the largest batch the thread has evaluated and its contents never
 outlive a call.
 
+A coupling's scale and translate networks read the same input and are
+independent, so once a batch has :data:`SPLIT_ROWS` rows or more,
+:func:`mlp_forward_pair` offers the first to one persistent helper thread
+while the caller runs the second, and runs the first itself if the
+helper has not started it by then.  Each network runs exactly the
+operations it runs alone, on its thread's own workspace, so the bits do
+not depend on which thread ran it (``docs/kernels.md``, "Threads").
+
 See :mod:`repro.kernels.reference` for the shared kernel conventions
 (argument meanings, mutation rules, ``*_train_forward`` contracts).
 """
@@ -23,8 +31,10 @@ See :mod:`repro.kernels.reference` for the shared kernel conventions
 from __future__ import annotations
 
 import math
+import os
+import queue
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -87,6 +97,108 @@ def mlp_forward(params: List[Array], x: Array, num_blocks: int) -> Array:
     out = np.matmul(h, params[i])
     np.add(out, params[i + 1], out=out)
     return out
+
+
+#: Rows (``x.size // x.shape[-1]``) from which :func:`mlp_forward_pair`
+#: offers a network to the helper: below it, the hand-off costs more than
+#: the network (decode: 1.10-1.17x at 512 rows, 0.76-1.26x at 256).
+SPLIT_ROWS = 512
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+class _Task:
+    """One network for the helper, which the caller may take back."""
+
+    __slots__ = ("params", "x", "num_blocks", "claim", "reply")
+
+    def __init__(self, params: List[Array], x: Array, num_blocks: int) -> None:
+        self.params, self.x, self.num_blocks = params, x, num_blocks
+        self.claim = threading.Lock()  # held by whichever thread runs it
+        self.reply: queue.SimpleQueue = queue.SimpleQueue()
+
+
+class _Helper:
+    """One persistent thread that runs :func:`mlp_forward` for callers.
+
+    Every task carries its own claim and reply, so tasks from concurrent
+    callers never mix, and an interrupted caller cannot hand its result
+    to the next one.
+    """
+
+    def __init__(self) -> None:
+        self.tasks: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="mlp-helper", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            task = self.tasks.get()
+            if task.claim.acquire(blocking=False):
+                try:
+                    # the module global, so a wrapper installed on
+                    # ``mlp_forward`` sees this call too
+                    task.reply.put((mlp_forward(task.params, task.x, task.num_blocks), None))
+                except BaseException as exc:  # re-raised in the caller
+                    task.reply.put((None, exc))
+            del task
+
+
+_helper: Optional[_Helper] = None
+_helper_guard = threading.Lock()
+# off on one CPU, and in forked children: the pool's workers already fill
+# the cores with processes
+_split = _usable_cpus() >= 2
+
+
+def _get_helper() -> _Helper:
+    global _helper
+    with _helper_guard:
+        if _helper is None:
+            _helper = _Helper()
+        return _helper
+
+
+def _after_fork_in_child() -> None:
+    global _helper, _split
+    _helper, _split = None, False  # the parent's thread does not exist here
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def mlp_forward_pair(
+    first: List[Array], second: List[Array], x: Array, num_blocks: int
+) -> Tuple[Array, Array]:
+    """``(mlp_forward(first, x), mlp_forward(second, x))``.
+
+    With :data:`SPLIT_ROWS` rows or more, on two or more usable CPUs, the
+    helper thread runs ``first`` while the caller runs ``second``; an
+    exception from either network re-raises here.  A caller that
+    finishes ``second`` before the helper has started ``first`` (the
+    helper is busy with another caller's network, or not yet scheduled)
+    takes ``first`` back and runs it too, so it never waits for a start.
+    """
+    if not _split or math.prod(x.shape[:-1]) < SPLIT_ROWS:
+        return mlp_forward(first, x, num_blocks), mlp_forward(second, x, num_blocks)
+    task = _Task(first, x, num_blocks)
+    _get_helper().tasks.put(task)
+    try:
+        out_second = mlp_forward(second, x, num_blocks)
+    finally:
+        taken_back = task.claim.acquire(blocking=False)
+        if not taken_back:
+            out_first, error = task.reply.get()
+    if taken_back:
+        return mlp_forward(first, x, num_blocks), out_second
+    if error is not None:
+        raise error
+    return out_first, out_second
 
 
 # ----------------------------------------------------------------------

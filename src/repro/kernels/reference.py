@@ -64,6 +64,14 @@ def mlp_forward(params: List[Array], x: Array, num_blocks: int) -> Array:
     return h @ params[i] + params[i + 1]
 
 
+def mlp_forward_pair(
+    first: List[Array], second: List[Array], x: Array, num_blocks: int
+) -> Tuple[Array, Array]:
+    """Two networks on one input (a coupling's scale and translate nets),
+    one after the other."""
+    return mlp_forward(first, x, num_blocks), mlp_forward(second, x, num_blocks)
+
+
 # ----------------------------------------------------------------------
 # affine coupling (RealNVP Eq. 13): z = b*x + (1-b)(x e^s + t)
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ so tests and CI-scale experiments can shrink it).
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from repro import kernels
@@ -62,14 +64,9 @@ class ResidualMLP(Module):
             hidden = self._modules[f"block{i}"](hidden)
         return self.output(hidden)
 
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Kernel-dispatched forward on a raw batch (no Tensor graph).
-
-        ``x`` is ``(N, in_features)`` or a stack ``(..., N, in_features)``
-        of such batches.  The hidden activations live in the backend's
-        per-thread workspace; the returned array is fresh and the
-        caller's to keep.
-        """
+    def kernel_params(self) -> List[np.ndarray]:
+        """The flat weight list the kernels' ``mlp_forward`` takes:
+        ``[W_in, b_in, (W1, b1, W2, b2) per block..., W_out, b_out]``."""
         params = [self.input.weight.data, self.input.bias.data]
         for i in range(self.num_blocks):
             block = self._modules[f"block{i}"]
@@ -82,4 +79,14 @@ class ResidualMLP(Module):
                 )
             )
         params.extend((self.output.weight.data, self.output.bias.data))
-        return kernels.active().mlp_forward(params, x, self.num_blocks)
+        return params
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """Kernel-dispatched forward on a raw batch (no Tensor graph).
+
+        ``x`` is ``(N, in_features)`` or a stack ``(..., N, in_features)``
+        of such batches.  The hidden activations live in the backend's
+        per-thread workspace; the returned array is fresh and the
+        caller's to keep.
+        """
+        return kernels.active().mlp_forward(self.kernel_params(), x, self.num_blocks)

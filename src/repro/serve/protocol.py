@@ -45,6 +45,11 @@ MAX_PASSWORDS_PER_REQUEST = 1024
 #: max-length passwords with generous JSON overhead).
 MAX_LINE_BYTES = 1 << 20
 
+#: Largest ``guess_number`` sample (4x the 4096 default).  The sample is
+#: decoded and scored in one call, so each flow thread's MLP workspace
+#: grows to about ``sample_size * hidden * 25`` bytes.
+MAX_SAMPLE_SIZE = 16384
+
 
 class ProtocolError(ValueError):
     """Malformed request; the message is the one-line client-facing error."""
@@ -160,6 +165,8 @@ def parse_request(line: str) -> Request:
     if op == "guess_number":
         raw = _optional_number(payload, "sample_size", minimum=1)
         sample_size = 4096 if raw is None else int(raw)
+        if sample_size > MAX_SAMPLE_SIZE:
+            raise ProtocolError(f"'sample_size' must be <= {MAX_SAMPLE_SIZE}")
         raw_seed = payload.get("seed")
         if raw_seed is not None:
             if isinstance(raw_seed, bool) or not isinstance(raw_seed, int):

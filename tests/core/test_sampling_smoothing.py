@@ -1,9 +1,15 @@
 """Static sampling strategy and Gaussian Smoothing."""
 
+from typing import List
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.smoothing import GaussianSmoother
+from repro.data.alphabet import Alphabet
+from repro.data.encoding import PasswordEncoder
 from repro.strategies import AttackEngine
 from repro.strategies.passflow import StaticStrategy
 
@@ -109,3 +115,98 @@ class TestGaussianSmoother:
         out = smoother.smooth(passwords, None, seen, np.random.default_rng(2))
         assert out[1] == "fresh1"
         assert out[0] not in seen and out[2] not in seen
+
+
+def copying_smooth(smoother, passwords, features, seen, rng) -> List[str]:
+    """The smoother as it was before it stopped copying ``seen``: the
+    stream oracle for the in-place membership test."""
+    passwords = list(passwords)
+    if features is None:
+        features = smoother.encoder.encode_batch(passwords)
+    features = np.array(np.atleast_2d(features), dtype=np.float64, copy=True)
+    working = set(seen)
+    colliding = []
+    for i, password in enumerate(passwords):
+        if password and password not in working:
+            working.add(password)
+        else:
+            colliding.append(i)
+    if not colliding:
+        return passwords
+    for _ in range(smoother.max_attempts):
+        if not colliding:
+            break
+        idx = np.array(colliding)
+        noise = rng.normal(0.0, smoother.sigma, size=(len(idx), features.shape[1]))
+        features[idx] += noise
+        decoded = smoother.encoder.decode_batch(features[idx])
+        still = []
+        for j, candidate in zip(idx, decoded):
+            if candidate and candidate not in working:
+                working.add(candidate)
+                passwords[j] = candidate
+            else:
+                still.append(int(j))
+        colliding = still
+    return passwords
+
+
+class NoIteration:
+    """A seen set that answers membership but fails if anything copies it."""
+
+    def __init__(self, items):
+        self._items = frozenset(items)
+
+    def __contains__(self, item):
+        return item in self._items
+
+    def __len__(self):
+        return len(self._items)
+
+    def __iter__(self):
+        raise AssertionError("the smoother iterated (copied) the seen set")
+
+
+# a 2-symbol alphabet at length 3 has 15 passwords, so perturbed
+# candidates collide with ``seen`` and with each other all the time
+TINY_ENCODER = PasswordEncoder(Alphabet("ab"), max_length=3)
+TINY_WORDS = ["", "a", "b", "aa", "ab", "ba", "bb", "aab", "bba", "aba"]
+
+
+class TestCopyFreeSmoother:
+    @given(
+        batch=st.lists(st.sampled_from(TINY_WORDS), max_size=24),
+        seen=st.sets(st.sampled_from(TINY_WORDS[1:]), max_size=8),
+        with_features=st.booleans(),
+        sigma_scale=st.sampled_from([0.25, 0.75, 2.0]),
+        attempts=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stream_and_rng_match_the_copying_oracle(
+        self, batch, seen, with_features, sigma_scale, attempts, seed
+    ):
+        smoother = GaussianSmoother(
+            TINY_ENCODER, sigma_scale=sigma_scale, max_attempts=attempts
+        )
+        features = None
+        if with_features and batch:
+            jitter = np.random.default_rng(seed).normal(0.0, 0.01, (len(batch), 3))
+            features = TINY_ENCODER.encode_batch(batch) + jitter
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        seen_before = set(seen)
+        out = smoother.smooth(batch, features, seen, rng_new)
+        expected = copying_smooth(smoother, batch, features, seen, rng_old)
+        assert out == expected
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        assert seen == seen_before  # read, never written
+
+    def test_seen_is_never_iterated(self):
+        smoother = GaussianSmoother(TINY_ENCODER, max_attempts=4)
+        seen = NoIteration({"a", "ab", "bb"})
+        batch = ["a", "ab", "ba", "ba", "", "aab"]
+        out = smoother.smooth(batch, None, seen, np.random.default_rng(7))
+        expected = copying_smooth(
+            smoother, batch, None, set(seen._items), np.random.default_rng(7)
+        )
+        assert out == expected

@@ -4,9 +4,12 @@ Every residual MLP evaluates on one hidden-width workspace per thread
 (``repro.kernels.numpy_backend``).  Two properties keep that sound:
 
 * threads sharing one model never see each other's buffers, however the
-  interpreter interleaves them and whatever batch sizes they run;
-* evaluating a large batch leaves one workspace behind per thread, not a
-  buffer set per module and batch shape.
+  interpreter interleaves them and whatever batch sizes they run, also
+  when batches of ``SPLIT_ROWS`` rows or more hand a coupling's scale
+  net to the helper thread;
+* evaluating a large batch leaves one workspace behind per flow thread
+  (the caller and the helper), not a buffer set per module and batch
+  shape.
 
 A zero-row batch on a thread that has evaluated nothing yet must also
 work on every backend: a fresh workspace holds empty buffers.
@@ -27,6 +30,7 @@ from repro.autograd import Tensor
 from repro.core.model import PassFlow, PassFlowConfig
 from repro.core.strength import StrengthEstimator
 from repro.data.synthetic import SyntheticConfig, SyntheticRockYou
+from repro.kernels import numpy_backend
 from repro.nn.module import Module
 from repro.nn.residual import ResidualMLP
 
@@ -70,19 +74,24 @@ def held_arrays(module: Module):
 
 
 @kernels.use_backend("numpy")
-def test_threads_sharing_a_model_get_serial_bits():
+def test_threads_sharing_a_model_get_serial_bits(monkeypatch):
     model = random_model(PassFlowConfig.tiny(seed=3))
     estimator = StrengthEstimator(model)
     rng = np.random.default_rng(0)
     dim = model.flow.dim
-    # each thread runs its own row counts, so workspaces grow at different times
-    latents = [rng.normal(size=(5 + 61 * t, dim)) for t in range(THREADS)]
+    # each thread runs its own row counts, so workspaces grow at different
+    # times; threads 4-7 decode SPLIT_ROWS rows or more, so they contend
+    # for the one helper thread
+    latents = [rng.normal(size=(5 + 151 * t, dim)) for t in range(THREADS)]
+    assert latents[-1].shape[0] > numpy_backend.SPLIT_ROWS
     passwords = [
         model.sample_passwords(1 + 83 * t, rng=rng) for t in range(THREADS)
     ]
+    monkeypatch.setattr(numpy_backend, "_split", False)
     decoded = [model.flow.decode(z) for z in latents]
     scored = [estimator.log_prob_batch(p) for p in passwords]
     assert all(np.isfinite(lp).all() for lp in scored)
+    monkeypatch.setattr(numpy_backend, "_split", True)
 
     mismatches: list = []
     errors: list = []
@@ -132,9 +141,11 @@ def test_calibration_retains_one_workspace_not_a_buffer_set_per_module():
         tracemalloc.stop()
     rows = len(reference)
     # h, a and c in float64 plus the bool ReLU mask, hidden wide per row;
-    # one buffer set per module and shape would be 16x this
+    # one buffer set per module and shape would be 16x this.  Two flow
+    # threads: the caller and the helper that runs each coupling's scale
+    # net on large batches.
     workspace = rows * config.hidden * (3 * 8 + 1)
-    assert retained < workspace + 2**20, (retained, workspace)
+    assert retained < 2 * workspace + 2**20, (retained, workspace)
     for module in model.flow.modules():
         for array in held_arrays(module):
             assert config.hidden not in array.shape, (type(module).__name__, array.shape)

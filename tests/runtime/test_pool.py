@@ -14,6 +14,9 @@ The pool's contract has three legs, each exercised here:
   worker corpse retires its shards without hanging the run, and the
   report's ``shard_errors`` names exactly the casualties.
 * **Cleanup** -- no child processes survive a run, clean or failing.
+* **Fork safety** -- a parent whose couplings already ran on the kernel
+  helper thread forks workers that run them sequentially, finish, and
+  report what :class:`~repro.runtime.LocalExecutor` reports.
 
 ``multiprocessing.active_children()`` is the orphan oracle: it reaps and
 lists every live child of this process, so an empty list after a run
@@ -22,9 +25,14 @@ means the fork server really tore its fleet down.
 
 import logging
 import multiprocessing
+import threading
 
+import numpy as np
 import pytest
 
+from repro import kernels
+from repro.core.model import PassFlow, PassFlowConfig
+from repro.kernels import numpy_backend
 from repro.runtime import (
     LocalExecutor,
     ParallelAttackEngine,
@@ -125,6 +133,83 @@ class TestReportParity:
         )
         assert _rows(base) == _rows(named)
         assert base.matched_samples == named.matched_samples
+        _no_orphans()
+
+
+def _within(seconds, fn):
+    """``fn()``, failing instead of hanging when it takes over ``seconds``."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised below
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class TestPassFlowForkSafety:
+    """PassFlow on the pool after the parent used the coupling split."""
+
+    @pytest.fixture(scope="class")
+    def passflow(self):
+        model = PassFlow(PassFlowConfig.tiny(seed=8))
+        rng = np.random.default_rng(8)
+        for param in model.flow.parameters():
+            param.data[...] = rng.normal(size=param.data.shape) * 0.1
+        model.flow.eval()
+        # guesses the model itself makes, so some are matched
+        test_set = set(model.sample_passwords(4000, rng=np.random.default_rng(9)))
+        return model, test_set
+
+    @pytest.mark.parametrize("schedule", ["static", "elastic"])
+    def test_pool_forked_after_the_split_matches_local(
+        self, passflow, schedule, monkeypatch
+    ):
+        model, test_set = passflow
+        monkeypatch.setattr(numpy_backend, "_split", True)
+        source = StrategySource("passflow:static?batch=512", model=model)
+
+        def attack(executor):
+            engine = ParallelAttackEngine(
+                set(test_set), [2048, 6144], workers=2, schedule=schedule,
+                executor=executor,
+            )
+            return engine.run(source, seed=5)
+
+        with kernels.use_backend("numpy"):
+            # the parent's helper thread exists (and has worked) before the fork
+            model.flow.decode(np.zeros((2 * numpy_backend.SPLIT_ROWS, model.flow.dim)))
+            assert numpy_backend._helper is not None
+            base = attack(LocalExecutor())
+            pool = _within(60.0, lambda: attack(_pool()))
+        assert _rows(base) == _rows(pool)
+        assert base.matched_samples == pool.matched_samples
+        assert base.non_matched_samples == pool.non_matched_samples
+        assert base.final().matched > 0
+        _no_orphans()
+
+    def test_forked_child_drops_the_helper(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        monkeypatch.setattr(numpy_backend, "_split", True)
+        numpy_backend._get_helper()
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(
+            target=lambda: writer.send((numpy_backend._split, numpy_backend._helper))
+        )
+        child.start()
+        assert reader.poll(60.0)
+        assert reader.recv() == (False, None)
+        child.join(10.0)
         _no_orphans()
 
 

@@ -64,7 +64,7 @@ class TestRoundTrip:
 
     @given(
         password=st.text(min_size=1, max_size=12),
-        sample_size=st.integers(min_value=1, max_value=10**6),
+        sample_size=st.integers(min_value=1, max_value=protocol.MAX_SAMPLE_SIZE),
         seed=st.one_of(st.none(), st.integers(min_value=-(2**31), max_value=2**31)),
     )
     @settings(max_examples=30)
@@ -153,6 +153,8 @@ class TestStrictValidation:
             ('{"op": "ping", "password": "x"}', "unknown field"),
             ('{"op": "guess_number", "password": "x", "seed": "a"}', "'seed' must be"),
             ('{"op": "guess_number", "password": "x", "sample_size": 0}', "must be >="),
+            ('{"op": "guess_number", "password": "x", "sample_size": %d}'
+             % (protocol.MAX_SAMPLE_SIZE + 1), "'sample_size' must be <= 16384"),
             ('{"op": "lookup", "password": "x", "top": 0}', "must be >="),
             ('{"op": "score", "password": "x", "deadline_ms": NaN}', "'deadline_ms' must be a finite number"),
             ('{"op": "score", "password": "x", "deadline_ms": Infinity}', "'deadline_ms' must be a finite number"),

@@ -165,6 +165,46 @@ class TestAttack:
             )
 
 
+class TestBlasStamp:
+    def _report(self, corpus_file, path):
+        import json
+
+        assert main(
+            [
+                "attack",
+                "--corpus", str(corpus_file),
+                "--strategy", "markov:3",
+                "--budgets", "100",
+                "--report", str(path),
+            ]
+        ) == 0
+        return json.loads(path.read_text())
+
+    def test_report_stamps_the_blas_setting(self, corpus_file, tmp_path, capsys):
+        from repro.kernels import blas
+
+        payload = self._report(corpus_file, tmp_path / "blas.json")
+        assert payload["blas"] == blas.describe()
+        if payload["blas"]["threads"] is not None:  # a managed OpenBLAS
+            assert payload["blas"]["threads"] == 1
+            assert "note:" not in capsys.readouterr().err
+
+    def test_unmanaged_blas_is_null_with_one_note(
+        self, corpus_file, tmp_path, capsys, monkeypatch
+    ):
+        from repro.kernels import blas
+
+        monkeypatch.setattr(blas, "threads", lambda: None)
+        payload = self._report(corpus_file, tmp_path / "unmanaged.json")
+        assert payload["blas"]["threads"] is None
+        assert "library" in payload["blas"]
+        notes = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("note:")
+        ]
+        assert len(notes) == 1 and "BLAS" in notes[0], notes
+
+
 class TestExecutorFlag:
     def _attack(self, corpus_file, path, executor, schedule="elastic"):
         import json
