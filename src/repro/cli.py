@@ -41,12 +41,12 @@ on ``--corpus`` -- ``repro scenarios`` enumerates the full matrix; see
 ``attack --workers N`` shards the guess budgets across N processes
 (deterministic for a fixed seed, worker count and schedule;
 ``--workers 1``, the default, reproduces seed-era reports
-bit-identically), ``attack --schedule elastic`` switches to the
-work-stealing runtime (dry or straggling shards release their unconsumed
-budget back to the fleet at checkpoints), ``attack --executor
-processpool`` runs either schedule on the fork-server process pool
-(sticky shard affinity; multi-core throughput for GIL-bound strategies,
-same report bytes as the in-process executors), and ``attack --report
+bit-identically), ``attack --schedule elastic`` switches to chunked
+rounds with checkpoint re-planning (dry or crashed shards release their
+unconsumed budget back to the fleet at checkpoints), ``attack
+--executor`` picks where shards run (``auto``, the default, uses the
+fork-server process pool for two or more workers; ``local`` runs them
+in-process with the same report bytes), and ``attack --report
 out.json`` writes the full machine-readable GuessingReport next to the
 stdout table.  Shard workers account in interned-id key space whenever
 the strategy streams index-matrix batches, so checkpoint deltas cross the
@@ -620,8 +620,6 @@ def cmd_conditional(args) -> int:
 
 def cmd_strength(args) -> int:
     _select_kernels(args)
-    if args.batch < 1:
-        raise SystemExit("--batch must be >= 1")
     model = PassFlow.load(args.model)
     estimator = StrengthEstimator(model)
     if args.corpus:
@@ -629,7 +627,7 @@ def cmd_strength(args) -> int:
     started = time.perf_counter()
     # the batch-vectorized path: stacked 64-row chunks, one flow call per
     # 16 chunks, not one per password
-    report = estimator.report(args.passwords, batch_size=args.batch)
+    report = estimator.report(args.passwords)
     elapsed = time.perf_counter() - started
     headers = ["password", "log_prob"] + (
         ["percentile", "band"] if estimator.calibrated else []
@@ -638,7 +636,7 @@ def cmd_strength(args) -> int:
     print(format_table(headers, rows))
     print(
         f"scored {len(report)} passwords in {elapsed * 1000.0:.1f} ms "
-        f"({elapsed * 1000.0 / len(report):.2f} ms/password, batch {args.batch})"
+        f"({elapsed * 1000.0 / len(report):.2f} ms/password)"
     )
     return 0
 
@@ -780,19 +778,19 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["static", "elastic"],
         default="static",
         help="shard scheduling: static (fixed even split, the default) or "
-        "elastic (work-stealing chunks; dry/straggling shards release "
-        "their unconsumed budget back to the fleet at checkpoints)",
+        "elastic (chunked rounds; dry/crashed shards release their "
+        "unconsumed budget back to the fleet at checkpoints)",
     )
     # a plain string (not argparse choices) so impossible requests surface
     # the runtime's one-line actionable error instead of a usage dump
     p.add_argument(
         "--executor",
         default="auto",
-        help="shard executor: auto|local|worksteal|processpool "
-        "(default auto picks per schedule/platform; processpool = "
-        "fork-server pool with sticky shard affinity -- multi-core "
-        "throughput for GIL-bound strategies, same report bytes as "
-        "local for a fixed seed/workers/schedule)",
+        help="shard executor: auto|local|processpool (default auto: "
+        "processpool for 2+ workers where fork exists, else local; "
+        "processpool = fork-server pool with sticky shard affinity -- "
+        "multi-core throughput for GIL-bound strategies, same report "
+        "bytes as local for a fixed seed/workers/schedule)",
     )
     p.add_argument(
         "--report",
@@ -919,14 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strength", help="estimate password strength with the model")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", help="reference corpus for percentile calibration")
-    p.add_argument(
-        "--batch",
-        type=int,
-        default=256,
-        help="real passwords per 64-row chunk (capped at 64); chunks are "
-        "stacked 16 to a flow call, and results are bitwise identical to "
-        "scoring one at a time regardless of the value",
-    )
     p.add_argument("passwords", nargs="+")
     _add_kernels_flag(p)
     p.set_defaults(func=cmd_strength)

@@ -56,8 +56,7 @@ BAND_LABELS = ("very weak", "weak", "fair", "strong", "very strong")
 #: to this shape (repeating a real row) and stacked, never concatenated,
 #: so every gemm the flow runs has this canonical row count -- the
 #: mechanism behind the scalar == batched bitwise guarantee; see the
-#: module docstring.  ``batch_size`` arguments above this value are
-#: capped to it.
+#: module docstring.
 EVAL_ROWS = 64
 
 #: Chunks stacked into one flow pass by the batch methods: 1024 rows,
@@ -164,9 +163,7 @@ class StrengthEstimator:
     # ------------------------------------------------------------------
     # batch-vectorized path (the serving tier's hot path)
     # ------------------------------------------------------------------
-    def log_prob_batch(
-        self, passwords: Sequence[str], batch_size: Optional[int] = None
-    ) -> np.ndarray:
+    def log_prob_batch(self, passwords: Sequence[str]) -> np.ndarray:
         """Exact log p per password in stacked vectorized flow passes.
 
         Returns an (N,) float64 array bitwise equal to
@@ -174,17 +171,13 @@ class StrengthEstimator:
         unencodable entries (over-length / out-of-alphabet, which the
         scalar path raises on) come back as ``nan`` sentinels.
 
-        The encodable passwords are split into chunks of ``batch_size``
-        real rows (capped at :data:`EVAL_ROWS`; ``None`` = full chunks),
-        each padded to exactly :data:`EVAL_ROWS` rows by repeating its
-        first row.  Up to :data:`MAX_STACKED_CHUNKS` chunks go to
-        ``Flow.log_prob`` as one ``(k, EVAL_ROWS, D)`` array, so N
+        The encodable passwords are split into chunks of
+        :data:`EVAL_ROWS` rows, the last one padded to that shape by
+        repeating its first row.  Up to :data:`MAX_STACKED_CHUNKS` chunks
+        go to ``Flow.log_prob`` as one ``(k, EVAL_ROWS, D)`` array, so N
         encodable passwords cost ``ceil(chunks / MAX_STACKED_CHUNKS)``
-        flow calls.  Every chunk is still evaluated at the canonical
-        shape, so the returned bits do not depend on ``batch_size``.
+        flow calls, and every chunk is evaluated at the canonical shape.
         """
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         passwords = list(passwords)
         out = np.full(len(passwords), np.nan, dtype=np.float64)
         encoder = self.model.encoder
@@ -194,13 +187,12 @@ class StrengthEstimator:
         if not len(encodable):
             return out
         features = encoder.encode_batch([passwords[i] for i in encodable])
-        step = EVAL_ROWS if batch_size is None else min(int(batch_size), EVAL_ROWS)
-        # chunk c holds feature rows [c*step, c*step + step); its padding
-        # repeats row c*step -- a few wasted flops buy shape-invariant bits
-        starts = np.arange(0, len(encodable), step)
-        offsets = np.arange(EVAL_ROWS)
-        rows = starts[:, None] + offsets
-        real = (offsets < step) & (rows < len(encodable))
+        # chunk c holds feature rows [c*EVAL_ROWS, (c+1)*EVAL_ROWS); the
+        # last chunk's padding repeats its first row -- a few wasted flops
+        # buy shape-invariant bits
+        starts = np.arange(0, len(encodable), EVAL_ROWS)
+        rows = starts[:, None] + np.arange(EVAL_ROWS)
+        real = rows < len(encodable)
         rows = np.where(real, rows, starts[:, None])
         flow = self.model.flow
         for first in range(0, len(starts), MAX_STACKED_CHUNKS):
@@ -228,37 +220,27 @@ class StrengthEstimator:
         out[valid] = np.searchsorted(bands, percentiles[valid])
         return out
 
-    def percentile_batch(
-        self, passwords: Sequence[str], batch_size: Optional[int] = None
-    ) -> np.ndarray:
+    def percentile_batch(self, passwords: Sequence[str]) -> np.ndarray:
         """Vectorized :meth:`percentile`; ``nan`` for unencodable entries."""
-        return self._percentiles_from_log_probs(
-            self.log_prob_batch(passwords, batch_size=batch_size)
-        )
+        return self._percentiles_from_log_probs(self.log_prob_batch(passwords))
 
-    def score_batch(
-        self, passwords: Sequence[str], batch_size: Optional[int] = None
-    ) -> np.ndarray:
+    def score_batch(self, passwords: Sequence[str]) -> np.ndarray:
         """Vectorized :meth:`score`: (N,) int64 of 0..4 bands.
 
         Bitwise identical to ``[self.score(p) for p in passwords]`` for
         encodable inputs; unencodable entries are the
         :data:`UNSCORABLE_SCORE` sentinel (-1), never an exception.
         """
-        return self._scores_from_percentiles(
-            self.percentile_batch(passwords, batch_size=batch_size)
-        )
+        return self._scores_from_percentiles(self.percentile_batch(passwords))
 
-    def evaluate_batch(
-        self, passwords: Sequence[str], batch_size: Optional[int] = None
-    ):
+    def evaluate_batch(self, passwords: Sequence[str]):
         """One flow pass, every strength view: ``(log_probs, percentiles,
         scores)`` arrays, sentinel-aware.
 
         The serving tier's flush function: computing the three views
         separately would cost three flow evaluations; this costs one.
         """
-        log_probs = self.log_prob_batch(passwords, batch_size=batch_size)
+        log_probs = self.log_prob_batch(passwords)
         percentiles = self._percentiles_from_log_probs(log_probs)
         return log_probs, percentiles, self._scores_from_percentiles(percentiles)
 
@@ -269,9 +251,7 @@ class StrengthEstimator:
             for score in np.asarray(scores)
         ]
 
-    def report(
-        self, passwords: Sequence[str], batch_size: Optional[int] = None
-    ) -> List[dict]:
+    def report(self, passwords: Sequence[str]) -> List[dict]:
         """Strength summary rows for a batch of passwords.
 
         Runs on the batch-vectorized path (stacked chunks, not one flow
@@ -281,11 +261,9 @@ class StrengthEstimator:
         passwords = list(passwords)
         percentiles = scores = None
         if self.calibrated:
-            log_probs, percentiles, scores = self.evaluate_batch(
-                passwords, batch_size=batch_size
-            )
+            log_probs, percentiles, scores = self.evaluate_batch(passwords)
         else:
-            log_probs = self.log_prob_batch(passwords, batch_size=batch_size)
+            log_probs = self.log_prob_batch(passwords)
         rows = []
         for i, password in enumerate(passwords):
             encodable = not np.isnan(log_probs[i])

@@ -210,8 +210,8 @@ class EvalContext:
             )
         self.schedule = schedule
         # shard executor: explicit argument, else REPRO_ATTACK_EXECUTOR,
-        # else "auto" (per-schedule default; "processpool" = the
-        # fork-server pool, same report bytes for a fixed
+        # else "auto" ("processpool" for two or more workers: the
+        # fork-server pool, same report bytes as "local" for a fixed
         # seed/workers/schedule, real multi-core throughput for
         # GIL-bound strategies)
         if executor is None:

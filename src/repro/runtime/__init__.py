@@ -6,17 +6,15 @@ Three layers sit between a strategy spec and a Table II/III report:
   workers, giving each shard a named RNG stream
   (``spawn_rng(seed, "shard-i")``) and per-budget marks that sum exactly
   to the global budgets;
-* :class:`LocalExecutor` (in-process, the deterministic reference) runs
-  either schedule sequentially; :class:`WorkStealingExecutor` runs
-  elastic chunk chains over a persistent thread pool (any idle worker
-  pulls the next chunk of any shard, and dry shards' budgets are
-  re-planned onto the live fleet at checkpoint boundaries -- see
-  :mod:`repro.runtime.elastic`); :class:`ProcessPoolExecutor`
-  (:mod:`repro.runtime.pool`) runs either schedule on a fork-server pool
-  of long-lived workers with sticky shard-to-process affinity
-  (strategies are rebuilt in the worker from their registry spec via
-  :class:`StrategySource`) -- real multi-core throughput, including for
-  GIL-bound strategies under elastic re-planning;
+* :class:`LocalExecutor` (in-process, the deterministic reference) and
+  :class:`ProcessPoolExecutor` (:mod:`repro.runtime.pool`) run either
+  schedule.  The pool forks long-lived workers with sticky
+  shard-to-process affinity (strategies are rebuilt in the worker from
+  their registry spec via :class:`StrategySource`), giving real
+  multi-core throughput, GIL-bound strategies included; ``auto`` picks
+  it for two or more workers.  Elastic schedules run every shard as
+  chunked rounds and re-plan dry shards' budgets onto the live fleet at
+  checkpoint boundaries (:mod:`repro.runtime.elastic`);
 * :class:`ParallelAttackEngine` merges the shards' checkpoint deltas into
   the same :class:`~repro.core.guesser.BudgetRow` checkpoints the serial
   engine emits.  Shards that account in interned-id key space (every
@@ -43,17 +41,12 @@ named per-chunk RNG streams, so its reports are a different (equally
 valid, equally deterministic) sample of the same attack.
 """
 
-from repro.runtime.elastic import (
-    ElasticShardOutcome,
-    chunk_quotas,
-    run_elastic,
-)
+from repro.runtime.elastic import chunk_quotas, run_elastic
 from repro.runtime.executor import (
     LocalExecutor,
     ShardOutcome,
     ShardTask,
     StrategySource,
-    WorkStealingExecutor,
     execute_shard,
 )
 from repro.runtime.parallel import (
@@ -74,7 +67,6 @@ from repro.runtime.pool import ProcessPoolExecutor
 
 __all__ = [
     "EXECUTOR_NAMES",
-    "ElasticShardOutcome",
     "LocalExecutor",
     "ParallelAttackEngine",
     "ProcessPoolExecutor",
@@ -84,7 +76,6 @@ __all__ = [
     "ShardProgress",
     "ShardTask",
     "StrategySource",
-    "WorkStealingExecutor",
     "balanced_totals",
     "chunk_quotas",
     "default_executor",

@@ -13,8 +13,8 @@ playbook:
   (``spawn_rng(seed, "shard-i-chunk-k")``) through a fresh
   ``iter_guesses`` generator, while the shard's *strategy instance*
   persists across chunks -- so a shard's guess stream is a pure function
-  of ``(seed, workers, schedule, chunk policy)`` and work stealing can
-  reorder chunk execution across shards without changing any stream.
+  of ``(seed, workers, schedule, chunk policy)``, whichever process runs
+  its chunks and however different shards' chunks overlap in time.
 * **Checkpoint-aligned re-planning.**  At deterministic round boundaries
   the driver measures what every shard actually produced; shards that ran
   dry (or crashed) release their unconsumed budget back to the queue and
@@ -23,14 +23,19 @@ playbook:
   property of the strategy (guess counts), never of wall-clock timing, so
   re-planning decisions are bit-reproducible.
 
+The driver talks to one *shard host* per run, obtained from the
+executor's ``elastic_host(task, workers)``:
+:class:`~repro.runtime.executor.LocalExecutor` hosts the shards in this
+process and runs each round in shard order (the reference), and
+:class:`~repro.runtime.pool.ProcessPoolExecutor` hosts them in forked
+workers with sticky shard affinity.
+
 Determinism contract: for fixed ``(seed, workers, schedule="elastic")``
-the merged report is bit-identical across runs and across
-:class:`~repro.runtime.executor.LocalExecutor` (sequential reference) and
-:class:`~repro.runtime.executor.WorkStealingExecutor` (persistent thread
-pool, chunk-level stealing).  Elastic streams differ from static streams
-for RNG-driven strategies (different named streams); for
-position-deterministic strategies -- enumerators whose next guess depends
-only on instance state -- the two schedules produce identical reports.
+the merged report is bit-identical across runs and across both
+executors.  Elastic streams differ from static streams for RNG-driven
+strategies (different named streams); for position-deterministic
+strategies -- enumerators whose next guess depends only on instance
+state -- the two schedules produce identical reports.
 
 When every shard runs dry before the final budget, the run closes out
 with a row reporting the guesses *actually accounted* (the shards' dry
@@ -40,11 +45,10 @@ tails included) instead of pretending the full budget was attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.guesser import Delta, GuessAccounting, KeyedCheckpointDelta
-from repro.runtime.executor import _ShardProgress, build_shard_strategy
+from repro.core.guesser import GuessAccounting
+from repro.runtime.executor import ShardOutcome, _ShardProgress, build_shard_strategy
 from repro.runtime.planner import ShardPlanner, ShardProgress, balanced_totals
 from repro.strategies.engine import AttackEngine, AttackState
 from repro.utils.logging import get_logger
@@ -53,7 +57,8 @@ from repro.utils.rng import spawn_rng
 logger = get_logger("runtime.elastic")
 
 #: Auto chunk policy: a shard's round quota splits into at most this many
-#: chunks, so small windows stay cheap and large windows interleave well.
+#: chunks, so small windows stay cheap and large windows ship their deltas
+#: back in several pieces.
 DEFAULT_CHUNKS_PER_ROUND = 8
 
 
@@ -78,54 +83,14 @@ def chunk_quotas(quota: int, chunk_size: Optional[int] = None) -> List[int]:
     return [size] * full + ([rest] if rest else [])
 
 
-@dataclass
-class ElasticShardOutcome:
-    """A finished elastic shard's accounting, grouped by budget window.
-
-    ``deltas`` holds every checkpoint delta the shard emitted (one per
-    chunk, plus a window-closing cut for dry tails);
-    ``window_slices[j]`` is the half-open index range of the deltas that
-    belong to budget window ``j``, so the merger can reconstruct the
-    global state at each budget without caring how many chunks a window
-    took.  ``crashed`` carries the repr of the strategy exception that
-    retired the shard, if any (its budget was re-planned onto live
-    shards).  ``codec`` mirrors the static
-    :class:`~repro.runtime.executor.ShardOutcome` contract for keyed
-    deltas.
-    """
-
-    index: int
-    total: int = 0
-    batches: int = 0
-    deltas: List[Delta] = field(default_factory=list)
-    window_slices: List[Tuple[int, int]] = field(default_factory=list)
-    matched_samples: List[str] = field(default_factory=list)
-    non_matched_samples: List[str] = field(default_factory=list)
-    method: Optional[str] = None
-    codec: Optional[Any] = None
-    crashed: Optional[str] = None
-
-    @property
-    def keyed(self) -> bool:
-        """Whether every delta is a packed key array (vacuously true when empty)."""
-        return all(isinstance(d, KeyedCheckpointDelta) for d in self.deltas)
-
-    def window_deltas(self, window: int) -> List[Delta]:
-        """The deltas emitted inside budget window ``window`` (possibly empty)."""
-        if window >= len(self.window_slices):
-            return []
-        start, stop = self.window_slices[window]
-        return self.deltas[start:stop]
-
-
 class _ShardRun:
     """One shard's persistent state across elastic chunks.
 
     Owns the shard's strategy instance (feedback state survives chunk
     boundaries, exactly as it survives batch boundaries in a static
     shard) and its delta-tracked accounting.  ``run_chunk`` is the unit
-    the executors schedule; it is only ever invoked by one worker at a
-    time (the chunk-chain protocol guarantees order).
+    the shard hosts run, one chunk at a time and in order, in whichever
+    process owns the shard.
     """
 
     def __init__(self, index, task, workers: int = 1) -> None:
@@ -199,10 +164,10 @@ class _ShardRun:
         self.window_slices.append((self._window_start, count))
         self._window_start = count
 
-    def outcome(self) -> ElasticShardOutcome:
-        """Freeze the run into a mergeable :class:`ElasticShardOutcome`."""
+    def outcome(self) -> ShardOutcome:
+        """Freeze the run into a mergeable :class:`ShardOutcome`."""
         accounting = self.accounting
-        out = ElasticShardOutcome(
+        out = ShardOutcome(
             index=self.index,
             total=self.consumed,
             batches=self.state.batches if self.state is not None else 0,
@@ -226,21 +191,18 @@ ChunkAssignment = Tuple[int, List[int]]
 
 
 class _InProcessChunkHost:
-    """Shard state owned by the driver's process, dispatched as thunk chains.
+    """Shard state owned by the driver's process: the reference shard host.
 
-    The reference implementation of the elastic *shard-host* protocol
-    (``progress`` / ``run_round`` / ``close_window`` / ``errors`` /
-    ``outcomes`` / ``finish``): one :class:`_ShardRun` per shard lives in
-    this process, and each round's :class:`ChunkAssignment` list is
-    translated into the zero-argument chunk-chain form the in-process
-    executors (:class:`~repro.runtime.executor.LocalExecutor`,
-    :class:`~repro.runtime.executor.WorkStealingExecutor`) speak.
+    The elastic *shard-host* protocol is ``progress`` / ``run_round`` /
+    ``close_window`` / ``errors`` / ``outcomes`` / ``finish``.  Here one
+    :class:`_ShardRun` per shard lives in this process and each round's
+    :class:`ChunkAssignment` list runs in shard order, each shard's
+    chunks in sequence.
     :class:`~repro.runtime.pool.ProcessPoolExecutor` implements the same
     protocol with shard state living in forked workers instead.
     """
 
-    def __init__(self, task, workers: int, executor) -> None:
-        self.executor = executor
+    def __init__(self, task, workers: int) -> None:
         self.runs = [_ShardRun(index, task, workers=workers) for index in range(workers)]
 
     def progress(self) -> List[ShardProgress]:
@@ -254,25 +216,20 @@ class _InProcessChunkHost:
         return {run.index: run.error for run in self.runs if run.error is not None}
 
     def run_round(self, assignments: List[ChunkAssignment]) -> None:
-        """Run one round of chunk chains; crashed shards are retired."""
-        chains = [
-            [
-                (lambda run=self.runs[index], size=size: run.run_chunk(size))
-                for size in sizes
-            ]
-            for index, sizes in assignments
-        ]
-        errors = self.executor.run_chains(chains)
-        for (index, _), error in zip(assignments, errors):
-            if error is not None:
-                run = self.runs[index]
+        """Run one round of chunks; a raising chunk retires its shard."""
+        for index, sizes in assignments:
+            run = self.runs[index]
+            try:
+                for size in sizes:
+                    run.run_chunk(size)
+            except Exception as exc:  # noqa: BLE001 - the driver re-plans the budget
                 run.live = False
-                run.error = error
+                run.error = exc
                 logger.warning(
                     "elastic shard %d crashed (%r); re-queueing its "
                     "remaining budget",
                     index,
-                    error,
+                    exc,
                 )
 
     def close_window(self) -> None:
@@ -280,7 +237,7 @@ class _InProcessChunkHost:
         for run in self.runs:
             run.close_window()
 
-    def outcomes(self) -> List[ElasticShardOutcome]:
+    def outcomes(self) -> List[ShardOutcome]:
         """Freeze every shard into a mergeable outcome, in shard order."""
         return [run.outcome() for run in self.runs]
 
@@ -288,44 +245,29 @@ class _InProcessChunkHost:
         """Release host resources (nothing to do in-process)."""
 
 
-def _make_host(task, workers: int, executor):
-    """The shard host for ``executor``: its own, or the in-process reference."""
-    if hasattr(executor, "elastic_host"):
-        return executor.elastic_host(task, workers)
-    if hasattr(executor, "run_chains"):
-        return _InProcessChunkHost(task, workers, executor)
-    raise ValueError(
-        f"{type(executor).__name__} cannot run elastic schedules; use "
-        "LocalExecutor, WorkStealingExecutor or ProcessPoolExecutor"
-    )
-
-
 def run_elastic(
     task,
     planner: ShardPlanner,
     executor,
     chunk_size: Optional[int] = None,
-) -> Tuple[List[ElasticShardOutcome], int]:
+) -> Tuple[List[ShardOutcome], int]:
     """Drive one attack elastically; returns (outcomes, completed windows).
 
     ``task`` is the shared :class:`~repro.runtime.executor.ShardTask`;
-    ``executor`` must either speak the chunk-chain protocol
-    (``run_chains``: :class:`~repro.runtime.executor.LocalExecutor` or
-    :class:`~repro.runtime.executor.WorkStealingExecutor`) or provide its
-    own shard host (``elastic_host``:
-    :class:`~repro.runtime.pool.ProcessPoolExecutor`, whose shard state
-    lives in forked workers).  Every budget window runs as one or more
+    ``executor`` provides the shard host through ``elastic_host(task,
+    workers)`` (:class:`~repro.runtime.executor.LocalExecutor`: shards in
+    this process; :class:`~repro.runtime.pool.ProcessPoolExecutor`:
+    shards in forked workers).  Every budget window runs as one or more
     deterministic rounds: live shards receive their re-planned quota as a
-    chain of chunks, the host runs the chains (stealing or process
-    affinity, per executor), and any shortfall left by dry or crashed
-    shards is re-split over the survivors.  The returned count says how
-    many global budgets were fully consumed; the caller emits a close-out
-    row from the remaining deltas when it is short.
+    list of chunks, the host runs them, and any shortfall left by dry or
+    crashed shards is re-split over the survivors.  The returned count
+    says how many global budgets were fully consumed; the caller emits a
+    close-out row from the remaining deltas when it is short.
 
     Raises the first shard error when *every* shard crashed (there is
     nothing left to absorb the budget, and silence would hide the bug).
     """
-    host = _make_host(task, planner.workers, executor)
+    host = executor.elastic_host(task, planner.workers)
     try:
         completed = 0
         for j, budget in enumerate(planner.budgets):

@@ -17,10 +17,17 @@ Two schedules are supported behind one ``schedule`` knob:
 * ``"static"`` (the default): one shard per worker with fixed marks, the
   merge-at-checkpoint discipline shipped since the first parallel
   runtime.
-* ``"elastic"``: shards run as chunk chains over a work-stealing pool
-  with checkpoint-aligned re-planning (:mod:`repro.runtime.elastic`);
-  dry or crashed shards release their unconsumed budget back to the live
-  fleet, so the attack still reaches every budget mark.
+* ``"elastic"``: shards run as chunked rounds with checkpoint-aligned
+  re-planning (:mod:`repro.runtime.elastic`); dry or crashed shards
+  release their unconsumed budget back to the live fleet, so the attack
+  still reaches every budget mark.
+
+Both schedules hand back one :class:`~repro.runtime.executor.ShardOutcome`
+per shard, with its deltas sliced by budget window, and one fold merges
+them.  Two executors run either schedule: the in-process
+:class:`~repro.runtime.executor.LocalExecutor` and the fork-server
+:class:`~repro.runtime.pool.ProcessPoolExecutor`, which ``auto`` picks
+for two or more workers wherever ``fork`` exists.
 
 Determinism: for a fixed ``(seed, workers, schedule)`` the report is
 bit-identical across runs and across executors (shard and chunk RNG
@@ -49,15 +56,14 @@ from repro.core.guesser import (
     KeyedCheckpointDelta,
     extend_samples,
 )
-from repro.runtime.elastic import ElasticShardOutcome, run_elastic
+from repro.runtime.elastic import run_elastic
 from repro.runtime.executor import (
     LocalExecutor,
     ShardOutcome,
     ShardTask,
     StrategyFactory,
-    WorkStealingExecutor,
 )
-from repro.runtime.planner import ShardPlan, ShardPlanner
+from repro.runtime.planner import ShardPlanner
 from repro.runtime.pool import ProcessPoolExecutor
 from repro.utils.logging import get_logger
 from repro.utils.progress import ProgressReporter
@@ -66,19 +72,17 @@ logger = get_logger("runtime.parallel")
 
 SCHEDULES = ("static", "elastic")
 
-EXECUTOR_NAMES = ("auto", "local", "worksteal", "processpool")
+EXECUTOR_NAMES = ("auto", "local", "processpool")
 
 
-def default_executor(workers: int, schedule: str = "static"):
-    """The executor a schedule wants when the caller doesn't pick one.
+def default_executor(workers: int):
+    """The executor a fleet gets when the caller doesn't pick one.
 
-    Static fleets run on a fork-server pool with one worker process per
-    shard when the platform allows it (else in-process, identical
-    results); elastic schedules run on a work-stealing thread pool, with
-    the sequential :class:`LocalExecutor` for a single worker.
+    Two or more workers run on a fork-server pool with one worker process
+    per shard, under either schedule, when the platform allows it (else
+    in-process with a warning, identical results); a single worker runs
+    in-process.
     """
-    if schedule == "elastic":
-        return LocalExecutor() if workers <= 1 else WorkStealingExecutor(workers)
     if workers <= 1:
         return LocalExecutor()
     try:
@@ -88,34 +92,26 @@ def default_executor(workers: int, schedule: str = "static"):
         return LocalExecutor()
 
 
-def resolve_executor(name: Optional[str], workers: int, schedule: str = "static"):
+def resolve_executor(name: Optional[str], workers: int):
     """Build the executor a ``--executor`` request names, or fail clearly.
 
     ``None``/``"auto"`` defers to :func:`default_executor` (which may
-    fall back silently); an *explicit* name must either work or raise a
-    one-line actionable :class:`ValueError` -- no fallback, no
+    fall back with a warning); an *explicit* name must either work or
+    raise a one-line actionable :class:`ValueError` -- no fallback, no
     traceback-only ``RuntimeError`` -- so CLI and harness callers can
-    print it verbatim.
+    print it verbatim.  Every executor runs both schedules.
     """
     if name is None or name == "auto":
-        return default_executor(workers, schedule)
+        return default_executor(workers)
     if name == "local":
         return LocalExecutor()
-    if name == "worksteal":
-        if schedule != "elastic":
-            raise ValueError(
-                "--executor worksteal only runs elastic schedules; use "
-                "'local' or 'processpool' with --schedule static"
-            )
-        return LocalExecutor() if workers <= 1 else WorkStealingExecutor(workers)
     if name == "processpool":
         try:
             return ProcessPoolExecutor(processes=workers)
         except RuntimeError:
             raise ValueError(
                 "--executor processpool requires the fork start method, "
-                "which this platform does not provide; use --executor "
-                "local or worksteal"
+                "which this platform does not provide; use --executor local"
             ) from None
     raise ValueError(
         f"unknown executor {name!r}; choose from {', '.join(EXECUTOR_NAMES)}"
@@ -200,19 +196,15 @@ class ParallelAttackEngine:
         self.workers = self.planner.workers
         self.schedule = schedule
         self.chunk_size = chunk_size
-        self._owns_executor = executor is None or isinstance(executor, str)
         self.executor = (
-            resolve_executor(executor, self.planner.workers, schedule)
+            resolve_executor(executor, self.planner.workers)
             if executor is None or isinstance(executor, str)
             else executor
         )
-        if schedule == "elastic" and not (
-            hasattr(self.executor, "run_chains")
-            or hasattr(self.executor, "elastic_host")
-        ):
+        if schedule == "elastic" and not hasattr(self.executor, "elastic_host"):
             raise ValueError(
                 f"{type(self.executor).__name__} cannot run elastic schedules; "
-                "use LocalExecutor, WorkStealingExecutor or ProcessPoolExecutor"
+                "use LocalExecutor or ProcessPoolExecutor"
             )
         if schedule == "static" and not hasattr(self.executor, "run"):
             raise ValueError(
@@ -247,17 +239,8 @@ class ParallelAttackEngine:
             progress=progress,  # per-batch updates inside each shard loop
         )
         if self.schedule == "elastic":
-            try:
-                outcomes, completed = run_elastic(
-                    task, self.planner, self.executor, chunk_size=self.chunk_size
-                )
-            finally:
-                if self._owns_executor and hasattr(self.executor, "shutdown"):
-                    # release the pool threads between attacks; the lazy
-                    # pool re-creates itself if this engine runs again
-                    self.executor.shutdown()
-            report = self._merge_elastic(
-                outcomes, completed, self._resolve_method(method, outcomes, source)
+            outcomes, completed = run_elastic(
+                task, self.planner, self.executor, chunk_size=self.chunk_size
             )
         else:
             plans = self.planner.plan()
@@ -267,9 +250,10 @@ class ParallelAttackEngine:
                     f"executor returned {len(outcomes)} outcomes for {len(plans)} shards"
                 )
             outcomes = sorted(outcomes, key=lambda outcome: outcome.index)
-            report = self._merge(
-                plans, outcomes, self._resolve_method(method, outcomes, source)
-            )
+            completed = min(len(outcome.window_slices) for outcome in outcomes)
+        report = self._merge(
+            outcomes, completed, self._resolve_method(method, outcomes, source)
+        )
         if progress is not None:
             # forked shards updated their own copies; reconcile the parent's
             # count before the merged summary line
@@ -322,11 +306,19 @@ class ParallelAttackEngine:
 
     def _merge(
         self,
-        plans: List[ShardPlan],
         outcomes: List[ShardOutcome],
+        completed: int,
         method: str,
     ) -> GuessingReport:
-        """Fold shard checkpoint deltas into global budget rows.
+        """Fold shard checkpoint deltas, window by window, into budget rows.
+
+        Window ``j`` of every shard holds exactly the deltas between global
+        budgets ``j-1`` and ``j``, so the union of all shards' windows
+        ``<= j`` is the global state at ``budgets[j]``.  The first
+        ``completed`` windows -- those the whole fleet reached -- get a
+        row each.  When the fleet ran dry (or crashed) short of the
+        schedule, every delta past the last completed window folds into a
+        close-out row at the guesses actually accounted.
 
         Runs entirely in interned-id key space when every shard shipped
         :class:`~repro.core.guesser.KeyedCheckpointDelta` payloads: global
@@ -336,61 +328,6 @@ class ParallelAttackEngine:
         deltas, keyed payloads are decoded through their shard's codec and
         the merge runs in string space; either way the row counts are
         identical (keys and strings are in bijection).
-
-        A budget some shard never reached gets no row (the strategy ran
-        dry); instead the report closes out with a final row at the
-        guesses actually accounted, folding in every leftover delta and
-        each shard's dry tail (``partial_delta``).
-        """
-        fold = _DeltaFold(self._keyed_merge_possible(outcomes))
-        cursors = [0] * len(outcomes)
-        rows: List[BudgetRow] = []
-        test_size = len(self.test_set)
-        for j, budget in enumerate(self.budgets):
-            complete = True
-            for k, (plan, outcome) in enumerate(zip(plans, outcomes)):
-                mark = plan.marks[j]
-                if not outcome.reached(mark):
-                    complete = False  # finite strategy ran dry mid-shard
-                    continue
-                while (
-                    cursors[k] < outcome.completed
-                    and outcome.local_budgets[cursors[k]] <= mark
-                ):
-                    fold.add(outcome.deltas[cursors[k]], outcome.codec)
-                    cursors[k] += 1
-            # one union per budget, not per shard delta: re-sorting the
-            # cumulative array W times per checkpoint is where a
-            # 10^7-key merge would burn its CPU budget
-            fold.flush()
-            if not complete:
-                break  # the close-out row below reports what was accounted
-            rows.append(self._row(budget, fold, test_size))
-        if len(rows) < len(self.budgets):
-            for k, outcome in enumerate(outcomes):
-                for delta in outcome.deltas[cursors[k] :]:
-                    fold.add(delta, outcome.codec)
-                if outcome.partial_delta is not None:
-                    fold.add(outcome.partial_delta, outcome.codec)
-            fold.flush()
-            self._close_out(rows, outcomes, fold, test_size)
-        return self._report(method, rows, outcomes, test_size)
-
-    def _merge_elastic(
-        self,
-        outcomes: List[ElasticShardOutcome],
-        completed: int,
-        method: str,
-    ) -> GuessingReport:
-        """Fold window-grouped elastic deltas into global budget rows.
-
-        Window ``j`` of every shard holds exactly the deltas of the span
-        between global budgets ``j-1`` and ``j`` (the elastic driver cut
-        each shard's accounting at the window close), so the union of all
-        shards' windows ``<= j`` is the global state at ``budgets[j]``.
-        ``completed`` windows get a row each; when the fleet ran dry (or
-        crashed) short of the schedule, the remaining deltas close out
-        into a final row at the guesses actually accounted.
         """
         fold = _DeltaFold(self._keyed_merge_possible(outcomes))
         rows: List[BudgetRow] = []
@@ -399,13 +336,16 @@ class ParallelAttackEngine:
             for outcome in outcomes:
                 for delta in outcome.window_deltas(j):
                     fold.add(delta, outcome.codec)
+            # one union per budget, not per shard delta: re-sorting the
+            # cumulative array W times per checkpoint is where a
+            # 10^7-key merge would burn its CPU budget
             fold.flush()
             rows.append(self._row(self.budgets[j], fold, test_size))
         if completed < len(self.budgets):
             for outcome in outcomes:
-                for window in range(completed, len(outcome.window_slices)):
-                    for delta in outcome.window_deltas(window):
-                        fold.add(delta, outcome.codec)
+                tail = outcome.window_slices[completed - 1][1] if completed else 0
+                for delta in outcome.deltas[tail:]:
+                    fold.add(delta, outcome.codec)
             fold.flush()
             self._close_out(rows, outcomes, fold, test_size)
         return self._report(
@@ -451,7 +391,7 @@ class ParallelAttackEngine:
         rows: List[BudgetRow],
         outcomes,
         test_size: int,
-        shard_errors: Optional[List[str]] = None,
+        shard_errors: List[str],
     ) -> GuessingReport:
         """Assemble the merged report (rows plus shard-order samples).
 
@@ -469,7 +409,7 @@ class ParallelAttackEngine:
             matched_samples=self._merge_samples(
                 [outcome.matched_samples for outcome in outcomes]
             ),
-            shard_errors=shard_errors or [],
+            shard_errors=shard_errors,
         )
 
     def _merge_samples(self, per_shard: List[List[str]]) -> List[str]:

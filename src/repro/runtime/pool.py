@@ -1,17 +1,16 @@
 """Fork-server process pool: long-lived workers with sticky shard affinity.
 
-This is the runtime's one multi-process executor, for both schedules.
-The thread-backed elastic runtime (:class:`~repro.runtime.executor.
-WorkStealingExecutor`) re-plans budgets beautifully but runs every chunk
-under the GIL, so GIL-bound strategies (markov, PCFG, conditional
-PassFlow) see static-grade CPU parallelism at best.  This module provides
-the process-backed counterpart: :class:`ProcessPoolExecutor` forks a
-fleet of long-lived worker processes **once per attack run** (a fork
-server -- children inherit the trained model, corpus and test set by
-address-space copy, nothing heavy is ever pickled) and keeps a **sticky
-shard-to-process affinity** (``shard i -> worker i % P``) so a shard's
-strategy instance, RNG bookkeeping and accounting state live in exactly
-one process for the whole run and never migrate.
+This is the runtime's one multi-process executor, for both schedules,
+and the default for fleets of two or more workers.
+:class:`ProcessPoolExecutor` forks a fleet of long-lived worker
+processes **once per attack run** (a fork server -- children inherit the
+trained model, corpus and test set by address-space copy, nothing heavy
+is ever pickled) and keeps a **sticky shard-to-process affinity**
+(``shard i -> worker i % P``) so a shard's strategy instance, RNG
+bookkeeping and accounting state live in exactly one process for the
+whole run and never migrate.  Separate processes give GIL-bound
+strategies (markov, PCFG, conditional PassFlow) real multi-core
+throughput.
 
 Two protocols run over the same pair of OS channels (one command pipe
 per worker, one shared result pipe):
@@ -26,7 +25,7 @@ per worker, one shared result pipe):
   streams *chunk descriptors* (``(shard, [chunk sizes])``) down the
   pipes; workers run the chunks through the same
   :class:`~repro.runtime.elastic._ShardRun` state machine the in-process
-  hosts use and stream back per-chunk deltas (packed uint64
+  host uses and stream back per-chunk deltas (packed uint64
   :class:`~repro.core.guesser.KeyedCheckpointDelta` arrays for encoded
   strategies) plus consumed counters, so the elastic driver's
   checkpoint-boundary re-planning works unchanged.  Only descriptors go
@@ -36,8 +35,7 @@ per worker, one shared result pipe):
 Determinism: chunk contents are fixed by named RNG streams and the
 chunk policy, and shard state is process-sticky, so for a fixed
 ``(seed, workers, schedule)`` the merged report is bit-identical to
-:class:`~repro.runtime.executor.LocalExecutor` and
-:class:`~repro.runtime.executor.WorkStealingExecutor`.  See
+:class:`~repro.runtime.executor.LocalExecutor`'s.  See
 ``docs/parallel.md`` for the executor-selection matrix.
 
 Process lifecycle lives here too: :func:`picklable_exception` ships
@@ -52,7 +50,7 @@ import multiprocessing
 import traceback
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.runtime.elastic import ChunkAssignment, ElasticShardOutcome, _ShardRun
+from repro.runtime.elastic import ChunkAssignment, _ShardRun
 from repro.runtime.executor import ShardOutcome, ShardTask, execute_shard
 from repro.runtime.planner import ShardPlan, ShardProgress
 from repro.utils.logging import get_logger
@@ -346,7 +344,7 @@ class _PoolElasticHost:
     progress so the driver's re-planning math never blocks on a worker.
     A worker that dies mid-run retires all its shards (their unconsumed
     budget re-plans onto survivors); a strategy exception retires only
-    its shard, exactly like the in-process hosts.
+    its shard, exactly like the in-process host.
     """
 
     def __init__(self, context, task: ShardTask, shards: int, size: int) -> None:
@@ -359,7 +357,7 @@ class _PoolElasticHost:
         self.codecs: List[Any] = [None] * shards
         self.slices: List[List[Tuple[int, int]]] = [[] for _ in range(shards)]
         self._window_start = [0] * shards
-        self._finals: Dict[int, ElasticShardOutcome] = {}
+        self._finals: Dict[int, ShardOutcome] = {}
 
     # -- protocol ------------------------------------------------------
     def progress(self) -> List[ShardProgress]:
@@ -395,7 +393,7 @@ class _PoolElasticHost:
             self.slices[index].append((self._window_start[index], count))
             self._window_start[index] = count
 
-    def outcomes(self) -> List[ElasticShardOutcome]:
+    def outcomes(self) -> List[ShardOutcome]:
         """Collect worker-side terminal state and assemble merged outcomes."""
         expected = set(self.server.alive)
         for worker_id in sorted(expected):
@@ -405,7 +403,7 @@ class _PoolElasticHost:
         for index in range(self.shards):
             final = self._finals.get(index)
             results.append(
-                ElasticShardOutcome(
+                ShardOutcome(
                     index=index,
                     total=final.total if final is not None else self.consumed[index],
                     batches=final.batches if final is not None else 0,
@@ -608,6 +606,3 @@ class ProcessPoolExecutor:
         return _PoolElasticHost(
             self._context, task, workers, self.processes or workers
         )
-
-    def shutdown(self) -> None:
-        """Nothing persistent to release (each run tears its fleet down)."""

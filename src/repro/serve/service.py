@@ -7,12 +7,9 @@ The daemon's config surface is the registry spec grammar
     A strength-scoring service: the PassFlow checkpoint is loaded
     **once** at startup, calibrated against the corpus, and pinned to
     the service's batcher worker thread -- the warm model pool.  Extra
-    parameters: ``sample`` (calibration corpus cap, default 5000),
-    ``batch`` (real rows per 64-row chunk inside a flush, default
-    ``max_batch``; results are identical for every value), ``name``
-    (routing key when several models are served; requests pick one
-    with their ``model`` field).  ``sample`` and ``batch`` must be
-    positive integers.
+    parameters: ``sample`` (calibration corpus cap, a positive integer,
+    default 5000) and ``name`` (routing key when several models are
+    served; requests pick one with their ``model`` field).
 
 ``bank:<path.bank>``
     A targeted-guessing lookup service over a memory-mapped guess bank:
@@ -81,13 +78,11 @@ class StrengthService:
         *,
         max_batch: int = 64,
         max_queue: int = 4096,
-        score_batch_size: Optional[int] = None,
         clock=None,
         stats: Optional[ServeStats] = None,
     ) -> None:
         self.name = name
         self.estimator = estimator
-        self.score_batch_size = score_batch_size
         self.stats = stats if stats is not None else ServeStats()
         self.clock = clock if clock is not None else SystemClock()
         # serializes direct (non-batched) model access: guess_number runs
@@ -110,10 +105,6 @@ class StrengthService:
         model_path = params.pop("model", None)
         corpus_path = params.pop("corpus", None)
         sample = _positive_int(params.pop("sample", 5000), "sample")
-        batch = params.pop("batch", None)
-        if batch is not None:
-            batch = _positive_int(batch, "batch")
-            batcher_kwargs = dict(batcher_kwargs, score_batch_size=batch)
         if params:
             unknown = ", ".join(sorted(str(k) for k in params))
             raise ServeConfigError(
@@ -151,9 +142,7 @@ class StrengthService:
     # ------------------------------------------------------------------
     def _flush(self, passwords: List[str]) -> List[Dict[str, Any]]:
         """The batcher's vectorized evaluation: one result dict per password."""
-        log_probs, percentiles, scores = self.estimator.evaluate_batch(
-            passwords, batch_size=self.score_batch_size
-        )
+        log_probs, percentiles, scores = self.estimator.evaluate_batch(passwords)
         return [
             {
                 "score": int(score),

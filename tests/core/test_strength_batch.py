@@ -1,7 +1,7 @@
 """Batch-vectorized strength scoring: bitwise parity with the scalar path.
 
 The property under test is the serving tier's foundation: for any mix of
-passwords (encodable or not), any ``batch_size``, and any kernel backend,
+passwords (encodable or not) and any kernel backend,
 ``score_batch``/``log_prob_batch``/``percentile_batch`` return exactly --
 bit for bit -- what a loop over the scalar methods returns, with defined
 sentinels where the scalar path raises.
@@ -48,19 +48,14 @@ def estimator(trained_model, corpus):
 
 
 class TestBitwiseParity:
-    @given(
-        passwords=st.lists(password_strategy, min_size=1, max_size=12),
-        batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=128)),
-    )
+    @given(passwords=st.lists(password_strategy, min_size=1, max_size=12))
     @settings(
         max_examples=40,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_log_prob_batch_matches_scalar_bitwise(
-        self, estimator, passwords, batch_size
-    ):
-        batched = estimator.log_prob_batch(passwords, batch_size=batch_size)
+    def test_log_prob_batch_matches_scalar_bitwise(self, estimator, passwords):
+        batched = estimator.log_prob_batch(passwords)
         for value, password in zip(batched, passwords):
             if estimator.model.encoder.can_encode(password):
                 assert value == estimator.log_prob(password)  # bitwise
@@ -85,11 +80,18 @@ class TestBitwiseParity:
                 assert np.isnan(percentiles[i])
 
     def test_chunking_is_bit_invariant(self, estimator, corpus):
-        passwords = corpus[:100]
-        reference = estimator.log_prob_batch(passwords, batch_size=None)
-        for batch_size in (1, 3, 7, 50, 64, 128, 4096):
-            chunked = estimator.log_prob_batch(passwords, batch_size=batch_size)
-            np.testing.assert_array_equal(chunked, reference)
+        """Where a request is split -- inside a 64-row chunk, on a chunk
+        boundary, one row past it -- never changes a row's bits."""
+        passwords = corpus[:200]
+        reference = estimator.log_prob_batch(passwords)
+        for cut in (1, 3, 7, 50, 64, 65, 128, 199):
+            split = np.concatenate(
+                [
+                    estimator.log_prob_batch(passwords[:cut]),
+                    estimator.log_prob_batch(passwords[cut:]),
+                ]
+            )
+            np.testing.assert_array_equal(split, reference)
 
     def test_position_and_neighbors_do_not_change_bits(self, estimator, corpus):
         target = corpus[0]
@@ -144,24 +146,17 @@ class TestSentinels:
         assert rows[0]["log_prob"] is not None and rows[0]["band"] != UNSCORABLE_LABEL
         assert rows[1]["log_prob"] is None and rows[1]["band"] == UNSCORABLE_LABEL
 
-    @pytest.mark.parametrize("passwords", [["abc"], [], ["Ω"]])
-    def test_bad_batch_size_raises(self, estimator, passwords):
-        # checked before the empty and all-unencodable early returns
-        with pytest.raises(ValueError, match="batch_size"):
-            estimator.log_prob_batch(passwords, batch_size=0)
-
     def test_scalar_path_still_raises_on_unencodable(self, estimator):
         with pytest.raises((KeyError, ValueError)):
             estimator.log_prob("Ω")
 
 
-def oracle_log_probs(model, passwords, batch_size):
+def oracle_log_probs(model, passwords):
     """The pre-stacking loop: one ``model.log_prob`` call per padded chunk."""
     out = np.full(len(passwords), np.nan)
     encodable = [i for i, p in enumerate(passwords) if model.encoder.can_encode(p)]
-    step = EVAL_ROWS if batch_size is None else min(batch_size, EVAL_ROWS)
-    for start in range(0, len(encodable), step):
-        chunk = encodable[start : start + step]
+    for start in range(0, len(encodable), EVAL_ROWS):
+        chunk = encodable[start : start + EVAL_ROWS]
         rows = [passwords[i] for i in chunk]
         out[chunk] = model.log_prob(rows + [rows[0]] * (EVAL_ROWS - len(rows)))[
             : len(rows)
@@ -184,16 +179,15 @@ class TestOracleLoop:
         passwords.insert(n // 2, "Ω")
         passwords.append("x" * 30)
         with kernels.use_backend(backend):
-            for batch_size in (None, 1, 7, 64):
-                stacked = estimator.log_prob_batch(passwords, batch_size=batch_size)
-                expected = oracle_log_probs(estimator.model, passwords, batch_size)
-                assert np.array_equal(stacked, expected, equal_nan=True), batch_size
+            stacked = estimator.log_prob_batch(passwords)
+            expected = oracle_log_probs(estimator.model, passwords)
+        assert np.array_equal(stacked, expected, equal_nan=True)
 
 
 class TestCallCountSeam:
     """Chunks are stacked: ceil(chunks / MAX_STACKED_CHUNKS) flow calls."""
 
-    def count_calls(self, estimator, passwords, batch_size, monkeypatch):
+    def count_calls(self, estimator, passwords, monkeypatch):
         shapes = []
         flow = estimator.model.flow
         real = flow.log_prob
@@ -204,7 +198,7 @@ class TestCallCountSeam:
 
         # an instance attribute, deleted again on undo
         monkeypatch.setitem(vars(flow), "log_prob", counting)
-        estimator.log_prob_batch(passwords, batch_size=batch_size)
+        estimator.log_prob_batch(passwords)
         return shapes
 
     def assert_stacked(self, shapes, chunks):
@@ -214,29 +208,19 @@ class TestCallCountSeam:
             assert 1 <= k <= MAX_STACKED_CHUNKS and rows == EVAL_ROWS
         assert sum(k for k, _, _ in shapes) == chunks
 
-    @pytest.mark.parametrize(
-        "n, batch_size",
-        [(1, 1), (5, 2), (7, 7), (10, 3), (64, 64), (100, 1), (1024, None), (1025, 64)],
-    )
-    def test_ceil_chunks_over_cap_calls(
-        self, estimator, corpus, monkeypatch, n, batch_size
-    ):
-        shapes = self.count_calls(estimator, corpus[:n], batch_size, monkeypatch)
-        step = EVAL_ROWS if batch_size is None else batch_size
-        self.assert_stacked(shapes, math.ceil(n / step))
+    @pytest.mark.parametrize("n", [1, 5, 64, 65, 100, 1024, 1025, 2500])
+    def test_ceil_chunks_over_cap_calls(self, estimator, corpus, monkeypatch, n):
+        shapes = self.count_calls(estimator, corpus[:n], monkeypatch)
+        self.assert_stacked(shapes, math.ceil(n / EVAL_ROWS))
 
     def test_one_audit_request_is_one_flow_call(self, estimator, corpus, monkeypatch):
-        shapes = self.count_calls(estimator, corpus[:1024], None, monkeypatch)
+        shapes = self.count_calls(estimator, corpus[:1024], monkeypatch)
         assert shapes == [(MAX_STACKED_CHUNKS, EVAL_ROWS, estimator.model.flow.dim)]
 
     def test_unencodable_rows_cost_no_chunks(self, estimator, corpus, monkeypatch):
-        passwords = corpus[:3] + ["Ω"] * 5
-        shapes = self.count_calls(estimator, passwords, 2, monkeypatch)
-        self.assert_stacked(shapes, math.ceil(3 / 2))  # only encodable rows chunked
-        assert self.count_calls(estimator, ["Ω"] * 5, 2, monkeypatch) == []
-
-    def test_batch_size_above_eval_rows_is_capped(
-        self, estimator, corpus, monkeypatch
-    ):
-        shapes = self.count_calls(estimator, corpus[:130], 4096, monkeypatch)
-        self.assert_stacked(shapes, math.ceil(130 / EVAL_ROWS))
+        # 64 encodable rows fill one chunk; chunking the 5 unencodable
+        # rows too would spill into a second
+        passwords = ["Ω"] * 2 + corpus[:EVAL_ROWS] + ["Ω"] * 3
+        shapes = self.count_calls(estimator, passwords, monkeypatch)
+        self.assert_stacked(shapes, 1)
+        assert self.count_calls(estimator, ["Ω"] * 5, monkeypatch) == []

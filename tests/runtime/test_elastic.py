@@ -8,12 +8,13 @@ The load-bearing contracts, in test form:
   seed/workers/budgets (hypothesis-checked);
 * **replan marks always sum exactly to each budget** -- dead shards
   frozen, live shards absorbing, no guess ever lost or double-planned;
-* **steal-order permutations merge to identical BudgetRows** -- chunk
-  contents are fixed by the plan, so any interleaving of chunk execution
-  (including the work-stealing thread pool's) merges to the same report;
 * **dry/straggler/crashed shards release their budget** -- the fleet
   still reaches every budget mark, with per-shard accounting totals
-  showing who absorbed what.
+  showing who absorbed what, and the re-planning decisions reproduce bit
+  for bit on the in-process reference and the fork-server pool.
+
+Pool-specific faults (worker corpses, orphan cleanup) live in
+``test_pool.py``.
 """
 
 import os
@@ -30,10 +31,11 @@ from repro.runtime import (
     ShardProgress,
     ShardTask,
     StrategySource,
-    WorkStealingExecutor,
     chunk_quotas,
     run_elastic,
 )
+
+from runtime_fleet import ShardedSource, fork_pool
 
 TEST_SET = {f"g{n:07d}" for n in range(0, 1200, 7)}
 BUDGETS = [60, 240, 900]
@@ -153,82 +155,17 @@ class TestReplanInvariants:
         assert all(size >= 1 for size in sizes)
 
 
-class _PermutedExecutor(LocalExecutor):
-    """Runs chunk chains in a seeded random interleaving (order within a
-    chain preserved) -- a deterministic stand-in for arbitrary steal
-    orders, including ones the thread pool would never hit."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def run_chains(self, chains):
-        errors = [None] * len(chains)
-        active = [(index, iter(chain)) for index, chain in enumerate(chains)]
-        while active:
-            pick = int(self._rng.integers(len(active)))
-            index, chain_iter = active[pick]
-            thunk = next(chain_iter, None)
-            if thunk is None:
-                active.pop(pick)
-                continue
-            try:
-                thunk()
-            except Exception as exc:
-                errors[index] = exc
-                active.pop(pick)
-        return errors
-
-
-class TestStealOrderIndependence:
-    @given(order_seed=st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=15, deadline=None)
-    def test_permuted_chunk_order_merges_identically(self, order_seed, corpus):
-        """Any chunk interleaving yields the reference report."""
-        source = StrategySource("markov:3?batch=64", corpus=corpus[:1500])
-        baseline = elastic_engine(BUDGETS, 3).run(source, seed=9)
-        permuted = elastic_engine(
-            BUDGETS, 3, executor=_PermutedExecutor(order_seed)
-        ).run(source, seed=9)
-        assert rows_of(permuted) == rows_of(baseline)
-        assert permuted.matched_samples == baseline.matched_samples
-
-    def test_work_stealing_matches_local_reference(self, corpus):
-        """The thread pool is just another steal order."""
-        source = StrategySource("markov:3?batch=64", corpus=corpus[:1500])
-        local = elastic_engine(BUDGETS, 3).run(source, seed=7)
-        pool = WorkStealingExecutor(3)
-        try:
-            stolen = elastic_engine(BUDGETS, 3, executor=pool).run(source, seed=7)
-            again = elastic_engine(BUDGETS, 3, executor=pool).run(source, seed=7)
-        finally:
-            pool.shutdown()
-        assert rows_of(stolen) == rows_of(local)
-        assert rows_of(again) == rows_of(local)
-        assert stolen.matched_samples == local.matched_samples
-        assert stolen.non_matched_samples == local.non_matched_samples
-
+class TestScheduleValidation:
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):
             ParallelAttackEngine(set(TEST_SET), BUDGETS, workers=2, schedule="eager")
-
-
-def _heterogeneous_source(specs):
-    """A factory handing out one spec per shard, in shard build order."""
-    from repro.strategies.registry import build
-
-    remaining = list(specs)
-
-    def factory():
-        return build(remaining.pop(0))
-
-    return factory
 
 
 class TestBudgetReabsorption:
     def test_dry_shard_budget_absorbed_by_live_fleet(self):
         """One shard dries at 40; the other two absorb its 260 guesses."""
         task = ShardTask(
-            source=_heterogeneous_source(
+            source=ShardedSource(
                 ["drying?limit=40", "sequence?batch=16", "sequence?batch=16"]
             ),
             test_set=set(TEST_SET),
@@ -259,7 +196,7 @@ class TestBudgetReabsorption:
         """A raising strategy retires its shard; the budget survives, and
         the report names the crashed shard."""
         report = elastic_engine([600], 3).run(
-            _heterogeneous_source(
+            ShardedSource(
                 ["crashing?at=50&batch=16", "sequence?batch=16", "sequence?batch=16"]
             ),
             seed=7,
@@ -287,15 +224,11 @@ class TestBudgetReabsorption:
         """Dry + replan decisions reproduce bit for bit across executors."""
         specs = ["drying?limit=40", "sequence?batch=16", "drying?limit=90"]
         first = elastic_engine([100, 400], 3).run(
-            _heterogeneous_source(specs), seed=11
+            ShardedSource(specs), seed=11
         )
-        pool = WorkStealingExecutor(3)
-        try:
-            second = elastic_engine([100, 400], 3, executor=pool).run(
-                _heterogeneous_source(specs), seed=11
-            )
-        finally:
-            pool.shutdown()
+        second = elastic_engine([100, 400], 3, executor=fork_pool()).run(
+            ShardedSource(specs), seed=11
+        )
         assert rows_of(first) == rows_of(second)
         assert first.matched_samples == second.matched_samples
 
@@ -305,14 +238,10 @@ class TestStragglerAbsorption:
         """A mildly slow shard neither hangs nor skews the accounting."""
         specs = ["straggler?delay=0.002&batch=16"] + ["sequence?batch=16"] * 2
         task = ShardTask(
-            source=_heterogeneous_source(specs), test_set=set(TEST_SET), seed=7
+            source=ShardedSource(specs), test_set=set(TEST_SET), seed=7
         )
         planner = ShardPlanner([360], 3)
-        pool = WorkStealingExecutor(3)
-        try:
-            outcomes, completed = run_elastic(task, planner, pool)
-        finally:
-            pool.shutdown()
+        outcomes, completed = run_elastic(task, planner, fork_pool())
         assert completed == 1
         assert sum(o.total for o in outcomes) == 360
 
@@ -324,14 +253,10 @@ class TestStragglerAbsorption:
             "sequence?batch=16"
         ] * 3
         task = ShardTask(
-            source=_heterogeneous_source(specs), test_set=set(TEST_SET), seed=7
+            source=ShardedSource(specs), test_set=set(TEST_SET), seed=7
         )
         planner = ShardPlanner([4000], 4)
-        pool = WorkStealingExecutor(4)
-        try:
-            outcomes, completed = run_elastic(task, planner, pool)
-        finally:
-            pool.shutdown()
+        outcomes, completed = run_elastic(task, planner, fork_pool())
         assert completed == 1
         totals = {o.index: o.total for o in outcomes}
         assert totals[0] == 200  # the straggler dried at its limit

@@ -110,6 +110,25 @@ class TestDeterminismAndMerging:
         assert report.final().unique == len(unique)
         assert report.final().matched == len(matched)
 
+    def test_outcome_arrival_order_does_not_change_the_report(self, attack_parts):
+        """Outcomes merge in shard order, whatever order the executor
+        hands them back in."""
+        _, test_set, source = attack_parts
+
+        class Reversed(LocalExecutor):
+            def run(self, task, plans):
+                return super().run(task, plans)[::-1]
+
+        base = ParallelAttackEngine(
+            test_set, BUDGETS, workers=3, executor=LocalExecutor()
+        ).run(source, seed=7)
+        reversed_ = ParallelAttackEngine(
+            test_set, BUDGETS, workers=3, executor=Reversed()
+        ).run(source, seed=7)
+        assert rows_of(reversed_) == rows_of(base)
+        assert reversed_.matched_samples == base.matched_samples
+        assert reversed_.non_matched_samples == base.non_matched_samples
+
 
 class TestShardFailure:
     def test_worker_failure_surfaces(self, attack_parts):
@@ -127,6 +146,18 @@ class TestShardFailure:
                 test_set, [100], workers=2, executor=LocalExecutor()
             ).run(Exploding().build, seed=1)
 
+    def test_executor_missing_an_outcome_is_an_error(self, attack_parts):
+        _, test_set, source = attack_parts
+
+        class Lossy(LocalExecutor):
+            def run(self, task, plans):
+                return super().run(task, plans)[1:]
+
+        with pytest.raises(RuntimeError, match="returned 1 outcomes for 2 shards"):
+            ParallelAttackEngine(
+                test_set, [100], workers=2, executor=Lossy()
+            ).run(source, seed=1)
+
 
 class TestExecuteShard:
     def test_empty_plan_returns_empty_outcome(self, attack_parts):
@@ -141,8 +172,50 @@ class TestExecuteShard:
         plans = ShardPlanner(BUDGETS, 2).plan()
         task = ShardTask(source=source, test_set=test_set, seed=7)
         outcome = execute_shard(task, plans[0])
-        assert outcome.reached(plans[0].marks[-1])
+        assert len(outcome.window_slices) == len(BUDGETS)
         assert outcome.total == plans[0].marks[-1]
+
+    def test_window_slices_tile_the_deltas(self, attack_parts):
+        """A shard that reaches every mark has one contiguous slice per
+        budget, together covering every delta it shipped."""
+        _, test_set, source = attack_parts
+        plans = ShardPlanner(BUDGETS, 2).plan()
+        task = ShardTask(source=source, test_set=test_set, seed=7)
+        outcome = execute_shard(task, plans[1])
+        assert outcome.window_slices == [(0, 1), (1, 2), (2, 3)]
+        assert len(outcome.deltas) == 3
+
+    def test_equal_marks_get_an_empty_window(self):
+        """A window in which the shard's mark does not move is empty."""
+        plans = ShardPlanner([2, 3], 3).plan()
+        assert plans[0].marks == [1, 1] and plans[2].marks == [0, 1]
+        task = ShardTask(
+            source=StrategySource("sequence?batch=16"), test_set={"g0000000"}, seed=7
+        )
+        assert execute_shard(task, plans[0]).window_slices == [(0, 1), (1, 1)]
+        assert execute_shard(task, plans[2]).window_slices == [(0, 0), (0, 1)]
+
+    def test_empty_plan_has_an_empty_slice_per_window(self, attack_parts):
+        """A shard with nothing to do still counts as reaching every mark."""
+        _, test_set, source = attack_parts
+        plans = ShardPlanner([2, 4], 5).plan()
+        assert plans[4].local_budgets == []
+        task = ShardTask(source=source, test_set=test_set, seed=7)
+        assert execute_shard(task, plans[4]).window_slices == [(0, 0), (0, 0)]
+
+    def test_dry_shard_slices_reached_windows_then_ships_its_tail(self):
+        """A shard that dries between marks slices only the windows it
+        reached; its tail is one more delta past the last slice."""
+        plans = ShardPlanner([20, 500], 2).plan()
+        task = ShardTask(
+            source=StrategySource("drying?limit=35&batch=16"),
+            test_set={"g0000001"},
+            seed=3,
+        )
+        outcome = execute_shard(task, plans[0])
+        assert outcome.window_slices == [(0, 1)]
+        assert len(outcome.deltas) == 2
+        assert outcome.total == 35
 
     def test_finite_strategy_closes_out_with_accounted_guesses(self):
         """A dry run keeps reached budgets and closes out at the true total.

@@ -3,10 +3,9 @@
 The pool's contract has three legs, each exercised here:
 
 * **Parity** -- for a fixed ``(seed, workers, schedule)`` its merged
-  reports match :class:`~repro.runtime.LocalExecutor` (and, elastically,
-  :class:`~repro.runtime.WorkStealingExecutor`) bit for bit, because
-  chunk contents are fixed by named RNG streams and shard state is
-  process-sticky.
+  reports match :class:`~repro.runtime.LocalExecutor` bit for bit,
+  because chunk contents are fixed by named RNG streams and shard state
+  is process-sticky.
 * **Fault absorption** -- the conftest fault families (``drying``,
   ``crashing`` in both flavors, ``straggler``) drive the same
   budget-re-absorption semantics the in-process hosts implement: a dry
@@ -38,43 +37,20 @@ from repro.runtime import (
     ParallelAttackEngine,
     ProcessPoolExecutor,
     StrategySource,
-    WorkStealingExecutor,
     resolve_executor,
 )
 from repro.runtime.executor import ProcessExecutor
 from repro.runtime.pool import _ForkServer
-from repro.strategies.registry import build
+
+from runtime_fleet import ShardedSource, fork_pool
 
 TEST_SET = {f"g{n:07d}" for n in range(0, 8000, 7)}
-
-
-def _pool():
-    try:
-        return ProcessPoolExecutor()
-    except RuntimeError:
-        pytest.skip("no fork start method on this platform")
 
 
 def _no_orphans():
     for child in multiprocessing.active_children():
         child.join(timeout=5.0)
     assert multiprocessing.active_children() == []
-
-
-class ShardedSource:
-    """Index-aware heterogeneous fleet: shard ``i`` builds ``specs[i]``.
-
-    Unlike a pop-in-build-order factory this stays correct when shards
-    are built in different processes (every pool worker inherits the
-    source and builds only its own shards), exercising the
-    ``for_shard`` build seam.
-    """
-
-    def __init__(self, specs):
-        self.specs = list(specs)
-
-    def for_shard(self, index):
-        return build(self.specs[index])
 
 
 def _engine(budgets, workers, schedule, executor):
@@ -95,21 +71,10 @@ class TestReportParity:
         base = _engine([1200, 3600], workers, schedule, LocalExecutor()).run(
             source, seed=11
         )
-        pool = _engine([1200, 3600], workers, schedule, _pool()).run(source, seed=11)
+        pool = _engine([1200, 3600], workers, schedule, fork_pool()).run(source, seed=11)
         assert _rows(base) == _rows(pool)
         assert base.matched_samples == pool.matched_samples
         assert base.non_matched_samples == pool.non_matched_samples
-        _no_orphans()
-
-    def test_pool_matches_worksteal_elastically(self):
-        source = StrategySource("sequence?batch=16")
-        threads = WorkStealingExecutor(4)
-        try:
-            base = _engine([1200, 3600], 4, "elastic", threads).run(source, seed=11)
-        finally:
-            threads.shutdown()
-        pool = _engine([1200, 3600], 4, "elastic", _pool()).run(source, seed=11)
-        assert _rows(base) == _rows(pool)
         _no_orphans()
 
     def test_fewer_processes_than_shards_same_report(self):
@@ -189,7 +154,7 @@ class TestPassFlowForkSafety:
             model.flow.decode(np.zeros((2 * numpy_backend.SPLIT_ROWS, model.flow.dim)))
             assert numpy_backend._helper is not None
             base = attack(LocalExecutor())
-            pool = _within(60.0, lambda: attack(_pool()))
+            pool = _within(60.0, lambda: attack(fork_pool()))
         assert _rows(base) == _rows(pool)
         assert base.matched_samples == pool.matched_samples
         assert base.non_matched_samples == pool.non_matched_samples
@@ -217,7 +182,7 @@ class TestFaultAbsorption:
     def test_dry_shard_budget_reabsorbed_matches_local(self):
         source = StrategySource("drying?limit=100")
         base = _engine([400, 900], 4, "elastic", LocalExecutor()).run(source, seed=3)
-        pool = _engine([400, 900], 4, "elastic", _pool()).run(source, seed=3)
+        pool = _engine([400, 900], 4, "elastic", fork_pool()).run(source, seed=3)
         assert _rows(base) == _rows(pool)
         _no_orphans()
 
@@ -228,7 +193,7 @@ class TestFaultAbsorption:
             ["crashing?at=50&batch=16", "sequence?batch=16", "sequence?batch=16"]
         )
         base = _engine([600], 3, "elastic", LocalExecutor()).run(source, seed=7)
-        pool = _engine([600], 3, "elastic", _pool()).run(source, seed=7)
+        pool = _engine([600], 3, "elastic", fork_pool()).run(source, seed=7)
         assert _rows(base) == _rows(pool)
         assert base.rows[-1].guesses == 600
         assert len(pool.shard_errors) == 1
@@ -246,7 +211,7 @@ class TestFaultAbsorption:
                 "sequence?batch=16",
             ]
         )
-        report = _engine([600], 3, "elastic", _pool()).run(source, seed=7)
+        report = _engine([600], 3, "elastic", fork_pool()).run(source, seed=7)
         assert report.rows[-1].guesses == 600
         assert len(report.shard_errors) == 1
         assert "died" in report.shard_errors[0]
@@ -254,21 +219,35 @@ class TestFaultAbsorption:
 
     def test_all_shards_crashing_raises(self):
         with pytest.raises(RuntimeError, match="hit its mark"):
-            _engine([600], 2, "elastic", _pool()).run(
+            _engine([600], 2, "elastic", fork_pool()).run(
                 StrategySource("crashing?at=50&batch=16"), seed=7
             )
         _no_orphans()
 
+    def test_repeated_failing_default_elastic_runs_release_their_fleet(self):
+        """Elastic fleets default to the pool; a failing run must stop
+        its workers and leave no parent thread behind, run after run."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        baseline = threading.active_count()
+        for _ in range(3):
+            engine = _engine([400], 2, "elastic", None)
+            assert isinstance(engine.executor, ProcessPoolExecutor)
+            with pytest.raises(RuntimeError, match="hit its mark"):
+                engine.run(StrategySource("crashing?at=30&batch=16"), seed=3)
+            _no_orphans()
+        assert threading.active_count() <= baseline
+
     def test_static_crash_reraises_original_type(self):
         with pytest.raises(RuntimeError, match="hit its mark"):
-            _engine([400], 2, "static", _pool()).run(
+            _engine([400], 2, "static", fork_pool()).run(
                 StrategySource("crashing?at=30&batch=16"), seed=3
             )
         _no_orphans()
 
     def test_static_dead_worker_raises_instead_of_hanging(self):
         with pytest.raises(RuntimeError, match="died without reporting"):
-            _engine([400], 2, "static", _pool()).run(
+            _engine([400], 2, "static", fork_pool()).run(
                 StrategySource("crashing?at=30&mode=exit&batch=16"), seed=3
             )
         _no_orphans()
@@ -282,7 +261,7 @@ class TestFaultAbsorption:
         silent death -- and must still raise.
         """
         with pytest.raises(RuntimeError, match="shard\\(s\\) \\[0\\] died"):
-            _engine([401], 2, "static", _pool()).run(
+            _engine([401], 2, "static", fork_pool()).run(
                 StrategySource("crashing?at=200&mode=exit&batch=16"), seed=3
             )
         _no_orphans()
@@ -302,7 +281,7 @@ class TestFaultAbsorption:
 
         monkeypatch.setattr(_ForkServer, "receive", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            _engine([5000], 2, "static", _pool()).run(
+            _engine([5000], 2, "static", fork_pool()).run(
                 StrategySource("straggler?delay=0.05&batch=16"), seed=3
             )
         assert len(servers[0].procs) == 2  # the run really forked a fleet
@@ -313,7 +292,7 @@ class TestFaultAbsorption:
         """Dry tails cross the pool's pipes into the same close-out row."""
         source = StrategySource("drying?limit=35&batch=16")
         base = _engine([20, 500], 2, "static", LocalExecutor()).run(source, seed=3)
-        pool = _engine([20, 500], 2, "static", _pool()).run(source, seed=3)
+        pool = _engine([20, 500], 2, "static", fork_pool()).run(source, seed=3)
         assert [row.guesses for row in base.rows] == [20, 70]
         assert _rows(base) == _rows(pool)
         assert base.matched_samples == pool.matched_samples
@@ -325,7 +304,7 @@ class TestFaultAbsorption:
         source = ShardedSource(
             ["straggler?delay=0.002&batch=16"] + ["sequence?batch=16"] * 2
         )
-        report = _engine([360], 3, "elastic", _pool()).run(source, seed=7)
+        report = _engine([360], 3, "elastic", fork_pool()).run(source, seed=7)
         assert report.rows[-1].guesses == 360
         assert report.shard_errors == []
         _no_orphans()
@@ -334,21 +313,16 @@ class TestFaultAbsorption:
 class TestResolveExecutor:
     def test_known_names_resolve(self):
         assert isinstance(resolve_executor("local", 2), LocalExecutor)
-        assert isinstance(
-            resolve_executor("worksteal", 2, "elastic"), WorkStealingExecutor
-        )
         assert isinstance(resolve_executor("processpool", 2), ProcessPoolExecutor)
 
-    def test_auto_defers_to_schedule_default(self):
+    def test_auto_single_worker_runs_in_process(self):
         assert isinstance(resolve_executor("auto", 1), LocalExecutor)
-        assert isinstance(
-            resolve_executor(None, 4, "elastic"), WorkStealingExecutor
-        )
+        assert isinstance(_engine([100], 1, "elastic", None).executor, LocalExecutor)
 
     def test_auto_static_fleet_runs_on_the_pool(self):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
-        executor = resolve_executor("auto", 3, "static")
+        executor = resolve_executor("auto", 3)
         assert isinstance(executor, ProcessPoolExecutor)
         assert executor.processes == 3  # one worker process per shard
 
@@ -357,21 +331,32 @@ class TestResolveExecutor:
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
         with caplog.at_level(logging.WARNING, logger="repro.runtime.parallel"):
-            executor = resolve_executor("auto", 2, "static")
+            executor = resolve_executor("auto", 2)
         assert isinstance(executor, LocalExecutor)
         assert "fork unavailable" in caplog.text
 
-    def test_worksteal_static_is_actionable(self):
-        with pytest.raises(ValueError, match="only runs elastic"):
-            resolve_executor("worksteal", 2, "static")
+    def test_auto_elastic_fleet_runs_on_the_pool(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        executor = _engine([100], 2, "elastic", None).executor
+        assert isinstance(executor, ProcessPoolExecutor)
+        assert executor.processes == 2  # one worker process per shard
 
-    @pytest.mark.parametrize("name", ["threads", "process"])
+    def test_auto_elastic_without_fork_runs_in_process(self, monkeypatch, caplog):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.parallel"):
+            executor = _engine([100], 2, "elastic", None).executor
+        assert isinstance(executor, LocalExecutor)
+        assert "fork unavailable" in caplog.text
+
+    @pytest.mark.parametrize("name", ["threads", "process", "worksteal"])
     def test_unknown_name_lists_choices(self, name):
         with pytest.raises(ValueError) as excinfo:
             resolve_executor(name, 2)
         assert str(excinfo.value) == (
-            f"unknown executor {name!r}; choose from "
-            "auto, local, worksteal, processpool"
+            f"unknown executor {name!r}; choose from auto, local, processpool"
         )
 
     def test_engine_accepts_executor_names(self):
@@ -382,5 +367,5 @@ class TestResolveExecutor:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        with pytest.raises(ValueError, match="local or worksteal"):
-            resolve_executor("processpool", 2, "elastic")
+        with pytest.raises(ValueError, match="use --executor local$"):
+            resolve_executor("processpool", 2)

@@ -120,10 +120,7 @@ class TestConfig:
         with pytest.raises(ServeConfigError, match="cannot load model"):
             ServeApp([f"strength?model={tmp_path}/no.npz&corpus={tmp_path}/no.txt"])
 
-    @pytest.mark.parametrize(
-        "param, value",
-        [("batch", "abc"), ("batch", "0"), ("batch", "-3"), ("sample", "-250"), ("sample", "abc")],
-    )
+    @pytest.mark.parametrize("param, value", [("sample", "-250"), ("sample", "abc")])
     def test_counts_must_be_positive_integers(self, strength_spec, param, value):
         # strength_spec already sets sample=500; drop it so each case sets its own
         base = strength_spec.replace("&sample=500", "")
@@ -131,6 +128,13 @@ class TestConfig:
             ServeApp([f"{base}&{param}={value}"])
         message = str(info.value)
         assert value in message and "\n" not in message
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_unknown_strength_parameter_is_one_line(self, strength_spec, value):
+        # the removed batch= knob is unknown whatever its value
+        with pytest.raises(ServeConfigError) as info:
+            ServeApp([f"{strength_spec}&batch={value}"])
+        assert str(info.value) == "unknown parameter(s) batch for serve spec 'strength'"
 
 
 class TestSocketServer:

@@ -246,7 +246,8 @@ class TestExecutorFlag:
         ) == 0
         assert json.loads(path.read_text())["executor"] == "auto"
 
-    def test_impossible_combo_exits_with_one_liner(self, corpus_file, capsys):
+    @pytest.mark.parametrize("name", ["threads", "worksteal"])
+    def test_unknown_executor_exits_with_choices(self, corpus_file, capsys, name):
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
@@ -254,23 +255,12 @@ class TestExecutorFlag:
                     "--corpus", str(corpus_file),
                     "--strategy", "markov:3",
                     "--workers", "2",
-                    "--executor", "worksteal",
+                    "--executor", name,
                 ]
             )
-        assert "only runs elastic" in str(excinfo.value)
-
-    def test_unknown_executor_exits_with_choices(self, corpus_file, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "attack",
-                    "--corpus", str(corpus_file),
-                    "--strategy", "markov:3",
-                    "--workers", "2",
-                    "--executor", "threads",
-                ]
-            )
-        assert "processpool" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            f"unknown executor {name!r}; choose from auto, local, processpool"
+        )
 
 
 class TestKernelsEnvRestore:
@@ -347,14 +337,14 @@ class TestLatentCommands:
         passwords = [f"pw{i}" for i in range(5)]
         code = main(
             ["strength", "--model", str(model_file), "--corpus", str(corpus_file),
-             "--batch", "2", *passwords]
+             *passwords]
         )
         assert code == 0
         capsys.readouterr()
-        # 1 calibration pass, then the ceil(5/2) = 3 padded 64-row chunks
-        # stacked into one flow call; nothing per-password
+        # 1 calibration pass, then one padded 64-row chunk in one flow
+        # call; nothing per-password
         assert len(shapes) == 2
-        assert shapes[1][:2] == (3, 64)
+        assert shapes[1][:2] == (1, 64)
 
     def test_strength_unscorable_password_is_reported_not_fatal(
         self, model_file, corpus_file, capsys
