@@ -24,7 +24,6 @@ from repro.bank.replay import (
     BANK_DIR_ENV,
     BankReplayStrategy,
     bank_path_for,
-    packed_test_keys,
     replay_attack,
     resolve_bank,
     restore_stream_samples,
@@ -40,7 +39,6 @@ __all__ = [
     "build_bank",
     "codec_from_header",
     "codec_header",
-    "packed_test_keys",
     "replay_attack",
     "resolve_bank",
     "restore_stream_samples",

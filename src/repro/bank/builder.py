@@ -24,13 +24,8 @@ import numpy as np
 
 from repro.bank.artifact import BankError, GuessBank, same_codec, write_bank
 from repro.strategies.base import AttackContext, GuessingStrategy
+from repro.strategies.engine import _close_iterator
 from repro.utils.rng import spawn_rng
-
-
-def _close_iterator(iterator) -> None:
-    close = getattr(iterator, "close", None)
-    if close is not None:
-        close()
 
 
 def _spec_of(strategy: GuessingStrategy) -> str:

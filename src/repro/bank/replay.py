@@ -31,6 +31,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.bank.artifact import BankError, GuessBank
+from repro.core.guesser import SAMPLE_CAP, _sorted_contains, packed_test_keys
 from repro.strategies.base import DEFAULT_BATCH, GuessBatch, GuessingStrategy
 from repro.strategies.registry import (
     BuildResources,
@@ -187,7 +188,7 @@ def resolve_bank(
 )
 def _build_bank_replay(spec: StrategySpec, resources: BuildResources) -> GuessingStrategy:
     reader = ParamReader(spec)
-    batch = reader.take("batch", resources.batch_size or DEFAULT_BATCH, cast=int)
+    batch = reader.take("batch", DEFAULT_BATCH, cast=int)
     if spec.variant:
         path: Optional[Path] = Path(spec.variant)
         reader.finish()
@@ -229,44 +230,19 @@ def _build_bank_replay(spec: StrategySpec, resources: BuildResources) -> Guessin
 # ----------------------------------------------------------------------
 # exact serial-order samples from the stream prefix
 # ----------------------------------------------------------------------
-def _in_sorted(sorted_array: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``values`` in an ascending unique array."""
-    if not sorted_array.size or not values.size:
-        return np.zeros(values.shape, dtype=bool)
-    positions = np.searchsorted(sorted_array, values)
-    positions[positions == sorted_array.size] = sorted_array.size - 1
-    return sorted_array[positions] == values
-
-
-def packed_test_keys(codec, test_set: Set[str]) -> np.ndarray:
-    """The sorted packed test set, mirroring ``observe_encoded`` exactly.
-
-    Targets the codec cannot represent are dropped (they can never be
-    produced by an encoded stream), the same filtering contract the
-    accounting applies via :meth:`PasswordEncoder.can_encode`.
-    """
-    if not test_set:
-        return np.empty(0, dtype=np.uint64)
-    try:
-        packed = codec.pack_passwords(test_set)
-    except (KeyError, ValueError):
-        packed = codec.pack_passwords([p for p in test_set if codec.can_encode(p)])
-    return np.sort(packed)
-
-
 def stream_samples(
     bank: GuessBank,
     test_set: Set[str],
     budget: int,
-    sample_cap: int = 16,
     chunk: int = 1 << 16,
 ) -> Tuple[List[str], List[str]]:
     """``(matched_samples, non_matched_samples)`` of a serial replay.
 
     The serial accounting's sample lists are, in key space, the first
-    ``sample_cap`` distinct test keys (matched) and distinct non-zero
-    non-test keys (non-matched), each in order of first occurrence in the
-    stream prefix ``[0, budget)`` -- independent of batching.  This walks
+    :data:`~repro.core.guesser.SAMPLE_CAP` distinct test keys (matched)
+    and distinct non-zero non-test keys (non-matched), each in order of
+    first occurrence in the stream prefix ``[0, budget)`` -- independent
+    of batching.  This walks
     the mmapped stream in chunks, so parallel replays can restore the
     exact serial lists without re-running a serial attack.
     """
@@ -279,19 +255,19 @@ def stream_samples(
     for start in range(0, budget, chunk):
         block = np.asarray(bank.keys[start : min(start + chunk, budget)])
         uniq, first_positions = np.unique(block, return_index=True)
-        fresh_in_block = first_positions[~_in_sorted(seen, uniq)]
+        fresh_in_block = first_positions[~_sorted_contains(seen, uniq)]
         fresh_keys = block[np.sort(fresh_in_block)]
-        is_test = _in_sorted(packed_test, fresh_keys)
-        if len(matched_keys) < sample_cap:
+        is_test = _sorted_contains(packed_test, fresh_keys)
+        if len(matched_keys) < SAMPLE_CAP:
             matched_keys.extend(
-                int(k) for k in fresh_keys[is_test][: sample_cap - len(matched_keys)]
+                int(k) for k in fresh_keys[is_test][: SAMPLE_CAP - len(matched_keys)]
             )
-        if len(non_keys) < sample_cap:
+        if len(non_keys) < SAMPLE_CAP:
             wanted = ~is_test & (fresh_keys != 0)
             non_keys.extend(
-                int(k) for k in fresh_keys[wanted][: sample_cap - len(non_keys)]
+                int(k) for k in fresh_keys[wanted][: SAMPLE_CAP - len(non_keys)]
             )
-        if len(matched_keys) >= sample_cap and len(non_keys) >= sample_cap:
+        if len(matched_keys) >= SAMPLE_CAP and len(non_keys) >= SAMPLE_CAP:
             break
         seen = np.union1d(seen, uniq)
     matched = codec.strings_from_keys(np.asarray(matched_keys, dtype=np.uint64))
@@ -304,7 +280,6 @@ def restore_stream_samples(
     bank: GuessBank,
     test_set: Set[str],
     budget: int,
-    sample_cap: int = 16,
 ):
     """Overwrite a merged report's samples with the serial stream order.
 
@@ -313,7 +288,7 @@ def restore_stream_samples(
     the stream prefix makes the whole report bit-identical to the serial
     run.  Mutates and returns ``report``.
     """
-    matched, non_matched = stream_samples(bank, test_set, budget, sample_cap)
+    matched, non_matched = stream_samples(bank, test_set, budget)
     report.matched_samples = matched
     report.non_matched_samples = non_matched
     return report
@@ -330,22 +305,18 @@ def replay_attack(
     workers: int = 1,
     schedule: str = "static",
     seed: int = 0,
-    sample_cap: int = 16,
     method: Optional[str] = None,
-    batch_size: Optional[int] = None,
     executor=None,
-    chunk_size: Optional[int] = None,
     progress=None,
 ):
     """Replay a bank against a test set: the banked run's exact report.
 
-    Serial (``workers=1``, static) runs the replay strategy through the
-    ordinary :class:`~repro.strategies.engine.AttackEngine`; fleets go
-    through the :class:`~repro.runtime.ParallelAttackEngine` with every
-    shard mmapping the same artifact, then have their sample lists
-    restored to serial order.  Either way the report is bit-identical to
-    the live-sampled serial run the bank was built from, provided
-    ``budgets[-1] <= bank.total`` (enforced here).
+    The replay strategy runs through :func:`repro.runtime.run_attack`
+    (the serial engine, or a fleet with every shard mmapping the same
+    artifact), then the report's sample lists are restored to serial
+    stream order -- a no-op for a serial replay.  Either way the report
+    is bit-identical to the live-sampled serial run the bank was built
+    from, provided ``budgets[-1] <= bank.total`` (enforced here).
     """
     budgets = list(budgets)
     if not budgets:
@@ -355,30 +326,19 @@ def replay_attack(
             f"bank {bank.path} holds {bank.total} guesses; cannot replay "
             f"a budget of {budgets[-1]}"
         )
-    method = method or bank.method
-    if workers <= 1 and schedule == "static" and executor in (None, "auto"):
-        # an explicitly named executor routes through the parallel engine
-        # even single-sharded, so its reports compare like-for-like
-        from repro.strategies.engine import AttackEngine
-
-        engine = AttackEngine(test_set, budgets, sample_cap=sample_cap)
-        strategy = BankReplayStrategy(bank, batch_size=batch_size or DEFAULT_BATCH)
-        return engine.run(
-            strategy, np.random.default_rng(seed), method=method, progress=progress
-        )
     # imported lazily: the runtime imports the strategies package, so a
     # module-level import here would cycle during registry bootstrap
-    from repro.runtime import ParallelAttackEngine, StrategySource
+    from repro.runtime import StrategySource, run_attack
 
-    engine = ParallelAttackEngine(
+    report = run_attack(
+        StrategySource(spec=bank.replay_spec()),
         test_set,
         budgets,
+        seed=seed,
         workers=workers,
         schedule=schedule,
-        sample_cap=sample_cap,
         executor=executor,
-        chunk_size=chunk_size,
+        method=method or bank.method,
+        progress=progress,
     )
-    source = StrategySource(spec=bank.replay_spec(), batch_size=batch_size)
-    report = engine.run(source, seed=seed, method=method, progress=progress)
-    return restore_stream_samples(report, bank, test_set, budgets[-1], sample_cap)
+    return restore_stream_samples(report, bank, test_set, budgets[-1])

@@ -100,10 +100,9 @@ from repro.data.encoding import PasswordEncoder
 from repro.data.rockyou import load_password_file
 from repro.data.synthetic import SyntheticConfig, SyntheticRockYou
 from repro.eval.reporting import format_table
-from repro.runtime import ParallelAttackEngine, StrategySource
+from repro.runtime import StrategySource, resolve_executor, run_attack
 from repro.scenarios import CompositionPolicy
 from repro.strategies import (
-    AttackEngine,
     SpecError,
     available_strategies,
     build,
@@ -333,8 +332,6 @@ def _attack_from_bank(args) -> int:
         )
     except BankError as exc:
         raise SystemExit(str(exc))
-    except ValueError as exc:
-        raise SystemExit(str(exc))  # e.g. an impossible --executor request
     _emit_attack_report(report, args, budgets, bank.replay_spec())
     return 0
 
@@ -353,6 +350,13 @@ def cmd_attack(args) -> int:
     _select_kernels(args)
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
+    try:
+        # an --executor the platform cannot honor fails before any work;
+        # resolved for one worker, so an ``auto`` fork fallback warns only
+        # once, when the run builds its own executor
+        resolve_executor(args.executor, 1)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     policy = _parse_policy(args)
     if args.bank:
         if policy is not None:
@@ -410,36 +414,18 @@ def cmd_attack(args) -> int:
         f"budgets {budgets}{workers}{elastic}"
     )
     progress = ProgressReporter(total=budgets[-1], label="attack")
-    serial = (
-        args.workers == 1
-        and args.schedule == "static"
-        and args.executor in (None, "auto")
-    )
     try:
-        if serial:
-            # serial path: bit-identical to the seed-era single-process engine
-            report = AttackEngine(test_set, budgets).run(
-                strategy, np.random.default_rng(args.seed), progress=progress
-            )
-        else:
-            try:
-                engine = ParallelAttackEngine(
-                    test_set,
-                    budgets,
-                    workers=args.workers,
-                    schedule=args.schedule,
-                    executor=args.executor,
-                )
-            except ValueError as exc:
-                # an explicit --executor the platform or schedule cannot
-                # honor: one actionable line, not a traceback
-                raise SystemExit(str(exc))
-            report = engine.run(
-                source.pin(strategy),
-                seed=args.seed,
-                method=strategy.name,
-                progress=progress,
-            )
+        report = run_attack(
+            source.pin(strategy),
+            test_set,
+            budgets,
+            seed=args.seed,
+            workers=args.workers,
+            schedule=args.schedule,
+            executor=args.executor,
+            method=strategy.name,
+            progress=progress,
+        )
     except SpecError as exc:
         raise SystemExit(str(exc))
 

@@ -27,20 +27,15 @@ first observation; the two modes produce identical reports for identical
 guess streams.
 
 For the sharded runtime (:mod:`repro.runtime`) accounting states are
-
-* **mergeable** -- :meth:`GuessAccounting.merge` folds another shard's
-  counters into this one (totals add, unique/matched sets union),
-* **snapshot/restorable** -- :meth:`GuessAccounting.snapshot` captures a
-  picklable :class:`AccountingSnapshot` that
-  :meth:`GuessAccounting.from_snapshot` rebuilds, and
-* **delta-tracked** -- with ``track_deltas=True`` every checkpoint records
-  the uniques/matches added since the previous checkpoint, which is what
-  lets a merger reconstruct global Table II/III rows from per-shard
-  streams.  String-mode accountings emit :class:`CheckpointDelta` (string
-  lists); encoded-mode accountings emit :class:`KeyedCheckpointDelta`
-  (packed uint64 arrays), so a 10^7-guess shard's delta payload is a few
-  megabytes of integers instead of tens of megabytes of strings, and
-  merging runs as sorted-array set operations.
+**delta-tracked**: with ``track_deltas=True`` every checkpoint records the
+uniques/matches added since the previous checkpoint, which is what lets a
+merger reconstruct global Table II/III rows from per-shard streams.
+String-mode accountings emit :class:`CheckpointDelta` (string lists);
+encoded-mode accountings emit :class:`KeyedCheckpointDelta` (packed uint64
+arrays), so a 10^7-guess shard's delta payload is a few megabytes of
+integers instead of tens of megabytes of strings, and merging runs as
+sorted-array set operations.  Every accounting keeps at most
+:data:`SAMPLE_CAP` matched and non-matched report samples.
 """
 
 from __future__ import annotations
@@ -182,45 +177,9 @@ class KeyedCheckpointDelta:
 Delta = Union[CheckpointDelta, KeyedCheckpointDelta]
 
 
-def _copy_delta(delta: Delta) -> Delta:
-    """Deep-enough copy of either delta flavor (snapshot/restore helper)."""
-    if isinstance(delta, KeyedCheckpointDelta):
-        return KeyedCheckpointDelta(
-            new_unique_keys=np.array(delta.new_unique_keys, dtype=np.uint64),
-            new_matched_keys=np.array(delta.new_matched_keys, dtype=np.uint64),
-        )
-    return CheckpointDelta(list(delta.new_unique), list(delta.new_matched))
-
-
-@dataclass
-class AccountingSnapshot:
-    """Picklable capture of a :class:`GuessAccounting` (minus the test set).
-
-    The test set is deliberately excluded -- it can be millions of entries
-    and is shared by every shard -- so restoring requires passing the same
-    set to :meth:`GuessAccounting.from_snapshot`.  ``seen_keys``,
-    ``delta_base_keys`` and ``pending_matched_keys`` are only populated for
-    encoded-mode accountings (the codec itself is not captured; the next
-    ``observe_encoded`` call supplies it again).
-    """
-
-    budgets: List[int]
-    sample_cap: int
-    total: int
-    unique: List[str]
-    matched: List[str]
-    rows: List[BudgetRow]
-    non_matched_samples: List[str]
-    matched_samples: List[str]
-    next_budget_index: int
-    track_deltas: bool
-    deltas: List[Delta]
-    pending_unique: List[str]
-    pending_matched: List[str]
-    mode: Optional[str] = None
-    seen_keys: Optional[np.ndarray] = None
-    delta_base_keys: Optional[np.ndarray] = None
-    pending_matched_keys: Optional[List[int]] = None
+#: Report samples kept per list: the first this-many distinct matched and
+#: non-matched guesses, in stream order.
+SAMPLE_CAP = 16
 
 
 def _hash_array(passwords: Iterable[str], count: int) -> np.ndarray:
@@ -256,11 +215,28 @@ def validate_budgets(budgets: Sequence[int]) -> List[int]:
     return list(budgets)
 
 
-def extend_samples(destination: List[str], additions: Sequence[str], cap: int) -> None:
-    """Append fresh ``additions`` to a sample list, up to ``cap`` entries."""
+def packed_test_keys(codec, test_set: Set[str]) -> np.ndarray:
+    """The sorted packed keys of every test password ``codec`` can encode.
+
+    Targets the codec cannot represent (over-length, out-of-alphabet) can
+    never be produced by an encoded stream, so dropping them from the
+    packed filter is exact.  Encoded-mode accounting and the bank's
+    stream-order sample scan share this one filter.
+    """
+    if not test_set:
+        return np.empty(0, dtype=np.uint64)
+    try:
+        packed = codec.pack_passwords(test_set)
+    except (KeyError, ValueError):
+        packed = codec.pack_passwords([p for p in test_set if codec.can_encode(p)])
+    return np.sort(packed)
+
+
+def extend_samples(destination: List[str], additions: Sequence[str]) -> None:
+    """Append fresh ``additions`` to a sample list, up to :data:`SAMPLE_CAP`."""
     seen = set(destination)
     for password in additions:
-        if len(destination) >= cap:
+        if len(destination) >= SAMPLE_CAP:
             return
         if password not in seen:
             destination.append(password)
@@ -280,12 +256,10 @@ class GuessAccounting:
         self,
         test_set: Set[str],
         budgets: Sequence[int],
-        sample_cap: int = 16,
         track_deltas: bool = False,
     ) -> None:
         self.test_set = test_set
         self.budgets = validate_budgets(budgets)
-        self.sample_cap = sample_cap
         self.total = 0
         self.unique: Set[str] = set()
         self.matched: Set[str] = set()
@@ -314,7 +288,7 @@ class GuessAccounting:
         self._pending_keys: List[np.ndarray] = []
         # Encoded delta tracking: the seen-key array as of the previous
         # checkpoint (diffed at the next one) plus the keys of matches made
-        # since; the codec is remembered so merges can intern fresh matches.
+        # since; the codec is remembered so shard outcomes can ship it.
         self._delta_base_keys = np.empty(0, dtype=np.uint64)
         self._pending_matched_keys: List[int] = []
         self._codec = None
@@ -417,14 +391,14 @@ class GuessAccounting:
                     self._pending_matched.append(password)
                 if (
                     password not in self.unique
-                    and len(self.matched_samples) < self.sample_cap
+                    and len(self.matched_samples) < SAMPLE_CAP
                 ):
                     self.matched_samples.append(password)
         # -- non-matched samples: ordered scan only until the cap fills --
-        if len(self.non_matched_samples) < self.sample_cap:
+        if len(self.non_matched_samples) < SAMPLE_CAP:
             seen_in_scan: Set[str] = set()
             for password in segment:
-                if len(self.non_matched_samples) >= self.sample_cap:
+                if len(self.non_matched_samples) >= SAMPLE_CAP:
                     break
                 if (
                     password
@@ -459,7 +433,7 @@ class GuessAccounting:
                 if password in self.test_set:
                     if password not in self.matched:
                         self._note_match(password, i, new_match_indices, sample=True)
-                elif len(self.non_matched_samples) < self.sample_cap and password:
+                elif len(self.non_matched_samples) < SAMPLE_CAP and password:
                     self.non_matched_samples.append(password)
             elif password in self.test_set and password not in self.matched:
                 self._note_match(password, i, new_match_indices, sample=False)
@@ -473,7 +447,7 @@ class GuessAccounting:
         out.append(index)
         if self._track_deltas:
             self._pending_matched.append(password)
-        if sample and len(self.matched_samples) < self.sample_cap:
+        if sample and len(self.matched_samples) < SAMPLE_CAP:
             self.matched_samples.append(password)
 
     # ------------------------------------------------------------------
@@ -503,19 +477,7 @@ class GuessAccounting:
         index_matrix = np.atleast_2d(index_matrix)
         keys = codec.pack_indices(index_matrix)
         if self._packed_test is None:
-            if self.test_set:
-                # targets the codec cannot represent (over-length,
-                # out-of-alphabet) can never be produced by an encoded
-                # stream, so dropping them from the packed filter is exact
-                try:
-                    packable = self.test_set
-                    packed = codec.pack_passwords(packable)
-                except (KeyError, ValueError):
-                    packable = [p for p in self.test_set if codec.can_encode(p)]
-                    packed = codec.pack_passwords(packable)
-                self._packed_test = np.sort(packed)
-            else:
-                self._packed_test = np.empty(0, dtype=np.uint64)
+            self._packed_test = packed_test_keys(codec, self.test_set)
         new_match_indices: List[int] = []
         offset = 0
         while offset < len(keys) and not self.done:
@@ -541,7 +503,7 @@ class GuessAccounting:
         codec,
         new_match_indices: List[int],
     ) -> None:
-        sampling = len(self.non_matched_samples) < self.sample_cap
+        sampling = len(self.non_matched_samples) < SAMPLE_CAP
         if sampling:
             # compact so the sample scan can test seenness with one sorted
             # array; cheap while the cap is still filling (early stream)
@@ -558,7 +520,7 @@ class GuessAccounting:
                     new_match_indices.append(offset + int(i))
                     if self._track_deltas:
                         self._pending_matched_keys.append(int(seg_keys[i]))
-                    if len(self.matched_samples) < self.sample_cap and not self._key_seen(
+                    if len(self.matched_samples) < SAMPLE_CAP and not self._key_seen(
                         seg_keys[i]
                     ):
                         self.matched_samples.append(password)
@@ -569,7 +531,7 @@ class GuessAccounting:
             wanted &= ~_sorted_contains(self._packed_test, first_keys)
             wanted &= ~_sorted_contains(self._seen_keys, first_keys)
             for i in np.sort(first_positions[wanted]).tolist():
-                if len(self.non_matched_samples) >= self.sample_cap:
+                if len(self.non_matched_samples) >= SAMPLE_CAP:
                     break
                 self.non_matched_samples.append(
                     codec.strings_from_indices(seg_rows[i : i + 1])[0]
@@ -664,128 +626,6 @@ class GuessAccounting:
         self._pending_unique = set()
         self._pending_matched = []
         return delta
-
-    # ------------------------------------------------------------------
-    # merge / snapshot (the sharded runtime's primitives)
-    # ------------------------------------------------------------------
-    def merge(self, other: "GuessAccounting") -> "GuessAccounting":
-        """Fold another accounting (e.g. a finished shard) into this one.
-
-        Totals add and unique/matched sets union, so overlapping shards
-        are counted correctly (a password guessed by two shards is one
-        unique guess and at most one match).  Sample lists concatenate in
-        argument order up to the cap.  Checkpoint rows for budgets crossed
-        by the *combined* total are emitted with the merged counters --
-        the merge-at-checkpoint discipline -- so only merge states that
-        are aligned on a budget boundary when row history matters
-        (:class:`repro.runtime.ParallelAttackEngine` guarantees this via
-        its shard planner).  Returns ``self``.
-        """
-        if self.budgets != other.budgets:
-            raise ValueError(
-                f"cannot merge accountings with different budgets: "
-                f"{self.budgets} vs {other.budgets}"
-            )
-        modes = {self._mode, other._mode} - {None}
-        if len(modes) == 2:
-            raise ValueError("cannot merge string-mode and encoded-mode accountings")
-        if "encoded" in modes:
-            self._compact_keys()
-            other._compact_keys()
-            self._seen_keys = np.union1d(self._seen_keys, other._seen_keys)
-            self._mode = "encoded"
-            if self._packed_test is None:
-                self._packed_test = other._packed_test
-            if self._codec is None:
-                self._codec = other._codec
-            if self._track_deltas:
-                # unique-key deltas need no bookkeeping here: the next
-                # checkpoint diff against _delta_base_keys picks up every
-                # merged-in key; fresh matches are interned so the delta
-                # stays in key space
-                fresh_matches = sorted(other.matched - self.matched)
-                if fresh_matches:
-                    if self._codec is None:
-                        raise ValueError(
-                            "cannot merge matches into a delta-tracked encoded "
-                            "accounting before any observation supplies a codec"
-                        )
-                    self._pending_matched_keys.extend(
-                        int(key) for key in self._codec.pack_passwords(fresh_matches)
-                    )
-        elif self._track_deltas:
-            self._pending_unique |= other.unique - self.unique
-            already = set(self._pending_matched)
-            self._pending_matched.extend(
-                p for p in sorted(other.matched - self.matched) if p not in already
-            )
-        self.total += other.total
-        self.unique |= other.unique
-        self.matched |= other.matched
-        self._extend_samples(self.matched_samples, other.matched_samples)
-        self._extend_samples(self.non_matched_samples, other.non_matched_samples)
-        self._maybe_checkpoint()
-        return self
-
-    def _extend_samples(self, mine: List[str], theirs: Sequence[str]) -> None:
-        extend_samples(mine, theirs, self.sample_cap)
-
-    def snapshot(self) -> AccountingSnapshot:
-        """Capture the full mutable state (test set excluded) picklably."""
-        self._compact_keys()
-        return AccountingSnapshot(
-            budgets=list(self.budgets),
-            sample_cap=self.sample_cap,
-            total=self.total,
-            unique=sorted(self.unique),
-            matched=sorted(self.matched),
-            rows=[BudgetRow(**row.as_dict()) for row in self.rows],
-            non_matched_samples=list(self.non_matched_samples),
-            matched_samples=list(self.matched_samples),
-            next_budget_index=self._next_budget_index,
-            track_deltas=self._track_deltas,
-            deltas=[_copy_delta(d) for d in self.deltas],
-            pending_unique=sorted(self._pending_unique),
-            pending_matched=list(self._pending_matched),
-            mode=self._mode,
-            seen_keys=self._seen_keys.copy() if self._mode == "encoded" else None,
-            delta_base_keys=(
-                self._delta_base_keys.copy() if self._mode == "encoded" else None
-            ),
-            pending_matched_keys=list(self._pending_matched_keys),
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: AccountingSnapshot, test_set: Set[str]
-    ) -> "GuessAccounting":
-        """Rebuild an accounting from :meth:`snapshot` and its test set."""
-        accounting = cls(
-            test_set,
-            snapshot.budgets,
-            sample_cap=snapshot.sample_cap,
-            track_deltas=snapshot.track_deltas,
-        )
-        accounting.total = snapshot.total
-        accounting.unique = set(snapshot.unique)
-        accounting.matched = set(snapshot.matched)
-        accounting.rows = [BudgetRow(**row.as_dict()) for row in snapshot.rows]
-        accounting.non_matched_samples = list(snapshot.non_matched_samples)
-        accounting.matched_samples = list(snapshot.matched_samples)
-        accounting._next_budget_index = snapshot.next_budget_index
-        accounting.deltas = [_copy_delta(d) for d in snapshot.deltas]
-        accounting._pending_unique = set(snapshot.pending_unique)
-        accounting._pending_matched = list(snapshot.pending_matched)
-        accounting._mode = snapshot.mode
-        if snapshot.seen_keys is not None:
-            accounting._seen_keys = np.array(snapshot.seen_keys, dtype=np.uint64)
-        if snapshot.delta_base_keys is not None:
-            accounting._delta_base_keys = np.array(
-                snapshot.delta_base_keys, dtype=np.uint64
-            )
-        if snapshot.pending_matched_keys:
-            accounting._pending_matched_keys = list(snapshot.pending_matched_keys)
-        return accounting
 
     def report(self, method: str) -> GuessingReport:
         """Finalize into a :class:`GuessingReport`."""

@@ -49,7 +49,7 @@ from repro.data.alphabet import Alphabet, compact_alphabet
 from repro.data.dataset import PasswordDataset
 from repro.data.encoding import PasswordEncoder
 from repro.data.synthetic import SyntheticConfig, SyntheticRockYou
-from repro.runtime import ParallelAttackEngine, StrategySource
+from repro.runtime import StrategySource, run_attack
 from repro.scenarios import CompositionPolicy
 from repro.strategies import AttackEngine, GuessingStrategy, parse_spec, unwrap_spec
 from repro.utils.logging import get_logger
@@ -588,21 +588,18 @@ class EvalContext:
             report = self._run_banked(spec, label, method, source, workers, schedule)
             if report is not None:
                 return report
-        if workers <= 1 and schedule == "static" and self.executor == "auto":
-            return self.engine().run(
-                source.build(), self.attack_rng(label), method=method
-            )
-        engine = ParallelAttackEngine(
+        # method=None lets the strategies name the report (e.g.
+        # "Markov-3", not "markov:3") on either path
+        return run_attack(
+            source,
             self.test_set,
             self.settings.guess_budgets,
+            seed=self.settings.seed,
+            label=f"attack-{label}",
             workers=workers,
             schedule=schedule,
             executor=self.executor,
-        )
-        # method=None lets the shard strategies name the report, matching
-        # the serial engine's default (e.g. "Markov-3", not "markov:3")
-        return engine.run(
-            source, seed=self.settings.seed, method=method, label=f"attack-{label}/"
+            method=method,
         )
 
     # ------------------------------------------------------------------

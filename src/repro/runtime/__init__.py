@@ -1,4 +1,4 @@
-"""Parallel attack runtime: sharded execution on the mergeable accounting core.
+"""Parallel attack runtime: sharded execution on delta-tracked accounting.
 
 Three layers sit between a strategy spec and a Table II/III report:
 
@@ -32,10 +32,14 @@ Typical use::
     source = StrategySource("passflow:dynamic+gs?alpha=1&sigma=0.12", model=model)
     report = engine.run(source, seed=7)
 
+:func:`run_attack` is the one entry point the CLI, the eval harness and
+bank replay share: the serial engine for one worker on the static
+schedule with no executor named, :class:`ParallelAttackEngine` otherwise.
+
 Determinism contract: fixed ``(seed, workers, schedule)`` -> bit-identical
 reports, regardless of executor.  ``workers=1`` with the default static
-schedule through the serial :class:`~repro.strategies.engine.AttackEngine`
-path (as the CLI and eval harness route it) reproduces seed-era reports
+schedule runs the serial :class:`~repro.strategies.engine.AttackEngine`
+(:func:`run_attack` routes it there) and reproduces seed-era reports
 bit-identically; ``schedule="elastic"`` chunks every shard's stream over
 named per-chunk RNG streams, so its reports are a different (equally
 valid, equally deterministic) sample of the same attack.
@@ -54,6 +58,7 @@ from repro.runtime.parallel import (
     ParallelAttackEngine,
     default_executor,
     resolve_executor,
+    run_attack,
 )
 from repro.runtime.planner import (
     ShardPlan,
@@ -81,6 +86,7 @@ __all__ = [
     "default_executor",
     "execute_shard",
     "resolve_executor",
+    "run_attack",
     "run_elastic",
     "split_budget",
 ]

@@ -13,8 +13,10 @@ playbook:
   (``spawn_rng(seed, "shard-i-chunk-k")``) through a fresh
   ``iter_guesses`` generator, while the shard's *strategy instance*
   persists across chunks -- so a shard's guess stream is a pure function
-  of ``(seed, workers, schedule, chunk policy)``, whichever process runs
-  its chunks and however different shards' chunks overlap in time.
+  of ``(seed, workers, schedule)``, whichever process runs its chunks and
+  however different shards' chunks overlap in time.  Chunks are
+  ``ceil(quota / DEFAULT_CHUNKS_PER_ROUND)`` guesses long
+  (:func:`chunk_quotas`), a function of the round quota alone.
 * **Checkpoint-aligned re-planning.**  At deterministic round boundaries
   the driver measures what every shard actually produced; shards that ran
   dry (or crashed) release their unconsumed budget back to the queue and
@@ -56,29 +58,23 @@ from repro.utils.rng import spawn_rng
 
 logger = get_logger("runtime.elastic")
 
-#: Auto chunk policy: a shard's round quota splits into at most this many
+#: The chunk policy: a shard's round quota splits into at most this many
 #: chunks, so small windows stay cheap and large windows ship their deltas
 #: back in several pieces.
 DEFAULT_CHUNKS_PER_ROUND = 8
 
 
-def chunk_quotas(quota: int, chunk_size: Optional[int] = None) -> List[int]:
+def chunk_quotas(quota: int) -> List[int]:
     """Deterministic chunk sizes covering a shard's round quota exactly.
 
-    With an explicit ``chunk_size`` the quota splits into full chunks plus
-    one remainder chunk; the default policy sizes chunks as
-    ``ceil(quota / DEFAULT_CHUNKS_PER_ROUND)``.  Chunk boundaries are part
-    of the elastic determinism key -- they decide where each per-chunk RNG
-    stream starts -- so they depend only on the quota and the policy,
-    never on timing.
+    Chunks are ``ceil(quota / DEFAULT_CHUNKS_PER_ROUND)`` long, plus one
+    remainder chunk.  Chunk boundaries are part of the elastic
+    determinism key -- they decide where each per-chunk RNG stream
+    starts -- so they depend only on the quota, never on timing.
     """
     if quota < 1:
         return []
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    size = chunk_size if chunk_size is not None else max(
-        1, math.ceil(quota / DEFAULT_CHUNKS_PER_ROUND)
-    )
+    size = math.ceil(quota / DEFAULT_CHUNKS_PER_ROUND)
     full, rest = divmod(quota, size)
     return [size] * full + ([rest] if rest else [])
 
@@ -113,7 +109,7 @@ class _ShardRun:
         self._window_start = 0
         # stream() only reads the state's accounting; the engine instance
         # just carries the loop (budgets here are a placeholder)
-        self._engine = AttackEngine(set(), [1], sample_cap=task.sample_cap)
+        self._engine = AttackEngine(set(), [1])
 
     @property
     def consumed(self) -> int:
@@ -133,10 +129,7 @@ class _ShardRun:
         target = self.consumed + quota
         if self.accounting is None:
             self.accounting = GuessAccounting(
-                self.task.test_set,
-                [target],
-                sample_cap=self.task.sample_cap,
-                track_deltas=True,
+                self.task.test_set, [target], track_deltas=True
             )
             self.state = AttackState(self.accounting)
         else:
@@ -246,10 +239,7 @@ class _InProcessChunkHost:
 
 
 def run_elastic(
-    task,
-    planner: ShardPlanner,
-    executor,
-    chunk_size: Optional[int] = None,
+    task, planner: ShardPlanner, executor
 ) -> Tuple[List[ShardOutcome], int]:
     """Drive one attack elastically; returns (outcomes, completed windows).
 
@@ -283,7 +273,7 @@ def run_elastic(
             while True:
                 alive = {p.index for p in host.progress() if p.live}
                 assignments = [
-                    (index, chunk_quotas(quota, chunk_size))
+                    (index, chunk_quotas(quota))
                     for index, quota in sorted(quotas.items())
                     if quota > 0 and index in alive
                 ]

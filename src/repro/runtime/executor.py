@@ -3,8 +3,8 @@
 A shard worker needs three things: a way to build a fresh strategy (every
 shard gets its own instance so feedback state like Dynamic Sampling's
 matched-latent memory stays shard-local), its :class:`ShardPlan`, and the
-shared attack parameters (test set, seed, sample cap).  Workers stream
-their strategy through a delta-tracked
+shared attack parameters (test set, seed, RNG label prefix).  Workers
+stream their strategy through a delta-tracked
 :class:`~repro.core.guesser.GuessAccounting` and return a picklable
 :class:`ShardOutcome` -- checkpoint delta payloads grouped by budget
 window, plus terminal counters -- which the
@@ -60,26 +60,24 @@ class StrategySource:
     model: Any = None
     corpus: Optional[Sequence[str]] = None
     alphabet: Any = None
-    batch_size: Optional[int] = None
 
     def build(self):
         """Construct a fresh strategy instance from the recorded recipe."""
         return build(
-            self.spec,
-            model=self.model,
-            corpus=self.corpus,
-            alphabet=self.alphabet,
-            batch_size=self.batch_size,
+            self.spec, model=self.model, corpus=self.corpus, alphabet=self.alphabet
         )
 
     def pin(self, strategy) -> "StrategySource":
         """Pin a built strategy's fitted model so later builds reuse it.
 
         Count-based baselines fit themselves from the corpus at build
-        time; pinning the parent's fitted instance before shard fan-out
-        stops every forked worker refitting the same read-only model
-        (fork shares it copy-on-write).  Returns ``self``.
+        time; pinning the parent's fitted instance (a wrapper's innermost
+        one) stops a rebuild -- every forked shard worker's, or the
+        serial attack's -- refitting the same read-only model (fork
+        shares it copy-on-write).  Returns ``self``.
         """
+        while getattr(strategy, "model", None) is None and hasattr(strategy, "inner"):
+            strategy = strategy.inner
         fitted = getattr(strategy, "model", None)
         if fitted is not None:
             self.model = fitted
@@ -103,7 +101,6 @@ class ShardTask:
     source: StrategyFactory
     test_set: Set[str]
     seed: int
-    sample_cap: int = 16
     label_prefix: str = ""
     progress: Optional[ProgressReporter] = None
 
@@ -213,11 +210,9 @@ def execute_shard(task: ShardTask, plan: ShardPlan) -> ShardOutcome:
         # strided substream from the fleet coordinates; everyone else
         # inherits the no-op default
         bind_shard(plan.index, plan.workers)
-    accounting = GuessAccounting(
-        task.test_set, local_budgets, sample_cap=task.sample_cap, track_deltas=True
-    )
+    accounting = GuessAccounting(task.test_set, local_budgets, track_deltas=True)
     state = AttackState(accounting)
-    engine = AttackEngine(set(), local_budgets, sample_cap=task.sample_cap)
+    engine = AttackEngine(set(), local_budgets)
     rng = plan.rng(task.seed, task.label_prefix)
     progress = _ShardProgress(task.progress) if task.progress is not None else None
     for _ in engine.stream(strategy, rng, state, progress=progress):
@@ -260,16 +255,16 @@ class ProcessExecutor:
     """Old name of a static fleet on forked workers; runs on the pool.
 
     ``ProcessExecutor().run(task, plans)`` is
-    ``ProcessPoolExecutor(processes=len(plans)).run(task, plans)``: one
-    worker process per shard, the fleet ``--executor auto`` builds for
-    two or more workers.  There is no second process implementation behind
-    this name, and it is not an ``--executor`` choice; it stays resolvable
-    because ``perfbench/tracing.py`` names ``ProcessExecutor.run`` as a
-    trace target.
+    ``ProcessPoolExecutor().run(task, plans)``: one worker process per
+    shard, the fleet ``--executor auto`` builds for two or more workers.
+    There is no second process implementation behind this name, and it
+    is not an ``--executor`` choice; it stays resolvable because
+    ``perfbench/tracing.py`` names ``ProcessExecutor.run`` as a trace
+    target.
     """
 
     def run(self, task: ShardTask, plans: Sequence[ShardPlan]) -> List[ShardOutcome]:
         """Run every shard on a one-process-per-shard fork-server pool."""
         from repro.runtime.pool import ProcessPoolExecutor  # pool imports this module
 
-        return ProcessPoolExecutor(processes=len(plans)).run(task, plans)
+        return ProcessPoolExecutor().run(task, plans)

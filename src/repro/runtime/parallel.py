@@ -41,6 +41,9 @@ When a run ends with every shard dry before the final budget mark, the
 report closes out with a row at the guesses *actually accounted*
 (including each shard's dry tail) instead of silently truncating -- or
 worse, labeling partial work with the full budget.
+
+:func:`run_attack` is the front door: it decides, in one place, whether
+an attack runs on the serial engine or as a sharded fleet.
 """
 
 from __future__ import annotations
@@ -62,11 +65,14 @@ from repro.runtime.executor import (
     ShardOutcome,
     ShardTask,
     StrategyFactory,
+    build_shard_strategy,
 )
 from repro.runtime.planner import ShardPlanner
 from repro.runtime.pool import ProcessPoolExecutor
+from repro.strategies.engine import AttackEngine
 from repro.utils.logging import get_logger
 from repro.utils.progress import ProgressReporter
+from repro.utils.rng import spawn_rng
 
 logger = get_logger("runtime.parallel")
 
@@ -86,7 +92,7 @@ def default_executor(workers: int):
     if workers <= 1:
         return LocalExecutor()
     try:
-        return ProcessPoolExecutor(processes=workers)
+        return ProcessPoolExecutor()
     except RuntimeError:
         logger.warning("fork unavailable; running %d shards in-process", workers)
         return LocalExecutor()
@@ -107,7 +113,7 @@ def resolve_executor(name: Optional[str], workers: int):
         return LocalExecutor()
     if name == "processpool":
         try:
-            return ProcessPoolExecutor(processes=workers)
+            return ProcessPoolExecutor()
         except RuntimeError:
             raise ValueError(
                 "--executor processpool requires the fork start method, "
@@ -182,9 +188,7 @@ class ParallelAttackEngine:
         budgets: Sequence[int],
         workers: int = 1,
         executor=None,
-        sample_cap: int = 16,
         schedule: str = "static",
-        chunk_size: Optional[int] = None,
     ) -> None:
         if schedule not in SCHEDULES:
             raise ValueError(
@@ -195,7 +199,6 @@ class ParallelAttackEngine:
         self.budgets = self.planner.budgets
         self.workers = self.planner.workers
         self.schedule = schedule
-        self.chunk_size = chunk_size
         self.executor = (
             resolve_executor(executor, self.planner.workers)
             if executor is None or isinstance(executor, str)
@@ -211,7 +214,6 @@ class ParallelAttackEngine:
                 f"{type(self.executor).__name__} cannot run static schedules; "
                 "use LocalExecutor or ProcessPoolExecutor"
             )
-        self.sample_cap = sample_cap
 
     def run(
         self,
@@ -234,14 +236,11 @@ class ParallelAttackEngine:
             source=source,
             test_set=self.test_set,
             seed=seed,
-            sample_cap=self.sample_cap,
             label_prefix=label,
             progress=progress,  # per-batch updates inside each shard loop
         )
         if self.schedule == "elastic":
-            outcomes, completed = run_elastic(
-                task, self.planner, self.executor, chunk_size=self.chunk_size
-            )
+            outcomes, completed = run_elastic(task, self.planner, self.executor)
         else:
             plans = self.planner.plan()
             outcomes = self.executor.run(task, plans)
@@ -412,9 +411,53 @@ class ParallelAttackEngine:
             shard_errors=shard_errors,
         )
 
-    def _merge_samples(self, per_shard: List[List[str]]) -> List[str]:
+    @staticmethod
+    def _merge_samples(per_shard: List[List[str]]) -> List[str]:
         """Shard-order concatenation up to the cap, duplicates dropped."""
         merged: List[str] = []
         for samples in per_shard:
-            extend_samples(merged, samples, self.sample_cap)
+            extend_samples(merged, samples)
         return merged
+
+
+def run_attack(
+    source: StrategyFactory,
+    test_set: Set[str],
+    budgets: Sequence[int],
+    *,
+    seed: int,
+    label: str = "",
+    workers: int = 1,
+    schedule: str = "static",
+    executor=None,
+    method: Optional[str] = None,
+    progress: Optional[ProgressReporter] = None,
+) -> GuessingReport:
+    """Run one attack, serial or sharded: the CLI, harness and bank entry.
+
+    One worker on the static schedule with no executor named (``None`` or
+    ``"auto"``) runs the serial :class:`~repro.strategies.engine.AttackEngine`,
+    bit-identical to the seed-era single-process attack, on
+    ``default_rng(seed)`` without a ``label`` (the CLI's stream) or on
+    ``spawn_rng(seed, label)`` with one (the eval harness's
+    ``attack-<name>`` streams, the rule ``build_bank``'s ``rng_label``
+    follows).  Anything else shards through :class:`ParallelAttackEngine`
+    with shard streams named under ``f"{label}/"``; an explicitly named
+    executor routes even one shard there, so its reports compare
+    like-for-like with other executors.
+    """
+    if workers <= 1 and schedule == "static" and executor in (None, "auto"):
+        rng = spawn_rng(seed, label) if label else np.random.default_rng(seed)
+        return AttackEngine(test_set, budgets).run(
+            build_shard_strategy(source, 0), rng, method=method, progress=progress
+        )
+    engine = ParallelAttackEngine(
+        test_set, budgets, workers=workers, schedule=schedule, executor=executor
+    )
+    return engine.run(
+        source,
+        seed=seed,
+        method=method,
+        label=f"{label}/" if label else "",
+        progress=progress,
+    )

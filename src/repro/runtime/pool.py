@@ -5,10 +5,10 @@ and the default for fleets of two or more workers.
 :class:`ProcessPoolExecutor` forks a fleet of long-lived worker
 processes **once per attack run** (a fork server -- children inherit the
 trained model, corpus and test set by address-space copy, nothing heavy
-is ever pickled) and keeps a **sticky shard-to-process affinity**
-(``shard i -> worker i % P``) so a shard's strategy instance, RNG
-bookkeeping and accounting state live in exactly one process for the
-whole run and never migrate.  Separate processes give GIL-bound
+is ever pickled), one worker per shard, and keeps a **sticky
+shard-to-process affinity** (``shard i -> worker i``) so a shard's
+strategy instance, RNG bookkeeping and accounting state live in exactly
+one process for the whole run and never migrate.  Separate processes give GIL-bound
 strategies (markov, PCFG, conditional PassFlow) real multi-core
 throughput.
 
@@ -16,14 +16,14 @@ Two protocols run over the same pair of OS channels (one command pipe
 per worker, one shared result pipe):
 
 * **Static** (:meth:`ProcessPoolExecutor.run`): the parent sends each
-  worker its shards' :class:`~repro.runtime.planner.ShardPlan`\\ s; workers
+  worker its shard's :class:`~repro.runtime.planner.ShardPlan`; workers
   run :func:`~repro.runtime.executor.execute_shard` and stream back
   compact :class:`~repro.runtime.executor.ShardOutcome`\\ s -- the same
   outcomes :class:`~repro.runtime.executor.LocalExecutor` builds
   in-process, so merged reports are bit-identical.
 * **Elastic** (:meth:`ProcessPoolExecutor.elastic_host`): the parent
-  streams *chunk descriptors* (``(shard, [chunk sizes])``) down the
-  pipes; workers run the chunks through the same
+  streams *chunk descriptors* (lists of chunk sizes) down the pipes;
+  workers run the chunks through the same
   :class:`~repro.runtime.elastic._ShardRun` state machine the in-process
   host uses and stream back per-chunk deltas (packed uint64
   :class:`~repro.core.guesser.KeyedCheckpointDelta` arrays for encoded
@@ -33,7 +33,7 @@ per worker, one shared result pipe):
   process boundary.
 
 Determinism: chunk contents are fixed by named RNG streams and the
-chunk policy, and shard state is process-sticky, so for a fixed
+quota-only chunk policy, and shard state is process-sticky, so for a fixed
 ``(seed, workers, schedule)`` the merged report is bit-identical to
 :class:`~repro.runtime.executor.LocalExecutor`'s.  See
 ``docs/parallel.md`` for the executor-selection matrix.
@@ -153,37 +153,34 @@ class _ResultChannel:
         self._writer.close()
 
 
-def _pool_worker(worker_id: int, task: ShardTask, fleet: int, commands, results) -> None:
-    """One fork-server worker: serve shard/chunk commands until told to stop.
+def _pool_worker(index: int, task: ShardTask, fleet: int, commands, results) -> None:
+    """One fork-server worker: serve shard ``index``'s commands until told to stop.
 
-    Owns the :class:`~repro.runtime.elastic._ShardRun` state of every
-    shard with affinity to this worker (built lazily on the shard's
-    first chunk).  Commands arrive strictly in order on this worker's
-    pipe, so chunks of one shard always run in sequence; replies go to
-    the shared result pipe.  Delta payloads are streamed incrementally
-    -- each reply carries only the checkpoints added since the last one
-    -- and each shard's codec crosses the pipe at most once.
+    Owns that shard's :class:`~repro.runtime.elastic._ShardRun` state
+    (built lazily on its first chunk).  Commands arrive strictly in order
+    on this worker's pipe, so the shard's chunks always run in sequence;
+    replies go to the shared result pipe, tagged with the shard index.
+    Delta payloads are streamed incrementally -- each reply carries only
+    the checkpoints added since the last one -- and the codec crosses the
+    pipe at most once.
     """
-    runs: Dict[int, _ShardRun] = {}
-    streamed: Dict[int, int] = {}  # deltas already shipped, per shard
-    codec_sent: Set[int] = set()
+    run: Optional[_ShardRun] = None
+    streamed = 0  # deltas already shipped
+    codec_sent = False
 
-    def fresh_deltas(run: _ShardRun) -> list:
-        if run.accounting is None:
+    def fresh_deltas() -> list:
+        nonlocal streamed
+        if run is None or run.accounting is None:
             return []
-        start = streamed.get(run.index, 0)
-        streamed[run.index] = len(run.accounting.deltas)
+        start, streamed = streamed, len(run.accounting.deltas)
         return run.accounting.deltas[start:]
 
-    def codec_once(run: _ShardRun):
-        accounting = run.accounting
-        if (
-            run.index in codec_sent
-            or accounting is None
-            or accounting.mode != "encoded"
-        ):
+    def codec_once():
+        nonlocal codec_sent
+        accounting = run.accounting if run is not None else None
+        if codec_sent or accounting is None or accounting.mode != "encoded":
             return None
-        codec_sent.add(run.index)
+        codec_sent = True
         return accounting.codec
 
     try:
@@ -194,12 +191,10 @@ def _pool_worker(worker_id: int, task: ShardTask, fleet: int, commands, results)
                 return
             kind = command[0]
             if kind == "chunks":
-                _, index, sizes = command
-                run = runs.get(index)
                 if run is None:
-                    run = runs[index] = _ShardRun(index, task, workers=fleet)
+                    run = _ShardRun(index, task, workers=fleet)
                 crashed = False
-                for size in sizes:
+                for size in command[1]:
                     try:
                         run.run_chunk(size)
                     except Exception as exc:  # noqa: BLE001 - shipped to parent
@@ -208,7 +203,6 @@ def _pool_worker(worker_id: int, task: ShardTask, fleet: int, commands, results)
                         results.put(
                             (
                                 "crash",
-                                worker_id,
                                 index,
                                 run.consumed,
                                 picklable_exception(exc),
@@ -220,29 +214,25 @@ def _pool_worker(worker_id: int, task: ShardTask, fleet: int, commands, results)
                     results.put(
                         (
                             "chunk",
-                            worker_id,
                             index,
                             run.consumed,
                             run.live,
-                            fresh_deltas(run),
-                            codec_once(run),
+                            fresh_deltas(),
+                            codec_once(),
                         )
                     )
                 if not crashed:
-                    results.put(("round-done", worker_id, index))
+                    results.put(("round-done", index))
             elif kind == "close":
-                for index, run in sorted(runs.items()):
+                if run is not None:
                     run.close_window()
-                    results.put(
-                        ("window", worker_id, index, fresh_deltas(run), codec_once(run))
-                    )
-                results.put(("closed", worker_id))
+                results.put(("closed", index, fresh_deltas(), codec_once()))
             elif kind == "collect":
-                for index, run in sorted(runs.items()):
+                outcome = None
+                if run is not None:
                     outcome = run.outcome()
                     outcome.deltas = []  # streamed already; keep the reply compact
-                    results.put(("final", worker_id, index, outcome))
-                results.put(("collected", worker_id))
+                results.put(("collected", index, outcome))
             elif kind == "shard":
                 _, plan = command
                 try:
@@ -251,14 +241,13 @@ def _pool_worker(worker_id: int, task: ShardTask, fleet: int, commands, results)
                     results.put(
                         (
                             "error",
-                            worker_id,
-                            plan.index,
+                            index,
                             picklable_exception(exc),
                             traceback.format_exc(),
                         )
                     )
                 else:
-                    results.put(("outcome", worker_id, plan.index, outcome))
+                    results.put(("outcome", index, outcome))
             elif kind == "stop":
                 return
     except (KeyboardInterrupt, BrokenPipeError):  # parent teardown in flight
@@ -268,34 +257,30 @@ def _pool_worker(worker_id: int, task: ShardTask, fleet: int, commands, results)
 class _ForkServer:
     """One run's fleet of long-lived forked workers plus its channels.
 
-    Forked once at construction (workers inherit ``task`` -- model,
-    corpus, test set -- through the fork, never pickling), torn down
-    exactly once by :meth:`stop`, which is safe to call from ``finally``
-    no matter how the run ended.
+    Forked once at construction, one worker per shard (workers inherit
+    ``task`` -- model, corpus, test set -- through the fork, never
+    pickling); worker ``i`` serves shard ``i`` for the whole run.  Torn
+    down exactly once by :meth:`stop`, which is safe to call from
+    ``finally`` no matter how the run ended.
     """
 
-    def __init__(self, context, task: ShardTask, shards: int, size: int) -> None:
-        self.size = max(1, min(size, shards))
+    def __init__(self, context, task: ShardTask, shards: int) -> None:
         self.results = _ResultChannel(context)
         self.pipes = []
         self.procs = []
-        for worker_id in range(self.size):
+        for index in range(shards):
             receiver, sender = context.Pipe(duplex=False)
             process = context.Process(
                 target=_pool_worker,
-                args=(worker_id, task, shards, receiver, self.results),
+                args=(index, task, shards, receiver, self.results),
                 daemon=True,
             )
             process.start()
             receiver.close()  # the parent keeps only the sending end
             self.pipes.append(sender)
             self.procs.append(process)
-        self.alive: Set[int] = set(range(self.size))
+        self.alive: Set[int] = set(range(shards))
         self._stopped = False
-
-    def owner(self, shard: int) -> int:
-        """The worker a shard is sticky to (never changes mid-run)."""
-        return shard % self.size
 
     def send(self, worker_id: int, message) -> None:
         """Queue one command on a worker's pipe (drops writes to corpses)."""
@@ -342,14 +327,14 @@ class _PoolElasticHost:
     as chunk descriptors, consumed counters and delta payloads stream
     back per chunk, and the parent keeps a mirror of every shard's
     progress so the driver's re-planning math never blocks on a worker.
-    A worker that dies mid-run retires all its shards (their unconsumed
-    budget re-plans onto survivors); a strategy exception retires only
-    its shard, exactly like the in-process host.
+    A worker that dies mid-run retires its shard (the unconsumed budget
+    re-plans onto survivors); a strategy exception retires its shard
+    exactly like the in-process host.
     """
 
-    def __init__(self, context, task: ShardTask, shards: int, size: int) -> None:
+    def __init__(self, context, task: ShardTask, shards: int) -> None:
         self.shards = shards
-        self.server = _ForkServer(context, task, shards, size)
+        self.server = _ForkServer(context, task, shards)
         self.consumed = [0] * shards
         self.live = [True] * shards
         self._errors: Dict[int, Exception] = {}
@@ -357,7 +342,7 @@ class _PoolElasticHost:
         self.codecs: List[Any] = [None] * shards
         self.slices: List[List[Tuple[int, int]]] = [[] for _ in range(shards)]
         self._window_start = [0] * shards
-        self._finals: Dict[int, ShardOutcome] = {}
+        self._finals: Dict[int, Optional[ShardOutcome]] = {}
 
     # -- protocol ------------------------------------------------------
     def progress(self) -> List[ShardProgress]:
@@ -375,19 +360,15 @@ class _PoolElasticHost:
         """Dispatch one round of chunk descriptors and drain its replies."""
         pending: Set[int] = set()
         for index, sizes in assignments:
-            worker_id = self.server.owner(index)
-            if worker_id not in self.server.alive:
+            if index not in self.server.alive:
                 continue  # shard already retired with its dead worker
-            self.server.send(worker_id, ("chunks", index, list(sizes)))
+            self.server.send(index, ("chunks", list(sizes)))
             pending.add(index)
-        self._drain(pending_shards=pending)
+        self._drain(pending, "round-done")
 
     def close_window(self) -> None:
         """Cut every shard's window in its worker, then record the slices."""
-        expected = set(self.server.alive)
-        for worker_id in sorted(expected):
-            self.server.send(worker_id, ("close",))
-        self._drain(pending_workers=expected, done_kind="closed")
+        self._broadcast(("close",), "closed")
         for index in range(self.shards):
             count = len(self.deltas[index])
             self.slices[index].append((self._window_start[index], count))
@@ -395,10 +376,7 @@ class _PoolElasticHost:
 
     def outcomes(self) -> List[ShardOutcome]:
         """Collect worker-side terminal state and assemble merged outcomes."""
-        expected = set(self.server.alive)
-        for worker_id in sorted(expected):
-            self.server.send(worker_id, ("collect",))
-        self._drain(pending_workers=expected, done_kind="collected")
+        self._broadcast(("collect",), "collected")
         results = []
         for index in range(self.shards):
             final = self._finals.get(index)
@@ -433,6 +411,13 @@ class _PoolElasticHost:
         self.server.stop()
 
     # -- internals -----------------------------------------------------
+    def _broadcast(self, command, done_kind: str) -> None:
+        """Send ``command`` to every live worker and wait for each reply."""
+        expected = set(self.server.alive)
+        for index in sorted(expected):
+            self.server.send(index, command)
+        self._drain(expected, done_kind)
+
     def _retire(self, index: int, error: Exception) -> None:
         if index in self._errors:
             return
@@ -444,64 +429,48 @@ class _PoolElasticHost:
             error,
         )
 
-    def _mark_worker_dead(self, worker_id: int) -> None:
-        """A corpse: retire every live shard sticky to it."""
-        self.server.alive.discard(worker_id)
-        for index in range(self.shards):
-            if self.server.owner(index) == worker_id and self.live[index]:
-                self._retire(
-                    index,
-                    RuntimeError(
-                        f"pool worker {worker_id} died without reporting "
-                        f"(shard {index})"
-                    ),
-                )
+    def _mark_worker_dead(self, index: int) -> None:
+        """A corpse: retire its shard if still live."""
+        self.server.alive.discard(index)
+        if self.live[index]:
+            self._retire(
+                index, RuntimeError(f"pool worker {index} died without reporting")
+            )
 
-    def _drain(
-        self,
-        pending_shards: Optional[Set[int]] = None,
-        pending_workers: Optional[Set[int]] = None,
-        done_kind: str = "",
-    ) -> None:
-        """Process replies until every pending shard/worker has answered.
+    def _take(self, index: int, fresh: list, codec) -> None:
+        self.deltas[index].extend(fresh)
+        if codec is not None:
+            self.codecs[index] = codec
+
+    def _drain(self, pending: Set[int], done_kind: str) -> None:
+        """Process replies until every pending shard's worker has answered.
 
         Handles the streamed message kinds (``chunk``, ``crash``,
-        ``window``, ``final``) regardless of which barrier is being
-        waited on, so the one loop serves rounds, window closes and
-        terminal collection.  Dead workers are detected by the corpse
-        watch and their shards retired, shrinking the barrier instead of
-        hanging it.
+        ``closed``, ``collected``) regardless of which barrier is being
+        waited on (``done_kind``), so the one loop serves rounds, window
+        closes and terminal collection.  Dead workers are detected by the
+        corpse watch and their shards retired, shrinking the barrier
+        instead of hanging it.
         """
-        shards = pending_shards if pending_shards is not None else set()
-        workers = pending_workers if pending_workers is not None else set()
         watch = CorpseWatch()
-        while shards or workers:
+        while pending:
             message = self.server.receive()
             if message is None:
-                waiting = workers | {self.server.owner(index) for index in shards}
-                corpses = watch.note_timeout(self.server.dead_workers(waiting))
-                if corpses is not None:
-                    for worker_id in corpses:
-                        self._mark_worker_dead(worker_id)
-                        shards -= {
-                            index
-                            for index in shards
-                            if self.server.owner(index) == worker_id
-                        }
-                        workers.discard(worker_id)
+                corpses = watch.note_timeout(self.server.dead_workers(pending))
+                for index in corpses or ():
+                    self._mark_worker_dead(index)
+                    pending.discard(index)
                 continue
             watch.note_receive()
-            kind = message[0]
+            kind, index = message[0], message[1]
             if kind == "chunk":
-                _, _, index, consumed, live, fresh, codec = message
+                _, _, consumed, live, fresh, codec = message
                 self.consumed[index] = consumed
-                self.deltas[index].extend(fresh)
-                if codec is not None:
-                    self.codecs[index] = codec
+                self._take(index, fresh, codec)
                 if not live:
                     self.live[index] = False  # ran dry, deterministically
             elif kind == "crash":
-                _, _, index, consumed, exc, trace = message
+                _, _, consumed, exc, trace = message
                 self.consumed[index] = consumed
                 self._retire(
                     index,
@@ -509,42 +478,33 @@ class _PoolElasticHost:
                     if exc is not None
                     else RuntimeError(f"shard {index} failed:\n{trace}"),
                 )
-                shards.discard(index)
-            elif kind == "round-done":
-                shards.discard(message[2])
-            elif kind == "window":
-                _, _, index, fresh, codec = message
-                self.deltas[index].extend(fresh)
-                if codec is not None:
-                    self.codecs[index] = codec
-            elif kind == "final":
-                self._finals[message[2]] = message[3]
-            elif kind == done_kind:
-                workers.discard(message[1])
+                pending.discard(index)
+            elif kind == "closed":
+                self._take(index, message[2], message[3])
+            elif kind == "collected":
+                self._finals[index] = message[2]
+            if kind == done_kind:
+                pending.discard(index)
 
 
 class ProcessPoolExecutor:
     """A fork-server pool with sticky shard affinity, for both schedules.
 
-    ``processes`` caps the pool size (default: one worker per shard).
-    Workers are forked once per run and serve commands until the run
-    finishes; shard ``i`` always lives on worker ``i % P``, so strategy
-    state (fitted models, RNG generators, accounting codecs) never
-    migrates between processes.  Requires the ``fork`` start method --
-    construction raises a one-line ``RuntimeError`` where it is missing
-    so callers can surface an actionable message.
+    Workers are forked once per run, one per shard, and serve commands
+    until the run finishes; shard ``i`` always lives on worker ``i``, so
+    strategy state (fitted models, RNG generators, accounting codecs)
+    never migrates between processes.  Requires the ``fork`` start
+    method -- construction raises a one-line ``RuntimeError`` where it is
+    missing so callers can surface an actionable message.
     """
 
-    def __init__(self, processes: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError("ProcessPoolExecutor requires the fork start method")
-        if processes is not None and processes < 1:
-            raise ValueError("processes must be >= 1")
-        self.processes = processes
         self._context = multiprocessing.get_context("fork")
 
     def run(self, task: ShardTask, plans: Sequence[ShardPlan]) -> List[ShardOutcome]:
-        """Static schedule: dispatch whole shards to their sticky workers.
+        """Static schedule: dispatch each shard to its own worker.
 
         Bit-identical outcomes to
         :class:`~repro.runtime.executor.LocalExecutor` (the same
@@ -554,27 +514,22 @@ class ProcessPoolExecutor:
         reporting.  All children are reaped in a ``finally`` regardless
         of how collection ends.
         """
-        server = _ForkServer(
-            self._context, task, len(plans), self.processes or len(plans)
-        )
+        server = _ForkServer(self._context, task, len(plans))
         outcomes: List[Optional[ShardOutcome]] = [None] * len(plans)
         failure: Optional[str] = None
         shard_exception: Optional[BaseException] = None
         try:
             for plan in plans:
-                server.send(server.owner(plan.index), ("shard", plan))
+                server.send(plan.index, ("shard", plan))
             collected = 0
             watch = CorpseWatch()
             while collected < len(plans) and failure is None:
                 message = server.receive()
                 if message is None:
                     corpses = watch.note_timeout(
-                        [
-                            plan.index
-                            for plan in plans
-                            if outcomes[plan.index] is None
-                            and not server.procs[server.owner(plan.index)].is_alive()
-                        ]
+                        server.dead_workers(
+                            plan.index for plan in plans if outcomes[plan.index] is None
+                        )
                     )
                     if corpses is not None:
                         failure = (
@@ -584,11 +539,11 @@ class ProcessPoolExecutor:
                 watch.note_receive()
                 kind = message[0]
                 if kind == "outcome":
-                    _, _, index, outcome = message
+                    _, index, outcome = message
                     outcomes[index] = outcome
                     collected += 1
                 elif kind == "error":
-                    _, _, index, exc, trace = message
+                    _, index, exc, trace = message
                     shard_exception = exc
                     failure = f"shard {index} failed:\n{trace}"
         finally:
@@ -603,6 +558,4 @@ class ProcessPoolExecutor:
 
     def elastic_host(self, task: ShardTask, workers: int) -> _PoolElasticHost:
         """The elastic shard host backing ``--schedule elastic`` runs."""
-        return _PoolElasticHost(
-            self._context, task, workers, self.processes or workers
-        )
+        return _PoolElasticHost(self._context, task, workers)

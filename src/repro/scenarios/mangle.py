@@ -61,7 +61,7 @@ class MangleStrategy(GuessingStrategy):
         variants: int = 1,
         keep: bool = True,
         seed: int = 0,
-        batch_size: Optional[int] = None,
+        batch_size: int = DEFAULT_BATCH,
         spec: Optional[str] = None,
     ) -> None:
         super().__init__(spec=spec)
@@ -81,7 +81,7 @@ class MangleStrategy(GuessingStrategy):
         self.variants = int(variants)
         self.keep = bool(keep)
         self.seed = int(seed)
-        self.batch_size = int(batch_size or DEFAULT_BATCH)
+        self.batch_size = int(batch_size)
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         self.name = f"{inner.name}+Mangle"
@@ -162,7 +162,7 @@ def _build_mangle(spec: StrategySpec, resources: BuildResources) -> GuessingStra
     variants = reader.take("variants", 1, cast=int)
     keep = reader.take("keep", True, cast=parse_bool)
     seed = reader.take("seed", 0, cast=int)
-    batch = reader.take("batch", None, cast=int)
+    batch = reader.take("batch", DEFAULT_BATCH, cast=int)
     reader.finish()
     rules = tuple(
         sorted({part.strip() for part in rules_raw.split(",") if part.strip()})
@@ -172,7 +172,6 @@ def _build_mangle(spec: StrategySpec, resources: BuildResources) -> GuessingStra
         model=resources.model,
         corpus=resources.corpus,
         alphabet=resources.alphabet,
-        batch_size=resources.batch_size,
     )
     params = {"rules": ",".join(rules)}
     if variants != 1:
@@ -181,7 +180,7 @@ def _build_mangle(spec: StrategySpec, resources: BuildResources) -> GuessingStra
         params["keep"] = False
     if seed != 0:
         params["seed"] = seed
-    if batch is not None and batch != DEFAULT_BATCH:
+    if batch != DEFAULT_BATCH:
         params["batch"] = batch
     canonical = format_spec("mangle", params=params, inner=inner.describe())
     try:
@@ -191,7 +190,7 @@ def _build_mangle(spec: StrategySpec, resources: BuildResources) -> GuessingStra
             variants=variants,
             keep=keep,
             seed=seed,
-            batch_size=batch or resources.batch_size,
+            batch_size=batch,
             spec=canonical,
         )
     except ValueError as exc:

@@ -334,7 +334,6 @@ def _build_policy(spec: StrategySpec, resources: BuildResources) -> GuessingStra
         model=resources.model,
         corpus=resources.corpus,
         alphabet=resources.alphabet,
-        batch_size=resources.batch_size,
     )
     params = dict(policy.spec_params())
     if patience is not None:

@@ -38,9 +38,9 @@ from repro.strategies.registry import (
 )
 
 
-def _batch_param(reader: ParamReader, resources: BuildResources) -> int:
+def _batch_param(reader: ParamReader) -> int:
     """The shared ``batch`` parameter every baseline factory honours."""
-    return reader.take("batch", resources.batch_size or DEFAULT_BATCH, cast=int)
+    return reader.take("batch", DEFAULT_BATCH, cast=int)
 
 
 def _spec_params(reader: ParamReader, fitted_anew: bool) -> dict:
@@ -124,7 +124,7 @@ def _build_markov(spec: StrategySpec, resources: BuildResources) -> GuessingStra
     else:
         order = 3
     smoothing = reader.take("smoothing", 0.01, cast=float)
-    batch = _batch_param(reader, resources)
+    batch = _batch_param(reader)
     reader.finish()
     model = resources.model
     fitted_anew = not isinstance(model, MarkovModel)
@@ -154,7 +154,7 @@ def _build_pcfg(spec: StrategySpec, resources: BuildResources) -> GuessingStrate
     if spec.variant:
         raise SpecError("pcfg takes no variant")
     reader = ParamReader(spec)
-    batch = _batch_param(reader, resources)
+    batch = _batch_param(reader)
     reader.finish()
     model = resources.model
     fitted_anew = not isinstance(model, PCFGModel)
@@ -178,7 +178,7 @@ def _build_rules(spec: StrategySpec, resources: BuildResources) -> GuessingStrat
         raise SpecError("rules takes no variant")
     reader = ParamReader(spec)
     wordlist = reader.take("wordlist", 200, cast=int)
-    batch = _batch_param(reader, resources)
+    batch = _batch_param(reader)
     reader.finish()
     model = resources.model
     fitted_anew = not isinstance(model, RuleBasedGuesser)
@@ -206,7 +206,7 @@ def _build_passgan(spec: StrategySpec, resources: BuildResources) -> GuessingStr
     hidden = reader.take("hidden", 64, cast=int)
     encoding = reader.take("encoding", "numeric", cast=str)
     seed = reader.take("seed", 0, cast=int)
-    batch = _batch_param(reader, resources)
+    batch = _batch_param(reader)
     reader.finish()
     model = resources.model
     fitted_anew = not isinstance(model, PassGAN)
@@ -241,7 +241,7 @@ def _build_cwae(spec: StrategySpec, resources: BuildResources) -> GuessingStrate
     hidden = reader.take("hidden", 64, cast=int)
     latent = reader.take("latent", 32, cast=int)
     seed = reader.take("seed", 0, cast=int)
-    batch = _batch_param(reader, resources)
+    batch = _batch_param(reader)
     reader.finish()
     model = resources.model
     fitted_anew = not isinstance(model, CWAE)

@@ -6,10 +6,9 @@ to hand-roll.  The engine
 * consumes a strategy lazily (constant memory in the guess budget),
 * emits Table II/III-style :class:`~repro.core.guesser.BudgetRow`
   checkpoints as each budget is crossed (:meth:`AttackEngine.stream`),
-* supports early-stop predicates and batch caps,
 * is resumable: an :class:`AttackState` from :meth:`AttackEngine.begin`
-  can be driven in several ``run``/``stream`` calls (e.g. pause a sharded
-  worker, inspect, continue).
+  can be driven in several ``stream`` calls (every elastic shard drives
+  one state chunk by chunk, :mod:`repro.runtime.elastic`).
 
 ``take`` is the attack-free companion: materialize N guesses from any
 strategy (the ``repro sample`` code path).
@@ -18,11 +17,16 @@ strategy (the ``repro sample`` code path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Set
+from typing import Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.core.guesser import BudgetRow, GuessAccounting, GuessingReport
+from repro.core.guesser import (
+    BudgetRow,
+    GuessAccounting,
+    GuessingReport,
+    validate_budgets,
+)
 from repro.strategies.base import AttackContext, GuessingStrategy
 from repro.utils.progress import ProgressReporter
 
@@ -40,7 +44,6 @@ class AttackState:
 
     accounting: GuessAccounting
     batches: int = 0
-    interrupted: bool = False
 
     @property
     def done(self) -> bool:
@@ -55,12 +58,6 @@ class AttackState:
     def matched(self) -> int:
         return len(self.accounting.matched)
 
-    @property
-    def match_fraction(self) -> float:
-        if not self.accounting.test_set:
-            return 0.0
-        return len(self.accounting.matched) / len(self.accounting.test_set)
-
     def report(self, method: str) -> GuessingReport:
         """Finalize the accounting into a report (state stays usable)."""
         return self.accounting.report(method)
@@ -69,50 +66,34 @@ class AttackState:
 class AttackEngine:
     """Runs guessing attacks: any strategy, one accounting discipline."""
 
-    def __init__(
-        self,
-        test_set: Set[str],
-        budgets: Sequence[int],
-        sample_cap: int = 16,
-    ) -> None:
+    def __init__(self, test_set: Set[str], budgets: Sequence[int]) -> None:
         self.test_set = set(test_set)
-        self.budgets = list(budgets)
-        self.sample_cap = sample_cap
         # validate eagerly so misconfiguration fails at construction
-        # (empty accounting: avoids copying a possibly multi-million-entry
-        # test set just for budget validation)
-        GuessAccounting(set(), self.budgets, sample_cap)
+        self.budgets = validate_budgets(budgets)
 
     # ------------------------------------------------------------------
     def begin(self) -> AttackState:
         """A fresh resumable state for this engine's test set and budgets."""
-        return AttackState(
-            GuessAccounting(set(self.test_set), list(self.budgets), self.sample_cap)
-        )
+        return AttackState(GuessAccounting(set(self.test_set), list(self.budgets)))
 
     def stream(
         self,
         strategy: GuessingStrategy,
         rng: np.random.Generator,
         state: AttackState,
-        max_batches: Optional[int] = None,
-        stop_when: Optional[Callable[[AttackState], bool]] = None,
         progress: Optional[ProgressReporter] = None,
     ) -> Iterator[BudgetRow]:
         """Drive the strategy, yielding each budget checkpoint as crossed.
 
-        Stops when the final budget is reached, the strategy exhausts
-        itself, ``max_batches`` additional batches were consumed, or
-        ``stop_when(state)`` turns true; the last two set
-        ``state.interrupted`` so callers know the run can be resumed.
-        A ``progress`` reporter receives a rate-limited update per batch
+        Stops when the final budget is reached or the strategy exhausts
+        itself; a later call on the same ``state`` (with a budget
+        schedule extended past its total) resumes the accounting.  A
+        ``progress`` reporter receives a rate-limited update per batch
         (guesses/sec plus the running match count).
         """
         accounting = state.accounting
         if accounting.done:
             return
-        state.interrupted = False
-        batches_before = state.batches
         emitted = len(accounting.rows)
         strategy.bind(AttackContext(accounting=accounting))
         generator = strategy.iter_guesses(rng)
@@ -162,12 +143,6 @@ class AttackEngine:
                     emitted += 1
                 if accounting.done:
                     return
-                if max_batches is not None and state.batches - batches_before >= max_batches:
-                    state.interrupted = True
-                    return
-                if stop_when is not None and stop_when(state):
-                    state.interrupted = True
-                    return
             if progress is not None:
                 # strategy ran dry before the final budget
                 progress.close(extra=f"{state.matched} matched")
@@ -181,20 +156,11 @@ class AttackEngine:
         rng: np.random.Generator,
         method: Optional[str] = None,
         state: Optional[AttackState] = None,
-        max_batches: Optional[int] = None,
-        stop_when: Optional[Callable[[AttackState], bool]] = None,
         progress: Optional[ProgressReporter] = None,
     ) -> GuessingReport:
         """Run (or resume, via ``state``) an attack and return the report."""
         state = state if state is not None else self.begin()
-        for _ in self.stream(
-            strategy,
-            rng,
-            state,
-            max_batches=max_batches,
-            stop_when=stop_when,
-            progress=progress,
-        ):
+        for _ in self.stream(strategy, rng, state, progress=progress):
             pass
         return state.report(method or strategy.name)
 

@@ -370,11 +370,10 @@ def _build_passflow(spec: StrategySpec, resources: BuildResources) -> GuessingSt
         )
     variant = spec.variant or "static"
     reader = ParamReader(spec)
-    default_batch = resources.batch_size or DEFAULT_BATCH
 
     if variant in ("static", "static+gs"):
         temperature = reader.take("temperature", cast=float)
-        batch = reader.take("batch", default_batch, cast=int)
+        batch = reader.take("batch", DEFAULT_BATCH, cast=int)
         smoothed = reader.take("gs", variant == "static+gs", cast=parse_bool)
         gs_scale = (
             reader.take("gs_scale", DEFAULT_GS_SCALE, cast=float) if smoothed else None
@@ -398,7 +397,7 @@ def _build_passflow(spec: StrategySpec, resources: BuildResources) -> GuessingSt
         sigma = reader.take("sigma", defaults.sigma, cast=float)
         phi_name = reader.take("phi", "step", cast=str)
         gamma = reader.take("gamma", 2, cast=int)
-        batch = reader.take("batch", default_batch, cast=int)
+        batch = reader.take("batch", DEFAULT_BATCH, cast=int)
         max_components = reader.take("components", defaults.max_components, cast=int)
         smoothed = variant == "dynamic+gs"
         gs_scale = (

@@ -266,7 +266,6 @@ class BuildResources:
     model: Any = None
     corpus: Optional[Sequence[str]] = None
     alphabet: Any = None
-    batch_size: Optional[int] = None
 
 
 class ParamReader:
@@ -356,7 +355,6 @@ def build(
     model: Any = None,
     corpus: Optional[Sequence[str]] = None,
     alphabet: Any = None,
-    batch_size: Optional[int] = None,
 ) -> GuessingStrategy:
     """Construct the strategy a spec string describes.
 
@@ -369,7 +367,5 @@ def build(
         known = ", ".join(sorted(_REGISTRY))
         raise SpecError(f"unknown strategy family {parsed.family!r} (known: {known})")
     factory = entry[0]
-    resources = BuildResources(
-        model=model, corpus=corpus, alphabet=alphabet, batch_size=batch_size
-    )
+    resources = BuildResources(model=model, corpus=corpus, alphabet=alphabet)
     return factory(parsed, resources)

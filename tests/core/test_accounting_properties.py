@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.guesser import GuessAccounting
+from repro.runtime.parallel import _DeltaFold
 
 passwords = st.lists(
     st.text(alphabet="abc123", min_size=1, max_size=6), min_size=0, max_size=200
@@ -73,8 +74,8 @@ def test_batched_equals_streamed(stream, batch_size):
 def test_vectorized_equals_scalar(stream, budgets, batch_size):
     """The batch-vectorized path is item-for-item the per-password loop."""
     test_set = {"abc1", "ca", "123"}
-    vectorized = GuessAccounting(set(test_set), budgets, sample_cap=4)
-    scalar = GuessAccounting(set(test_set), budgets, sample_cap=4)
+    vectorized = GuessAccounting(set(test_set), budgets)
+    scalar = GuessAccounting(set(test_set), budgets)
     for start in range(0, len(stream), batch_size):
         batch = stream[start : start + batch_size]
         assert vectorized.observe(batch) == scalar.observe_scalar(batch)
@@ -89,17 +90,20 @@ def test_vectorized_equals_scalar(stream, budgets, batch_size):
 @given(passwords, passwords, budget_layout)
 @settings(max_examples=40, deadline=None)
 def test_merge_is_union(stream_a, stream_b, budgets):
-    """Merged shard counters equal one accounting over both streams' sets."""
+    """Folded shard deltas count one accounting over both streams' sets."""
     test_set = {"abc1", "ca", "123"}
-    shard_a = GuessAccounting(set(test_set), budgets)
-    shard_b = GuessAccounting(set(test_set), budgets)
-    shard_a.observe(stream_a)
-    shard_b.observe(stream_b)
-    observed_a, observed_b = shard_a.total, shard_b.total
-    shard_a.merge(shard_b)
-    assert shard_a.total == observed_a + observed_b
+    fold = _DeltaFold(keyed=False)
+    observed = []
+    for stream in (stream_a, stream_b):
+        shard = GuessAccounting(set(test_set), budgets, track_deltas=True)
+        shard.observe(stream)
+        shard.cut_checkpoint()  # the tail past the last budget crossed
+        for delta in shard.deltas:
+            fold.add(delta, shard.codec)
+        observed.append(shard.total)
+    fold.flush()
     reference = GuessAccounting(set(test_set), [10**6])
-    reference.observe(stream_a[:observed_a])
-    reference.observe(stream_b[:observed_b])
-    assert shard_a.unique == reference.unique
-    assert shard_a.matched == reference.matched
+    reference.observe(stream_a[: observed[0]])
+    reference.observe(stream_b[: observed[1]])
+    assert fold.unique_count == len(reference.unique)
+    assert fold.matched_count == len(reference.matched)

@@ -6,19 +6,28 @@ Three contracts guard the parallel runtime's foundation:
   ``observe_scalar`` (the seed per-password loop),
 * ``observe_encoded`` (interned uint64 ids) is equivalent to ``observe``
   over the decoded strings,
-* ``merge`` and ``snapshot``/``from_snapshot`` preserve counters under
-  overlapping shards and pickling.
+* both keep the scalar loop's report samples when ``SAMPLE_CAP`` fills
+  in the middle of a batch, and ``extend_samples`` (the parallel sample
+  merge) keeps order, drops duplicates and stops at the cap,
+* shard accountings combine only through their checkpoint deltas, which
+  ``ParallelAttackEngine._merge`` folds into the union one accounting
+  over every shard's stream would count, in either mode.
 """
 
-import pickle
 import random
 
 import numpy as np
 import pytest
 
-from repro.core.guesser import AccountingSnapshot, GuessAccounting
+from repro.core.guesser import (
+    SAMPLE_CAP,
+    GuessAccounting,
+    KeyedCheckpointDelta,
+    extend_samples,
+)
 from repro.data.alphabet import compact_alphabet
 from repro.data.encoding import PasswordEncoder
+from repro.runtime import LocalExecutor, ParallelAttackEngine, ShardOutcome
 
 POOL = [f"pw{i}" for i in range(400)] + ["", "hit1", "hit2", "hit3"]
 
@@ -59,8 +68,8 @@ class TestScalarVectorizedEquivalence:
         rng = random.Random(seed)
         for _ in range(25):
             test_set, budgets, stream = random_case(rng)
-            vectorized = GuessAccounting(set(test_set), budgets, sample_cap=5)
-            scalar = GuessAccounting(set(test_set), budgets, sample_cap=5)
+            vectorized = GuessAccounting(set(test_set), budgets)
+            scalar = GuessAccounting(set(test_set), budgets)
             batch_rng = random.Random(seed + 1)
             iv = drive(vectorized, stream, batch_rng, "observe")
             batch_rng = random.Random(seed + 1)
@@ -115,8 +124,8 @@ class TestEncodedEquivalence:
                 rng.choice([s for s in strings if s], size=15, replace=False).tolist()
             )
             budgets = sorted(set(rng.integers(1, n + 40, size=3).tolist()))
-            encoded = GuessAccounting(set(test_set), budgets, sample_cap=5)
-            stringy = GuessAccounting(set(test_set), budgets, sample_cap=5)
+            encoded = GuessAccounting(set(test_set), budgets)
+            stringy = GuessAccounting(set(test_set), budgets)
             got, want, start = [], [], 0
             while start < n:
                 size = int(rng.integers(1, 257))
@@ -185,85 +194,192 @@ class TestEncodedEquivalence:
         assert stringy.observe([]) == [] and stringy.total == 0
 
 
+def merge_shards(test_set, budgets, shards):
+    """Merge shard accountings the way the runtime does: through deltas.
+
+    Each shard accounts over its own local budgets with delta tracking,
+    one delta per checkpoint it crossed (window ``j`` is delta ``j``) and
+    its dry tail cut as one more, exactly what a static shard ships.
+    """
+    outcomes = []
+    for index, accounting in enumerate(shards):
+        reached = len(accounting.deltas)
+        accounting.cut_checkpoint()
+        outcomes.append(
+            ShardOutcome(
+                index=index,
+                total=accounting.total,
+                deltas=accounting.deltas,
+                window_slices=[(j, j + 1) for j in range(reached)],
+                matched_samples=accounting.matched_samples,
+                non_matched_samples=accounting.non_matched_samples,
+                codec=accounting.codec,
+            )
+        )
+    engine = ParallelAttackEngine(
+        test_set, budgets, workers=len(shards), executor=LocalExecutor()
+    )
+    completed = min(len(outcome.window_slices) for outcome in outcomes)
+    return engine._merge(outcomes, completed, "merged")
+
+
+def row_tuples(report):
+    return [(r.guesses, r.unique, r.matched) for r in report.rows]
+
+
 class TestMerge:
+    """Shard accountings combine through checkpoint deltas, never directly."""
+
+    @pytest.fixture(scope="class")
+    def codec(self):
+        return PasswordEncoder(compact_alphabet())
+
     def test_overlapping_shards(self):
         test_set = {"hit1", "hit2", "hit3"}
-        shard_a = GuessAccounting(set(test_set), [100])
-        shard_b = GuessAccounting(set(test_set), [100])
+        shard_a = GuessAccounting(set(test_set), [50], track_deltas=True)
+        shard_b = GuessAccounting(set(test_set), [50], track_deltas=True)
         shard_a.observe(["pw1", "pw2", "hit1", "pw3"])
         shard_b.observe(["pw2", "hit1", "hit2", "pw4"])
-        shard_a.merge(shard_b)
-        assert shard_a.total == 8  # totals add even for overlapping guesses
-        assert shard_a.unique == {"pw1", "pw2", "pw3", "pw4", "hit1", "hit2"}
-        assert shard_a.matched == {"hit1", "hit2"}
+        report = merge_shards(test_set, [100], [shard_a, shard_b])
+        # totals add even for overlapping guesses; uniques and hits union
+        assert row_tuples(report) == [(8, 6, 2)]
+        assert report.matched_samples == ["hit1", "hit2"]
+        assert report.non_matched_samples == ["pw1", "pw2", "pw3", "pw4"]
 
     def test_merge_emits_crossed_checkpoints(self):
-        shard_a = GuessAccounting({"x"}, [6])
-        shard_b = GuessAccounting({"x"}, [6])
+        # a global budget of 6 is two local budgets of 3; neither shard
+        # alone sees 5 distinct guesses, the merged checkpoint does
+        shard_a = GuessAccounting({"x"}, [3], track_deltas=True)
+        shard_b = GuessAccounting({"x"}, [3], track_deltas=True)
         shard_a.observe(["a", "b", "c"])
         shard_b.observe(["c", "x", "d"])
-        assert shard_a.rows == []
-        shard_a.merge(shard_b)
-        assert len(shard_a.rows) == 1
-        row = shard_a.rows[0]
-        assert (row.guesses, row.unique, row.matched) == (6, 5, 1)
+        assert len(shard_a.deltas) == len(shard_b.deltas) == 1
+        report = merge_shards({"x"}, [6], [shard_a, shard_b])
+        assert row_tuples(report) == [(6, 5, 1)]
 
-    def test_merge_requires_same_budgets(self):
-        with pytest.raises(ValueError):
-            GuessAccounting(set(), [10]).merge(GuessAccounting(set(), [20]))
+    def test_merge_decodes_mixed_modes(self, codec):
+        """A string shard beside an encoded one merges as if both were strings."""
+        test_set = {"pw1", "ab"}
+        streams = (["pw1", "a", "b"], ["ab", "a", "pw1", "c"])
+        stringy = GuessAccounting(set(test_set), [50], track_deltas=True)
+        encoded = GuessAccounting(set(test_set), [50], track_deltas=True)
+        stringy.observe(streams[0])
+        encoded.observe_encoded(codec.indices_from_strings(streams[1]), codec)
+        mixed = merge_shards(test_set, [100], [stringy, encoded])
+        assert isinstance(encoded.deltas[0], KeyedCheckpointDelta)
+        reference = [
+            GuessAccounting(set(test_set), [50], track_deltas=True) for _ in streams
+        ]
+        for accounting, stream in zip(reference, streams):
+            accounting.observe(stream)
+        assert row_tuples(mixed) == row_tuples(merge_shards(test_set, [100], reference))
+        assert row_tuples(mixed) == [(7, 5, 2)]
 
-    def test_merge_rejects_mixed_modes(self):
-        codec = PasswordEncoder(compact_alphabet())
-        stringy = GuessAccounting(set(), [10])
-        stringy.observe(["a"])
-        encoded = GuessAccounting(set(), [10])
-        encoded.observe_encoded(np.ones((1, 10), dtype=np.int64), codec)
-        with pytest.raises(ValueError):
-            stringy.merge(encoded)
-
-    def test_merge_encoded_unique_union(self):
-        codec = PasswordEncoder(compact_alphabet())
+    def test_merge_encoded_unique_union(self, codec):
         rng = np.random.default_rng(0)
         rows_a = rng.integers(0, codec.vocab_size, size=(40, 10))
         rows_b = np.concatenate(
             [rows_a[:20], rng.integers(0, codec.vocab_size, size=(20, 10))]
         )
-        a = GuessAccounting(set(), [100])
-        b = GuessAccounting(set(), [100])
+        a = GuessAccounting(set(), [50], track_deltas=True)
+        b = GuessAccounting(set(), [50], track_deltas=True)
         reference = GuessAccounting(set(), [100])
         a.observe_encoded(rows_a, codec)
         b.observe_encoded(rows_b, codec)
         reference.observe_encoded(np.concatenate([rows_a, rows_b]), codec)
-        a.merge(b)
-        assert a.total == 80
-        assert a._unique_count() == reference._unique_count()
+        assert all(
+            isinstance(delta, KeyedCheckpointDelta) for delta in a.deltas + b.deltas
+        )
+        report = merge_shards(set(), [100], [a, b])
+        assert row_tuples(report) == [(80, reference._unique_count(), 0)]
 
     def test_sample_merge_caps_and_dedupes(self):
-        a = GuessAccounting(set(), [100], sample_cap=3)
-        b = GuessAccounting(set(), [100], sample_cap=3)
-        a.observe(["s1", "s2"])
-        b.observe(["s2", "s3", "s4", "s5"])
-        a.merge(b)
-        assert a.non_matched_samples == ["s1", "s2", "s3"]
+        a = GuessAccounting(set(), [50], track_deltas=True)
+        b = GuessAccounting(set(), [50], track_deltas=True)
+        a.observe([f"a{i}" for i in range(10)] + ["shared"])
+        b.observe(["shared"] + [f"b{i}" for i in range(10)])
+        report = merge_shards(set(), [100], [a, b])
+        # shard order, the duplicate dropped, cut at the cap
+        assert report.non_matched_samples == (
+            [f"a{i}" for i in range(10)] + ["shared"] + [f"b{i}" for i in range(5)]
+        )
+        assert len(report.non_matched_samples) == SAMPLE_CAP
 
 
-class TestSnapshot:
-    def test_round_trip_preserves_everything(self):
-        test_set = {"hit1", "hit2"}
-        acc = GuessAccounting(set(test_set), [5, 20], sample_cap=4, track_deltas=True)
-        acc.observe(["a", "hit1", "b", "a", "c", "d", "hit2"])
-        snapshot = pickle.loads(pickle.dumps(acc.snapshot()))
-        assert isinstance(snapshot, AccountingSnapshot)
-        restored = GuessAccounting.from_snapshot(snapshot, set(test_set))
-        assert state_of(restored) == state_of(acc)
-        assert restored.done == acc.done
-        # the restored accounting keeps observing identically
-        tail = ["e", "f", "hit2", "g"]
-        acc.observe(tail)
-        restored.observe(tail)
-        assert state_of(restored) == state_of(acc)
-        assert len(restored.deltas) == len(acc.deltas)
+class TestSampleCap:
+    """``SAMPLE_CAP`` filling mid-batch, in both modes, against the oracle."""
 
-    def test_budget_validation_still_applies(self):
-        with pytest.raises(ValueError):
-            GuessAccounting(set(), [0, 10])
+    @pytest.fixture(scope="class")
+    def codec(self):
+        return PasswordEncoder(compact_alphabet())
+
+    @staticmethod
+    def case():
+        # 41 targets among 121 passwords (the empty one included), drawn
+        # with repeats: far more than SAMPLE_CAP distinct hits and misses
+        # turn up, so both sample lists fill well inside the stream
+        rng = random.Random(11)
+        pool = [f"pw{i}" for i in range(120)] + [""]
+        test_set = set(pool[:120:3])
+        stream = [rng.choice(pool) for _ in range(300)]
+        return test_set, stream
+
+    @staticmethod
+    def assert_cap_reached_mid_stream(scalar, test_set, stream):
+        assert len(scalar.matched_samples) == SAMPLE_CAP
+        assert len(scalar.non_matched_samples) == SAMPLE_CAP
+        misses = {p for p in stream if p and p not in test_set}
+        assert len(scalar.matched) > SAMPLE_CAP and len(misses) > SAMPLE_CAP
+
+    @pytest.mark.parametrize("batch", [300, 37])
+    def test_string_mode(self, batch):
+        test_set, stream = self.case()
+        vectorized = GuessAccounting(set(test_set), [len(stream)])
+        scalar = GuessAccounting(set(test_set), [len(stream)])
+        got = []
+        for start in range(0, len(stream), batch):
+            got += [
+                start + i for i in vectorized.observe(stream[start : start + batch])
+            ]
+        assert got == scalar.observe_scalar(stream)
+        assert state_of(vectorized) == state_of(scalar)
+        self.assert_cap_reached_mid_stream(scalar, test_set, stream)
+
+    @pytest.mark.parametrize("batch", [300, 37])
+    def test_encoded_mode(self, codec, batch):
+        test_set, stream = self.case()
+        encoded = GuessAccounting(set(test_set), [len(stream)])
+        scalar = GuessAccounting(set(test_set), [len(stream)])
+        index_matrix = codec.indices_from_strings(stream)
+        got = []
+        for start in range(0, len(stream), batch):
+            got += [
+                start + i
+                for i in encoded.observe_encoded(
+                    index_matrix[start : start + batch], codec
+                )
+            ]
+        assert got == scalar.observe_scalar(stream)
+        assert encoded.matched == scalar.matched
+        assert [r.as_dict() for r in encoded.rows] == [
+            r.as_dict() for r in scalar.rows
+        ]
+        assert encoded.matched_samples == scalar.matched_samples
+        assert encoded.non_matched_samples == scalar.non_matched_samples
+        self.assert_cap_reached_mid_stream(scalar, test_set, stream)
+
+
+def test_extend_samples_keeps_order_drops_duplicates_and_caps():
+    merged = ["a", "b"]
+    extend_samples(merged, ["b", "c", "a", "c", "d"])
+    assert merged == ["a", "b", "c", "d"]
+    more = [f"s{i}" for i in range(2 * SAMPLE_CAP)]
+    extend_samples(merged, more)
+    assert merged == ["a", "b", "c", "d"] + more[: SAMPLE_CAP - 4]
+    extend_samples(merged, ["late"])
+    assert len(merged) == SAMPLE_CAP and "late" not in merged
+
+
+def test_budget_validation_still_applies():
+    with pytest.raises(ValueError):
+        GuessAccounting(set(), [0, 10])

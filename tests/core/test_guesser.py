@@ -62,9 +62,9 @@ class TestAccounting:
         assert acc.rows[0].match_percent == 25.0
 
     def test_samples_capped(self):
-        acc = GuessAccounting(set(), [100], sample_cap=3)
+        acc = GuessAccounting(set(), [100])
         acc.observe([f"pw{i}" for i in range(50)])
-        assert len(acc.non_matched_samples) == 3
+        assert len(acc.non_matched_samples) == 16
 
     def test_report_structure(self):
         acc = GuessAccounting({"a"}, [2])

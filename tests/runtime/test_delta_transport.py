@@ -31,6 +31,7 @@ from repro.runtime import (
     ShardTask,
     execute_shard,
 )
+from repro.runtime.parallel import _DeltaFold
 from repro.strategies.base import GuessBatch, GuessingStrategy
 
 
@@ -121,19 +122,27 @@ class TestMergeOrderIndependence:
         assert np.array_equal(forward_m, backward_m)
 
     def test_accounting_merge_tracks_keyed_pending(self, codec):
-        """GuessAccounting.merge keeps encoded delta state in key space."""
+        """Encoded shards' deltas fold in key space to the strings' union."""
         test_set = {"ab", "pw1"}
-        a = GuessAccounting(set(test_set), [6], track_deltas=True)
-        b = GuessAccounting(set(test_set), [6], track_deltas=True)
+        a = GuessAccounting(set(test_set), [3], track_deltas=True)
+        b = GuessAccounting(set(test_set), [3], track_deltas=True)
         a.observe_encoded(codec.indices_from_strings(["a", "ab", "x"]), codec)
         b.observe_encoded(codec.indices_from_strings(["pw1", "b", "x"]), codec)
-        a.merge(b)
-        assert a.total == 6
-        (delta,) = a.deltas  # merge crossed the single budget
-        decoded = delta.decode(codec)
-        assert sorted(decoded.new_unique) == ["a", "ab", "b", "pw1", "x"]
-        assert sorted(decoded.new_matched) == ["ab", "pw1"]
-        assert a.rows[0].unique == 5 and a.rows[0].matched == 2
+        (delta_a,), (delta_b,) = a.deltas, b.deltas  # each crossed its budget
+        keyed = _DeltaFold(keyed=True)
+        stringy = _DeltaFold(keyed=False)
+        for fold in (keyed, stringy):
+            fold.add(delta_a, codec)
+            fold.add(delta_b, codec)
+            fold.flush()
+            assert (fold.unique_count, fold.matched_count) == (5, 2)
+        # the key-space fold holds exactly the decoded string sets
+        assert sorted(codec.strings_from_keys(keyed._unique_keys)) == sorted(
+            stringy._unique
+        ) == ["a", "ab", "b", "pw1", "x"]
+        assert sorted(codec.strings_from_keys(keyed._matched_keys)) == sorted(
+            stringy._matched
+        ) == ["ab", "pw1"]
 
 
 class _Replay(GuessingStrategy):

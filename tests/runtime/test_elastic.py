@@ -34,6 +34,7 @@ from repro.runtime import (
     chunk_quotas,
     run_elastic,
 )
+from repro.runtime.elastic import DEFAULT_CHUNKS_PER_ROUND
 
 from runtime_fleet import ShardedSource, fork_pool
 
@@ -45,14 +46,13 @@ def rows_of(report):
     return [(r.guesses, r.unique, r.matched, r.match_percent) for r in report.rows]
 
 
-def elastic_engine(budgets, workers, executor=None, chunk_size=None):
+def elastic_engine(budgets, workers, executor=None):
     return ParallelAttackEngine(
         set(TEST_SET),
         budgets,
         workers=workers,
         executor=executor if executor is not None else LocalExecutor(),
         schedule="elastic",
-        chunk_size=chunk_size,
     )
 
 
@@ -79,15 +79,6 @@ class TestElasticEqualsStatic:
         assert rows_of(elastic) == rows_of(static)
         assert elastic.matched_samples == static.matched_samples
         assert elastic.non_matched_samples == static.non_matched_samples
-
-    @given(chunk_size=st.integers(min_value=1, max_value=64))
-    @settings(max_examples=20, deadline=None)
-    def test_chunk_size_does_not_change_wellbehaved_reports(self, chunk_size):
-        """Chunk boundaries only reseed streams; enumerators don't care."""
-        source = StrategySource("sequence?batch=16")
-        baseline = elastic_engine(BUDGETS, 3).run(source, seed=5)
-        chunked = elastic_engine(BUDGETS, 3, chunk_size=chunk_size).run(source, seed=5)
-        assert rows_of(chunked) == rows_of(baseline)
 
 
 class TestReplanInvariants:
@@ -144,15 +135,13 @@ class TestReplanInvariants:
         with pytest.raises(ValueError, match="exactly once"):
             planner.replan([ShardProgress(0, 0, True), ShardProgress(2, 0, True)])
 
-    @given(
-        quota=st.integers(min_value=0, max_value=5000),
-        chunk=st.one_of(st.none(), st.integers(min_value=1, max_value=500)),
-    )
+    @given(quota=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=60, deadline=None)
-    def test_chunk_quotas_cover_exactly(self, quota, chunk):
-        sizes = chunk_quotas(quota, chunk)
+    def test_chunk_quotas_cover_exactly(self, quota):
+        sizes = chunk_quotas(quota)
         assert sum(sizes) == quota
         assert all(size >= 1 for size in sizes)
+        assert len(sizes) <= DEFAULT_CHUNKS_PER_ROUND
 
 
 class TestScheduleValidation:

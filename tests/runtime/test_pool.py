@@ -10,7 +10,7 @@ The pool's contract has three legs, each exercised here:
   ``crashing`` in both flavors, ``straggler``) drive the same
   budget-re-absorption semantics the in-process hosts implement: a dry
   or crashed shard releases its unconsumed budget to the live fleet, a
-  worker corpse retires its shards without hanging the run, and the
+  worker corpse retires its shard without hanging the run, and the
   report's ``shard_errors`` names exactly the casualties.
 * **Cleanup** -- no child processes survive a run, clean or failing.
 * **Fork safety** -- a parent whose couplings already ran on the kernel
@@ -75,16 +75,6 @@ class TestReportParity:
         assert _rows(base) == _rows(pool)
         assert base.matched_samples == pool.matched_samples
         assert base.non_matched_samples == pool.non_matched_samples
-        _no_orphans()
-
-    def test_fewer_processes_than_shards_same_report(self):
-        """Affinity folding (4 shards on 2 workers) changes nothing."""
-        source = StrategySource("sequence?batch=16")
-        base = _engine([1200], 4, "elastic", LocalExecutor()).run(source, seed=11)
-        pool = _engine([1200], 4, "elastic", ProcessPoolExecutor(processes=2)).run(
-            source, seed=11
-        )
-        assert _rows(base) == _rows(pool)
         _no_orphans()
 
     def test_process_executor_name_runs_on_the_pool(self):
@@ -322,9 +312,7 @@ class TestResolveExecutor:
     def test_auto_static_fleet_runs_on_the_pool(self):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
-        executor = resolve_executor("auto", 3)
-        assert isinstance(executor, ProcessPoolExecutor)
-        assert executor.processes == 3  # one worker process per shard
+        assert isinstance(resolve_executor("auto", 3), ProcessPoolExecutor)
 
     def test_auto_static_without_fork_runs_in_process(self, monkeypatch, caplog):
         monkeypatch.setattr(
@@ -340,7 +328,6 @@ class TestResolveExecutor:
             pytest.skip("no fork start method on this platform")
         executor = _engine([100], 2, "elastic", None).executor
         assert isinstance(executor, ProcessPoolExecutor)
-        assert executor.processes == 2  # one worker process per shard
 
     def test_auto_elastic_without_fork_runs_in_process(self, monkeypatch, caplog):
         monkeypatch.setattr(

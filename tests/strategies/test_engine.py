@@ -1,5 +1,5 @@
-"""Streaming AttackEngine: resumable state, early stop, ``take``, encoded
-batches and progress reporting.
+"""Streaming AttackEngine: resumable state, ``take``, encoded batches and
+progress reporting.
 
 Report bytes of the serial engine are pinned by SHA-256 in
 ``tests/golden/test_report_digests.py``.
@@ -8,6 +8,7 @@ Report bytes of the serial engine are pinned by SHA-256 in
 import numpy as np
 import pytest
 
+from repro.core.guesser import GuessAccounting
 from repro.strategies import AttackEngine, build, take
 from repro.strategies.base import AttackContext, GuessBatch, GuessingStrategy
 
@@ -36,32 +37,29 @@ class TestStreamingAndResume:
             )
         )
         assert [r.guesses for r in rows] == BUDGETS
-        assert state.done and not state.interrupted
+        assert state.done
         assert rows == state.accounting.rows
 
-    def test_max_batches_interrupts_and_resumes(self, trained_model, trained_dataset):
-        engine = AttackEngine(trained_dataset.test_set, BUDGETS)
-        strategy = build("passflow:dynamic?alpha=1&batch=128&sigma=0.12", model=trained_model)
+    def test_state_resumes_when_budgets_extend(self, trained_model, trained_dataset):
+        """A later stream on an extended schedule continues the accounting,
+        as every elastic shard does chunk by chunk."""
+        spec = "passflow:static?batch=128"
+        engine = AttackEngine(trained_dataset.test_set, [256])
+        strategy = build(spec, model=trained_model)
         state = engine.begin()
-        rng = np.random.default_rng(4)
-        engine.run(strategy, rng, state=state, max_batches=2)
-        assert state.interrupted and not state.done
-        assert state.total_guesses == 256
-        report = engine.run(strategy, rng, state=state, method="PassFlow-Dynamic")
-        assert state.done and not state.interrupted
-        assert [r.guesses for r in report.rows] == BUDGETS
-
-    def test_stop_when_predicate(self, trained_model, trained_dataset):
-        engine = AttackEngine(trained_dataset.test_set, BUDGETS)
-        state = engine.begin()
-        engine.run(
-            build("passflow:static?batch=64", model=trained_model),
-            np.random.default_rng(0),
-            state=state,
-            stop_when=lambda s: s.total_guesses >= 128,
-        )
-        assert state.interrupted
-        assert state.total_guesses == 128
+        engine.run(strategy, np.random.default_rng(4), state=state)
+        assert state.done and state.total_guesses == 256
+        state.accounting.budgets.append(600)
+        assert not state.done
+        report = engine.run(strategy, np.random.default_rng(5), state=state)
+        assert state.done and state.batches == 5
+        reference = GuessAccounting(set(trained_dataset.test_set), [256, 600])
+        for count, seed in ((256, 4), (344, 5)):
+            fresh = build(spec, model=trained_model)
+            reference.observe(take(fresh, count, np.random.default_rng(seed)))
+        assert report.rows == reference.rows
+        assert report.matched_samples == reference.matched_samples
+        assert report.non_matched_samples == reference.non_matched_samples
 
     def test_finished_state_streams_nothing(self, trained_model, trained_dataset):
         engine = AttackEngine(trained_dataset.test_set, [100])

@@ -246,14 +246,25 @@ class TestExecutorFlag:
         ) == 0
         assert json.loads(path.read_text())["executor"] == "auto"
 
+    @pytest.mark.parametrize("replay", [False, True], ids=["live", "bank"])
     @pytest.mark.parametrize("name", ["threads", "worksteal"])
-    def test_unknown_executor_exits_with_choices(self, corpus_file, capsys, name):
+    def test_unknown_executor_exits_with_choices(
+        self, corpus_file, capsys, request, name, replay
+    ):
+        """Rejected before any work: no banner, one line, live or replayed."""
+        source = (
+            ["--bank", str(request.getfixturevalue("bank_dir"))]
+            if replay
+            else ["--strategy", "markov:3"]
+        )
+        capsys.readouterr()
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "attack",
                     "--corpus", str(corpus_file),
-                    "--strategy", "markov:3",
+                    *source,
+                    "--budgets", "100",
                     "--workers", "2",
                     "--executor", name,
                 ]
@@ -261,6 +272,7 @@ class TestExecutorFlag:
         assert str(excinfo.value) == (
             f"unknown executor {name!r}; choose from auto, local, processpool"
         )
+        assert capsys.readouterr().out == ""
 
 
 class TestKernelsEnvRestore:

@@ -69,7 +69,19 @@ def test_relative_links_resolve(path):
 
 @pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: str(p.relative_to(REPO)))
 def test_no_stale_contract_phrases(path):
-    """Phrases describing the pre-keyed-transport world must not reappear."""
+    """Phrases describing removed contracts must not reappear: the
+    pre-keyed-transport world, accounting merge/snapshot, the knobs no
+    caller set, and pool affinity folding."""
     text = path.read_text()
-    assert "Not available with ``track_deltas``" not in text
-    assert "does not track deltas" not in text
+    stale = [
+        "Not available with ``track_deltas``",
+        "does not track deltas",
+        "merge/snapshot",
+        "stop_when",
+        "max_batches",
+        "sample_cap",
+        "chunk_size",
+        "batch_size=)",
+        "i % P",
+    ]
+    assert [phrase for phrase in stale if phrase in text] == []
