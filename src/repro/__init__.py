@@ -37,50 +37,42 @@ The same spec strings drive the CLI::
     python -m repro attack --model model.npz --corpus corpus.txt \\
         --strategy "passflow:dynamic+gs?alpha=1&sigma=0.12"
     python -m repro attack --corpus corpus.txt --strategy markov:3
+
+``import repro`` loads only :mod:`repro.kernels`, which pins numpy's BLAS
+to one thread; the names it exports load their modules on first use, so
+a command imports only the code it runs (``docs/architecture.md``).
 """
 
-from repro.core import (
-    ConditionalGuesser,
-    DynamicSamplingConfig,
-    GaussianSmoother,
-    GuessingReport,
-    PassFlow,
-    PassFlowConfig,
-    StepPenalization,
-    interpolate,
-    paper_schedule,
-)
-from repro.strategies import (
-    AttackEngine,
-    AttackState,
-    GuessBatch,
-    GuessingStrategy,
-    available_strategies,
-    build,
-    parse_spec,
-    take,
-)
+from repro import kernels  # noqa: F401  (sets the BLAS thread count)
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "PassFlow",
-    "PassFlowConfig",
-    "DynamicSamplingConfig",
-    "GaussianSmoother",
-    "StepPenalization",
-    "GuessingReport",
-    "ConditionalGuesser",
-    "interpolate",
-    "paper_schedule",
-    # unified strategy API
-    "AttackEngine",
-    "AttackState",
-    "GuessBatch",
-    "GuessingStrategy",
-    "available_strategies",
-    "build",
-    "parse_spec",
-    "take",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".core": [
+            "PassFlow",
+            "PassFlowConfig",
+            "DynamicSamplingConfig",
+            "GaussianSmoother",
+            "StepPenalization",
+            "GuessingReport",
+            "ConditionalGuesser",
+            "interpolate",
+            "paper_schedule",
+        ],
+        # unified strategy API
+        ".strategies": [
+            "AttackEngine",
+            "AttackState",
+            "GuessBatch",
+            "GuessingStrategy",
+            "available_strategies",
+            "build",
+            "parse_spec",
+            "take",
+        ],
+    },
+)
+__all__.append("__version__")

@@ -9,40 +9,32 @@ family as interned-id batches straight into ``observe_encoded``
 reports bit-identical to the live-sampled run across worker counts and
 schedules.  See ``docs/bank.md`` for the artifact layout and the
 determinism contract.
+
+Names load their submodule on first use (:mod:`repro.utils.lazy`).
 """
 
-from repro.bank.artifact import (
-    BankError,
-    GuessBank,
-    codec_from_header,
-    codec_header,
-    same_codec,
-    write_bank,
-)
-from repro.bank.builder import build_bank
-from repro.bank.replay import (
-    BANK_DIR_ENV,
-    BankReplayStrategy,
-    bank_path_for,
-    replay_attack,
-    resolve_bank,
-    restore_stream_samples,
-    stream_samples,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BANK_DIR_ENV",
-    "BankError",
-    "BankReplayStrategy",
-    "GuessBank",
-    "bank_path_for",
-    "build_bank",
-    "codec_from_header",
-    "codec_header",
-    "replay_attack",
-    "resolve_bank",
-    "restore_stream_samples",
-    "same_codec",
-    "stream_samples",
-    "write_bank",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".artifact": [
+            "BankError",
+            "GuessBank",
+            "codec_from_header",
+            "codec_header",
+            "same_codec",
+            "write_bank",
+        ],
+        ".builder": ["build_bank"],
+        ".replay": [
+            "BANK_DIR_ENV",
+            "BankReplayStrategy",
+            "bank_path_for",
+            "replay_attack",
+            "resolve_bank",
+            "restore_stream_samples",
+            "stream_samples",
+        ],
+    },
+)

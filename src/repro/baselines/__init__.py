@@ -12,20 +12,20 @@
 Every baseline exposes ``fit(passwords)`` and
 ``sample_passwords(count, rng)`` so the guessing harness treats them
 uniformly with PassFlow.
+
+Names load on first use (:mod:`repro.utils.lazy`): a Markov attack loads no
+neural baseline.
 """
 
-from repro.baselines.markov import MarkovModel
-from repro.baselines.pcfg import PCFGModel
-from repro.baselines.rules import RuleBasedGuesser
-from repro.baselines.gan import PassGAN, PassGANConfig
-from repro.baselines.cwae import CWAE, CWAEConfig
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "MarkovModel",
-    "PCFGModel",
-    "RuleBasedGuesser",
-    "PassGAN",
-    "PassGANConfig",
-    "CWAE",
-    "CWAEConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".markov": ["MarkovModel"],
+        ".pcfg": ["PCFGModel"],
+        ".rules": ["RuleBasedGuesser"],
+        ".gan": ["PassGAN", "PassGANConfig"],
+        ".cwae": ["CWAE", "CWAEConfig"],
+    },
+)

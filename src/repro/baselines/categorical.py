@@ -9,6 +9,7 @@ cost.  This module splits the draw so each part is paid once:
 
 * :func:`choice_cdf` runs choice's checks and builds the same cdf, once
   per distribution, as a list for :func:`bisect.bisect_right`;
+  :func:`choice_cdf_table` does the same for every row of a table at once;
 * :class:`UniformDraws` hands out the ``rng.random()`` values one at a
   time from bulk blocks, and leaves ``rng`` in the state the single calls
   would have left it in.
@@ -20,7 +21,6 @@ generator state of one ``rng.choice`` call per symbol.
 
 from __future__ import annotations
 
-import math
 import operator
 from itertools import chain
 from typing import Iterator, List, Sequence
@@ -35,7 +35,10 @@ ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def _kahan_sum(values: Sequence[float]) -> float:
-    """Compensated sum in the order numpy's ``choice`` checks ``sum(p)``."""
+    """Compensated sum in the order numpy's ``choice`` checks ``sum(p)``.
+
+    Given the columns of a table (``p.T``) it sums every row at once.
+    """
     total = values[0]
     carry = 0.0
     for value in values[1:]:
@@ -56,16 +59,31 @@ def choice_cdf(p: np.ndarray) -> List[float]:
     p = np.ascontiguousarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probabilities must be a non-empty 1-d array")
-    total = _kahan_sum(p.tolist())
-    if math.isnan(total):
-        raise ValueError("probabilities contain NaN")
-    if (p < 0).any():
-        raise ValueError("probabilities are not non-negative")
-    if abs(total - 1.0) > ATOL:
-        raise ValueError("probabilities do not sum to 1")
+    _check(p, _kahan_sum(p.tolist()))
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf.tolist()
+
+
+def choice_cdf_table(p: np.ndarray) -> np.ndarray:
+    """:func:`choice_cdf` of every row of a 2-d float64 ``p``, as an array.
+
+    ``choice_cdf_table(p)[i].tolist() == choice_cdf(p[i])`` for every row,
+    and it raises if ``choice_cdf`` would raise on any row.
+    """
+    _check(p, _kahan_sum(p.T))
+    cdf = p.cumsum(axis=1)
+    return cdf / cdf[:, -1:]
+
+
+def _check(p: np.ndarray, total) -> None:
+    """Raise where ``choice`` would, given the Kahan sum(s) of ``p``."""
+    if np.isnan(total).any():
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(total - 1.0) > ATOL).any():
+        raise ValueError("probabilities do not sum to 1")
 
 
 class UniformDraws:

@@ -4,6 +4,9 @@ The classic password-guessing baseline (John the Ripper's Markov mode,
 ref [2] of the paper; also the reference point of Melicher et al. [30]):
 an order-``k`` character model with add-``delta`` smoothing and explicit
 start/end symbols, supporting both sampling and exact sequence probability.
+
+``fit`` builds the probability and cdf row of every seen context, plus
+one row all unseen contexts share, so forked workers inherit warm tables.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.categorical import UniformDraws, choice_cdf
+from repro.baselines.categorical import UniformDraws, choice_cdf_table
 
 START = "\x02"
 END = "\x03"
@@ -34,10 +37,13 @@ class MarkovModel:
         self._counts: Dict[str, Counter] = {}
         self._alphabet: List[str] = []
         self._fitted = False
-        # context -> (symbols, probabilities), for log_prob and top_guesses
-        self._dist_cache: Dict[str, Tuple[List[str], np.ndarray]] = {}
-        # context -> sampling cdf; contexts absent from the corpus all share
-        # one smoothed-uniform cdf, so they cost a dict entry, not a table
+        # seen context -> its row of the tables; every other context reads
+        # the last row, the smoothed-uniform one
+        self._rows: Dict[str, int] = {}
+        self._prob_table = np.empty((0, 0))
+        self._cdf_table = np.empty((0, 0))
+        # context -> its cdf row as a list, filled as sampling visits it;
+        # contexts absent from the corpus all share one list
         self._cdfs: Dict[str, List[float]] = {}
         self._unseen_cdf: List[float] = []
 
@@ -56,32 +62,36 @@ class MarkovModel:
                 counts[context][padded[i]] += 1
         self._counts = counts
         self._alphabet = sorted(symbols) + [END]
-        self._dist_cache = {}
+        self._rows = {context: row for row, context in enumerate(counts)}
+        # a count fills every alphabet position its symbol holds: END holds
+        # two when a corpus line contains it
+        positions = defaultdict(list)
+        for column, symbol in enumerate(self._alphabet):
+            positions[symbol].append(column)
+        rows, columns, values = zip(*(
+            (row, column, count)
+            for row, context_counts in enumerate(counts.values())
+            for symbol, count in context_counts.items()
+            for column in positions[symbol]
+        ))
+        weights = np.zeros((len(counts) + 1, len(self._alphabet)))
+        weights[rows, columns] = values
+        weights += self.smoothing
+        self._prob_table = weights / weights.sum(axis=1, keepdims=True)
+        self._cdf_table = choice_cdf_table(self._prob_table)
         self._cdfs = {}
-        self._unseen_cdf = choice_cdf(self._probs(Counter()))
+        self._unseen_cdf = self._cdf_table[-1].tolist()
         self._fitted = True
         return self
 
-    def _probs(self, counts: Counter) -> np.ndarray:
-        """Add-``delta`` smoothed next-symbol probabilities over the alphabet."""
-        weights = np.array(
-            [counts.get(s, 0) + self.smoothing for s in self._alphabet], dtype=np.float64
-        )
-        return weights / weights.sum()
-
     def _distribution(self, context: str) -> Tuple[List[str], np.ndarray]:
-        """Smoothed next-symbol distribution for a context (cached)."""
-        cached = self._dist_cache.get(context)
-        if cached is not None:
-            return cached
-        entry = (self._alphabet, self._probs(self._counts.get(context, Counter())))
-        self._dist_cache[context] = entry
-        return entry
+        """Smoothed next-symbol distribution for a context."""
+        return self._alphabet, self._prob_table[self._rows.get(context, -1)]
 
     def _cdf(self, context: str) -> List[float]:
         """The cdf ``rng.choice`` builds from ``context``'s distribution (cached)."""
-        counts = self._counts.get(context)
-        cdf = self._unseen_cdf if counts is None else choice_cdf(self._probs(counts))
+        row = self._rows.get(context)
+        cdf = self._unseen_cdf if row is None else self._cdf_table[row].tolist()
         self._cdfs[context] = cdf
         return cdf
 
@@ -117,10 +127,18 @@ class MarkovModel:
         return out
 
     def log_prob(self, password: str) -> float:
-        """Exact log-probability of ``password`` under the model."""
+        """Exact log-probability that ``sample_passwords`` draws ``password``.
+
+        Like the sampler, a password of ``max_length`` symbols ends without
+        an END draw, and a longer one is never drawn (``-inf``).
+        """
         if not self._fitted:
             raise RuntimeError("fit() the model first")
-        padded = START * self.order + password[: self.max_length] + END
+        if len(password) > self.max_length:
+            return float("-inf")
+        padded = START * self.order + password
+        if len(password) < self.max_length:
+            padded += END
         total = 0.0
         for i in range(self.order, len(padded)):
             context = padded[i - self.order : i]
@@ -132,7 +150,6 @@ class MarkovModel:
             total += float(np.log(probs[idx]))
         return total
 
-
     # ------------------------------------------------------------------
     # approximate highest-probability enumeration
     # ------------------------------------------------------------------
@@ -140,8 +157,9 @@ class MarkovModel:
         """Approximately the ``count`` most probable passwords (beam search).
 
         Expands prefix hypotheses breadth-first keeping the ``beam_width``
-        most probable at each length; completed passwords (END emitted)
-        accumulate and the best ``count`` are returned.  This is the
+        most probable at each length; completed passwords (END emitted, or
+        ``max_length`` symbols long) accumulate, scored as :meth:`log_prob`
+        scores them, and the best ``count`` are returned.  This is the
         enumeration mode a cracking session would use, complementing
         ``sample_passwords``.
         """
@@ -157,6 +175,9 @@ class MarkovModel:
         for _ in range(self.max_length + 1):
             expansions: List[tuple] = []
             for log_p, prefix, context in beam:
+                if len(prefix) == self.max_length:
+                    completed.append((log_p, prefix))
+                    continue
                 symbols, probs = self._distribution(context)
                 for symbol, prob in zip(symbols, probs):
                     if prob <= 0:
@@ -164,7 +185,7 @@ class MarkovModel:
                     score = log_p + float(np.log(prob))
                     if symbol == END:
                         completed.append((score, prefix))
-                    elif len(prefix) < self.max_length:
+                    else:
                         expansions.append((score, prefix + symbol, context[1:] + symbol))
             expansions.sort(key=lambda e: -e[0])
             beam = expansions[:beam_width]

@@ -88,20 +88,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro import kernels
-from repro.bank import BankError, GuessBank, build_bank, replay_attack
-from repro.core.conditional import ConditionalGuesser
 from repro.core.guesser import validate_budgets
-from repro.core.interpolation import interpolate
-from repro.core.model import PassFlow, PassFlowConfig
-from repro.core.strength import StrengthEstimator
 from repro.data.alphabet import compact_alphabet, default_alphabet
 from repro.data.dataset import PasswordDataset
 from repro.data.encoding import PasswordEncoder
 from repro.data.rockyou import load_password_file
-from repro.data.synthetic import SyntheticConfig, SyntheticRockYou
 from repro.eval.reporting import format_table
-from repro.runtime import StrategySource, resolve_executor, run_attack
-from repro.scenarios import CompositionPolicy
 from repro.strategies import (
     SpecError,
     available_strategies,
@@ -125,6 +117,23 @@ def _alphabet(name: str):
 
 def _read_corpus(path: str, alphabet) -> List[str]:
     return load_password_file(path, alphabet=alphabet)
+
+
+def _load_model(path: str):
+    """The PassFlow checkpoint at ``path`` (the model code loads here)."""
+    from repro.core.model import PassFlow
+
+    return PassFlow.load(path)
+
+
+def _open_bank(path: str):
+    """The guess bank at ``path``, or exit with its one-line error."""
+    from repro.bank import BankError, GuessBank
+
+    try:
+        return GuessBank.open(path)
+    except BankError as exc:
+        raise SystemExit(str(exc))
 
 
 def _parse_budgets(raw: str) -> List[int]:
@@ -197,6 +206,8 @@ def _emit_attack_report(report, args, budgets: List[int], described: str) -> Non
 # subcommands
 # ----------------------------------------------------------------------
 def cmd_synthesize(args) -> int:
+    from repro.data.synthetic import SyntheticConfig, SyntheticRockYou
+
     alphabet = _alphabet(args.alphabet)
     config = SyntheticConfig(
         vocabulary_size=args.vocabulary_size, max_suffix_digits=args.max_suffix_digits
@@ -210,6 +221,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from repro.core.model import PassFlow, PassFlowConfig
+
     _select_kernels(args)
     alphabet = _alphabet(args.alphabet)
     corpus = _read_corpus(args.corpus, alphabet)
@@ -280,7 +293,7 @@ def _spec_from_args(args) -> str:
 
 def cmd_sample(args) -> int:
     _select_kernels(args)
-    model = PassFlow.load(args.model)
+    model = _load_model(args.model)
     spec = _spec_from_args(args)
     try:
         strategy = build(spec, model=model)
@@ -293,10 +306,9 @@ def cmd_sample(args) -> int:
 
 def _attack_from_bank(args) -> int:
     """``attack --bank``: replay a prebuilt artifact instead of sampling."""
-    try:
-        bank = GuessBank.open(args.bank)
-    except BankError as exc:
-        raise SystemExit(str(exc))
+    from repro.bank import BankError, replay_attack
+
+    bank = _open_bank(args.bank)
     alphabet = bank.codec.alphabet
     corpus = _read_corpus(args.corpus, alphabet)
     # same train/test split and cleaning as the live attack path, through
@@ -336,10 +348,12 @@ def _attack_from_bank(args) -> int:
     return 0
 
 
-def _parse_policy(args) -> Optional[CompositionPolicy]:
+def _parse_policy(args):
     """Resolve ``--policy`` (a bare query like ``min_len=8&classes=ld``)."""
     if not getattr(args, "policy", None):
         return None
+    from repro.scenarios import CompositionPolicy
+
     try:
         return CompositionPolicy.from_query(args.policy)
     except (SpecError, ValueError) as exc:
@@ -347,6 +361,8 @@ def _parse_policy(args) -> Optional[CompositionPolicy]:
 
 
 def cmd_attack(args) -> int:
+    from repro.runtime import StrategySource, resolve_executor, run_attack
+
     _select_kernels(args)
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
@@ -374,7 +390,7 @@ def cmd_attack(args) -> int:
         innermost = unwrap_spec(parsed)
     except SpecError as exc:
         raise SystemExit(str(exc))
-    model = PassFlow.load(args.model) if args.model else None
+    model = _load_model(args.model) if args.model else None
     if innermost.family == "passflow" and model is None:
         raise SystemExit("passflow strategies need --model <checkpoint.npz>")
     alphabet = model.alphabet if model is not None else _alphabet(args.alphabet)
@@ -440,12 +456,14 @@ def cmd_bank_build(args) -> int:
     the banked stream is the one a live attack with the same flags would
     sample.
     """
+    from repro.bank import BankError, build_bank
+
     _select_kernels(args)
     try:
         parsed = parse_spec(args.strategy)
     except SpecError as exc:
         raise SystemExit(str(exc))
-    model = PassFlow.load(args.model) if args.model else None
+    model = _load_model(args.model) if args.model else None
     if unwrap_spec(parsed).family == "passflow" and model is None:
         raise SystemExit("passflow strategies need --model <checkpoint.npz>")
     alphabet = model.alphabet if model is not None else _alphabet(args.alphabet)
@@ -485,21 +503,14 @@ def cmd_bank_build(args) -> int:
 
 def cmd_bank_info(args) -> int:
     """``bank info``: print an artifact's manifest summary."""
-    try:
-        bank = GuessBank.open(args.path)
-    except BankError as exc:
-        raise SystemExit(str(exc))
-    for line in bank.describe_lines():
+    for line in _open_bank(args.path).describe_lines():
         print(line)
     return 0
 
 
 def cmd_bank_verify(args) -> int:
     """``bank verify``: integrity-check an artifact (exit 1 on problems)."""
-    try:
-        bank = GuessBank.open(args.path)
-    except BankError as exc:
-        raise SystemExit(str(exc))
+    bank = _open_bank(args.path)
     problems = bank.verify()
     if problems:
         for problem in problems:
@@ -537,6 +548,7 @@ def cmd_scenarios(args) -> int:
     """``scenarios``: enumerate the scenario matrix (docs/scenarios.md)."""
     from repro.data.mangling import DETERMINISTIC_RULES, STOCHASTIC_RULES
     from repro.eval.harness import CORPUS_VARIANTS
+    from repro.scenarios import CompositionPolicy
 
     specs = [s.strip() for s in args.specs.split(",") if s.strip()]
     # an empty policy entry is the unconstrained column
@@ -584,14 +596,18 @@ def cmd_scenarios(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    model = PassFlow.load(args.model)
+    from repro.core.interpolation import interpolate
+
+    model = _load_model(args.model)
     path = interpolate(model, args.start, args.target, steps=args.steps)
     print(" -> ".join(path))
     return 0
 
 
 def cmd_conditional(args) -> int:
-    model = PassFlow.load(args.model)
+    from repro.core.conditional import ConditionalGuesser
+
+    model = _load_model(args.model)
     guesser = ConditionalGuesser(model, population=args.population)
     guesses = guesser.guess(
         args.template,
@@ -605,8 +621,10 @@ def cmd_conditional(args) -> int:
 
 
 def cmd_strength(args) -> int:
+    from repro.core.strength import StrengthEstimator
+
     _select_kernels(args)
-    model = PassFlow.load(args.model)
+    model = _load_model(args.model)
     estimator = StrengthEstimator(model)
     if args.corpus:
         estimator.calibrate(_read_corpus(args.corpus, model.alphabet)[:5000])

@@ -15,37 +15,28 @@
 The sampling strategies themselves (PassFlow-Static, Algorithm 1) live
 behind the unified :mod:`repro.strategies` API (protocol + spec-string
 registry + streaming engine).
+
+Names load on first use (:mod:`repro.utils.lazy`): no model code at import.
 """
 
-from repro.core.model import PassFlow, PassFlowConfig, TrainingHistory
-from repro.core.penalization import (
-    ExponentialDecayPenalization,
-    LinearDecayPenalization,
-    NoPenalization,
-    PhiFunction,
-    StepPenalization,
-)
-from repro.core.dynamic import DynamicSamplingConfig, paper_schedule
-from repro.core.smoothing import GaussianSmoother
-from repro.core.interpolation import interpolate
-from repro.core.conditional import ConditionalGuesser
-from repro.core.guesser import GuessingReport
-from repro.core.strength import StrengthEstimator
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "PassFlow",
-    "PassFlowConfig",
-    "TrainingHistory",
-    "PhiFunction",
-    "StepPenalization",
-    "LinearDecayPenalization",
-    "ExponentialDecayPenalization",
-    "NoPenalization",
-    "DynamicSamplingConfig",
-    "paper_schedule",
-    "GaussianSmoother",
-    "interpolate",
-    "ConditionalGuesser",
-    "GuessingReport",
-    "StrengthEstimator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".model": ["PassFlow", "PassFlowConfig", "TrainingHistory"],
+        ".penalization": [
+            "PhiFunction",
+            "StepPenalization",
+            "LinearDecayPenalization",
+            "ExponentialDecayPenalization",
+            "NoPenalization",
+        ],
+        ".dynamic": ["DynamicSamplingConfig", "paper_schedule"],
+        ".smoothing": ["GaussianSmoother"],
+        ".interpolation": ["interpolate"],
+        ".conditional": ["ConditionalGuesser"],
+        ".guesser": ["GuessingReport"],
+        ".strength": ["StrengthEstimator"],
+    },
+)

@@ -21,11 +21,12 @@ evaluation (ranking).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.model import PassFlow
+if TYPE_CHECKING:
+    from repro.core.model import PassFlow
 
 WILDCARD = "*"
 

@@ -17,22 +17,19 @@ Implements everything Sec. IV-D describes around data handling:
   (dedup + removal of the train intersection) exactly as the paper does,
 * :mod:`repro.data.mangling` -- word-mangling rules shared by the synthetic
   generator and the rule-based baseline.
+
+Names load their submodule on first use (:mod:`repro.utils.lazy`).
 """
 
-from repro.data.alphabet import Alphabet, default_alphabet
-from repro.data.encoding import PasswordEncoder
-from repro.data.synthetic import SyntheticConfig, SyntheticRockYou
-from repro.data.rockyou import load_password_file
-from repro.data.dataset import PasswordDataset, clean_test_set, train_test_split
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Alphabet",
-    "default_alphabet",
-    "PasswordEncoder",
-    "SyntheticConfig",
-    "SyntheticRockYou",
-    "load_password_file",
-    "PasswordDataset",
-    "train_test_split",
-    "clean_test_set",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".alphabet": ["Alphabet", "default_alphabet"],
+        ".encoding": ["PasswordEncoder"],
+        ".synthetic": ["SyntheticConfig", "SyntheticRockYou"],
+        ".rockyou": ["load_password_file"],
+        ".dataset": ["PasswordDataset", "train_test_split", "clean_test_set"],
+    },
+)

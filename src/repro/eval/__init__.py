@@ -5,24 +5,23 @@
 * :mod:`repro.eval.metrics` -- match/unique/plausibility/cluster metrics,
 * :mod:`repro.eval.reporting` -- text/markdown table rendering,
 * :mod:`repro.eval.experiments` -- one driver per paper table/figure.
+
+Names load on first use (:mod:`repro.utils.lazy`): ``format_table`` does not
+import the harness.
 """
 
-from repro.eval.harness import BenchmarkSettings, EvalContext
-from repro.eval.metrics import (
-    cluster_separation,
-    match_rate,
-    plausibility_rate,
-    uniqueness_rate,
-)
-from repro.eval.reporting import ExperimentResult, format_table
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "EvalContext",
-    "BenchmarkSettings",
-    "match_rate",
-    "uniqueness_rate",
-    "plausibility_rate",
-    "cluster_separation",
-    "ExperimentResult",
-    "format_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".harness": ["EvalContext", "BenchmarkSettings"],
+        ".metrics": [
+            "match_rate",
+            "uniqueness_rate",
+            "plausibility_rate",
+            "cluster_separation",
+        ],
+        ".reporting": ["ExperimentResult", "format_table"],
+    },
+)

@@ -11,30 +11,23 @@
   (Eqs. 5-8) and numpy fast paths for sampling,
 * :mod:`repro.flows.priors` -- the factorized standard-normal prior and the
   penalized Gaussian-mixture posterior of Eq. 14.
+
+Names load their submodule on first use (:mod:`repro.utils.lazy`).
 """
 
-from repro.flows.bijector import Bijector
-from repro.flows.masks import alternating_masks, char_run_mask, horizontal_mask
-from repro.flows.coupling import AffineCoupling
-from repro.flows.additive import AdditiveCoupling
-from repro.flows.permutation import Permutation
-from repro.flows.logit import LogitTransform
-from repro.flows.actnorm import ActNorm
-from repro.flows.flow import Flow
-from repro.flows.priors import GaussianMixturePrior, Prior, StandardNormalPrior
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Bijector",
-    "horizontal_mask",
-    "char_run_mask",
-    "alternating_masks",
-    "AffineCoupling",
-    "AdditiveCoupling",
-    "Permutation",
-    "LogitTransform",
-    "ActNorm",
-    "Flow",
-    "Prior",
-    "StandardNormalPrior",
-    "GaussianMixturePrior",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".bijector": ["Bijector"],
+        ".masks": ["horizontal_mask", "char_run_mask", "alternating_masks"],
+        ".coupling": ["AffineCoupling"],
+        ".additive": ["AdditiveCoupling"],
+        ".permutation": ["Permutation"],
+        ".logit": ["LogitTransform"],
+        ".actnorm": ["ActNorm"],
+        ".flow": ["Flow"],
+        ".priors": ["Prior", "StandardNormalPrior", "GaussianMixturePrior"],
+    },
+)

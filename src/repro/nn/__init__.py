@@ -10,38 +10,23 @@ Provides exactly what PassFlow and its baselines need:
   functions (Sec. III-A: "two residual blocks with a hidden size of 256"),
 * optimizers (:class:`~repro.nn.optim.Adam` per Sec. IV-D, plus SGD) and
   learning-rate schedulers.
+
+Names load their submodule on first use (:mod:`repro.utils.lazy`).
 """
 
-from repro.nn.module import Module, Parameter
-from repro.nn.linear import Linear
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Softplus, Tanh
-from repro.nn.normalization import BatchNorm1d, LayerNorm
-from repro.nn.residual import ResidualBlock, ResidualMLP
-from repro.nn.sequential import Sequential
-from repro.nn.losses import binary_cross_entropy_with_logits, mse_loss
-from repro.nn import init
-from repro.nn.optim import SGD, Adam, CosineDecay, Optimizer, StepDecay
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Module",
-    "Parameter",
-    "Linear",
-    "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softplus",
-    "BatchNorm1d",
-    "LayerNorm",
-    "ResidualBlock",
-    "ResidualMLP",
-    "Sequential",
-    "mse_loss",
-    "binary_cross_entropy_with_logits",
-    "init",
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "StepDecay",
-    "CosineDecay",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".module": ["Module", "Parameter"],
+        ".linear": ["Linear"],
+        ".activations": ["ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Softplus"],
+        ".normalization": ["BatchNorm1d", "LayerNorm"],
+        ".residual": ["ResidualBlock", "ResidualMLP"],
+        ".sequential": ["Sequential"],
+        ".losses": ["mse_loss", "binary_cross_entropy_with_logits"],
+        ".init": ["init"],
+        ".optim": ["Optimizer", "SGD", "Adam", "StepDecay", "CosineDecay"],
+    },
+)

@@ -43,50 +43,37 @@ schedule runs the serial :class:`~repro.strategies.engine.AttackEngine`
 bit-identically; ``schedule="elastic"`` chunks every shard's stream over
 named per-chunk RNG streams, so its reports are a different (equally
 valid, equally deterministic) sample of the same attack.
+
+Names load their submodule on first use (:mod:`repro.utils.lazy`).
 """
 
-from repro.runtime.elastic import chunk_quotas, run_elastic
-from repro.runtime.executor import (
-    LocalExecutor,
-    ShardOutcome,
-    ShardTask,
-    StrategySource,
-    execute_shard,
-)
-from repro.runtime.parallel import (
-    EXECUTOR_NAMES,
-    ParallelAttackEngine,
-    default_executor,
-    resolve_executor,
-    run_attack,
-)
-from repro.runtime.planner import (
-    ShardPlan,
-    ShardPlanner,
-    ShardProgress,
-    balanced_totals,
-    split_budget,
-)
+from repro.utils.lazy import lazy_exports
 
-from repro.runtime.pool import ProcessPoolExecutor
-
-__all__ = [
-    "EXECUTOR_NAMES",
-    "LocalExecutor",
-    "ParallelAttackEngine",
-    "ProcessPoolExecutor",
-    "ShardOutcome",
-    "ShardPlan",
-    "ShardPlanner",
-    "ShardProgress",
-    "ShardTask",
-    "StrategySource",
-    "balanced_totals",
-    "chunk_quotas",
-    "default_executor",
-    "execute_shard",
-    "resolve_executor",
-    "run_attack",
-    "run_elastic",
-    "split_budget",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".elastic": ["chunk_quotas", "run_elastic"],
+        ".executor": [
+            "LocalExecutor",
+            "ShardOutcome",
+            "ShardTask",
+            "StrategySource",
+            "execute_shard",
+        ],
+        ".parallel": [
+            "EXECUTOR_NAMES",
+            "ParallelAttackEngine",
+            "default_executor",
+            "resolve_executor",
+            "run_attack",
+        ],
+        ".planner": [
+            "ShardPlan",
+            "ShardPlanner",
+            "ShardProgress",
+            "balanced_totals",
+            "split_budget",
+        ],
+        ".pool": ["ProcessPoolExecutor"],
+    },
+)

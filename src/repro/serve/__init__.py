@@ -15,57 +15,40 @@ package turns the one-shot CLI paths into a long-lived service:
 
 See ``docs/serve.md`` for the protocol and the determinism contract
 (batched answers are bitwise identical to serial scoring).
+
+Names load their submodule on first use (:mod:`repro.utils.lazy`).
 """
 
-from repro.serve.batcher import (
-    BatcherClosed,
-    DeadlineExceeded,
-    MicroBatcher,
-    QueueFull,
-    ServeError,
-    Ticket,
-)
-from repro.serve.clock import FakeClock, SystemClock
-from repro.serve.client import ServeClient
-from repro.serve.protocol import (
-    ProtocolError,
-    Request,
-    encode_response,
-    error_response,
-    ok_response,
-    parse_request,
-)
-from repro.serve.server import ScoringServer, run_once
-from repro.serve.service import (
-    BankLookupService,
-    ServeApp,
-    ServeConfigError,
-    StrengthService,
-)
-from repro.serve.stats import ServeStats, batch_bucket
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BankLookupService",
-    "BatcherClosed",
-    "DeadlineExceeded",
-    "FakeClock",
-    "MicroBatcher",
-    "ProtocolError",
-    "QueueFull",
-    "Request",
-    "ScoringServer",
-    "ServeApp",
-    "ServeClient",
-    "ServeConfigError",
-    "ServeError",
-    "ServeStats",
-    "StrengthService",
-    "SystemClock",
-    "Ticket",
-    "batch_bucket",
-    "encode_response",
-    "error_response",
-    "ok_response",
-    "parse_request",
-    "run_once",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".batcher": [
+            "BatcherClosed",
+            "DeadlineExceeded",
+            "MicroBatcher",
+            "QueueFull",
+            "ServeError",
+            "Ticket",
+        ],
+        ".clock": ["FakeClock", "SystemClock"],
+        ".client": ["ServeClient"],
+        ".protocol": [
+            "ProtocolError",
+            "Request",
+            "encode_response",
+            "error_response",
+            "ok_response",
+            "parse_request",
+        ],
+        ".server": ["ScoringServer", "run_once"],
+        ".service": [
+            "BankLookupService",
+            "ServeApp",
+            "ServeConfigError",
+            "StrengthService",
+        ],
+        ".stats": ["ServeStats", "batch_bucket"],
+    },
+)

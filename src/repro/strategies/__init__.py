@@ -21,7 +21,12 @@ Typical use::
     strategy = build("passflow:dynamic+gs?alpha=1&sigma=0.12", model=model)
     engine = AttackEngine(test_set, budgets=[10**4, 10**5])
     report = engine.run(strategy, rng)
+
+Importing this package registers all nine families and defines every
+strategy class without loading a model: factories import their models.
 """
+
+import importlib
 
 from repro.strategies.base import AttackContext, GuessBatch, GuessingStrategy
 from repro.strategies.engine import AttackEngine, AttackState, take
@@ -37,19 +42,35 @@ from repro.strategies.registry import (
     strategy_catalog,
     unwrap_spec,
 )
+from repro.utils.lazy import lazy_exports
 
-# importing the implementation modules populates the registry
+# importing the implementation modules registers every family and defines
+# every strategy class; they import models inside the factories
+for _module in (
+    ".passflow",
+    ".baselines",
+    "..bank.replay",
+    "..scenarios.policy",
+    "..scenarios.mangle",
+):
+    importlib.import_module(_module, __name__)
+
+from repro.strategies.baselines import SampledModelStrategy  # noqa: E402
 from repro.strategies.passflow import (  # noqa: E402
     ConditionalStrategy,
     DynamicStrategy,
     StaticStrategy,
 )
-from repro.strategies.baselines import SampledModelStrategy  # noqa: E402
-from repro.bank.replay import BankReplayStrategy  # noqa: E402
-from repro.scenarios import (  # noqa: E402
-    CompositionPolicy,
-    MangleStrategy,
-    PolicyFilterStrategy,
+
+# a module outside this package may be what is importing it: read its
+# classes on first use, not while it is half-initialised
+__getattr__, __dir__, _ = lazy_exports(
+    __name__,
+    {
+        "..bank.replay": ["BankReplayStrategy"],
+        "..scenarios.policy": ["CompositionPolicy", "PolicyFilterStrategy"],
+        "..scenarios.mangle": ["MangleStrategy"],
+    },
 )
 
 __all__ = [

@@ -10,6 +10,9 @@ Each factory accepts either a pre-fitted model instance (``model=``) or a
 training ``corpus=`` to fit one on demand; the neural baselines
 additionally honour training knobs in the spec (``passgan?iterations=300``)
 so even they are constructible from a bare string.
+
+Each factory imports its model when it runs, so registering the five
+families loads none of them (``docs/strategies.md``).
 """
 
 from __future__ import annotations
@@ -18,15 +21,6 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from repro.baselines import (
-    CWAE,
-    CWAEConfig,
-    MarkovModel,
-    PCFGModel,
-    PassGAN,
-    PassGANConfig,
-    RuleBasedGuesser,
-)
 from repro.strategies.base import DEFAULT_BATCH, GuessBatch, GuessingStrategy
 from repro.strategies.registry import (
     BuildResources,
@@ -113,6 +107,8 @@ def _need_corpus(spec: StrategySpec, resources: BuildResources):
     bankable="yes (feedback-free sampler)",
 )
 def _build_markov(spec: StrategySpec, resources: BuildResources) -> GuessingStrategy:
+    from repro.baselines.markov import MarkovModel
+
     reader = ParamReader(spec)
     if spec.variant:
         try:
@@ -151,6 +147,8 @@ def _build_markov(spec: StrategySpec, resources: BuildResources) -> GuessingStra
     bankable="yes (feedback-free sampler)",
 )
 def _build_pcfg(spec: StrategySpec, resources: BuildResources) -> GuessingStrategy:
+    from repro.baselines.pcfg import PCFGModel
+
     if spec.variant:
         raise SpecError("pcfg takes no variant")
     reader = ParamReader(spec)
@@ -174,6 +172,8 @@ def _build_pcfg(spec: StrategySpec, resources: BuildResources) -> GuessingStrate
     bankable="yes (feedback-free sampler)",
 )
 def _build_rules(spec: StrategySpec, resources: BuildResources) -> GuessingStrategy:
+    from repro.baselines.rules import RuleBasedGuesser
+
     if spec.variant:
         raise SpecError("rules takes no variant")
     reader = ParamReader(spec)
@@ -199,6 +199,8 @@ def _build_rules(spec: StrategySpec, resources: BuildResources) -> GuessingStrat
     bankable="yes (feedback-free sampler)",
 )
 def _build_passgan(spec: StrategySpec, resources: BuildResources) -> GuessingStrategy:
+    from repro.baselines.gan import PassGAN, PassGANConfig
+
     if spec.variant:
         raise SpecError("passgan takes no variant")
     reader = ParamReader(spec)
@@ -234,6 +236,8 @@ def _build_passgan(spec: StrategySpec, resources: BuildResources) -> GuessingStr
     bankable="yes (feedback-free sampler)",
 )
 def _build_cwae(spec: StrategySpec, resources: BuildResources) -> GuessingStrategy:
+    from repro.baselines.cwae import CWAE, CWAEConfig
+
     if spec.variant:
         raise SpecError("cwae takes no variant")
     reader = ParamReader(spec)

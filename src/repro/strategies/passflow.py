@@ -19,17 +19,19 @@ The latent decodes these loops spend their time in dispatch through the
 active kernel backend (:mod:`repro.kernels`, ``--kernels`` /
 ``REPRO_KERNELS``); every backend yields the same guess stream for a
 fixed ``(seed, spec)``.
+
+The model, its priors and its flows load where they are used, not when
+the registry imports this module (``docs/strategies.md``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.conditional import WILDCARD, matches_template
 from repro.core.dynamic import DynamicSamplingConfig
-from repro.core.model import PassFlow
 from repro.core.penalization import (
     ExponentialDecayPenalization,
     LinearDecayPenalization,
@@ -38,7 +40,6 @@ from repro.core.penalization import (
     StepPenalization,
 )
 from repro.core.smoothing import GaussianSmoother
-from repro.flows.priors import GaussianMixturePrior, Prior, StandardNormalPrior
 from repro.strategies.base import DEFAULT_BATCH, GuessBatch, GuessingStrategy
 from repro.strategies.registry import (
     BuildResources,
@@ -49,6 +50,10 @@ from repro.strategies.registry import (
     parse_bool,
     register,
 )
+
+if TYPE_CHECKING:
+    from repro.core.model import PassFlow
+    from repro.flows.priors import GaussianMixturePrior, Prior
 
 DEFAULT_GS_SCALE = 0.75  # mirrors GaussianSmoother's sigma_scale default
 
@@ -73,6 +78,8 @@ class StaticStrategy(GuessingStrategy):
         name: str = "PassFlow-Static",
         spec: Optional[str] = None,
     ) -> None:
+        from repro.flows.priors import StandardNormalPrior
+
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if spec is None:
@@ -192,6 +199,8 @@ class DynamicStrategy(GuessingStrategy):
     # prior construction (Eq. 14)
     # ------------------------------------------------------------------
     def mixture_prior(self) -> Optional[GaussianMixturePrior]:
+        from repro.flows.priors import GaussianMixturePrior
+
         if len(self.matched_latents) <= self.config.alpha:
             return None
         start = max(0, len(self.matched_latents) - self.config.max_components)
@@ -363,6 +372,8 @@ def _phi_spec_params(phi: PhiFunction) -> Dict[str, object]:
     bankable="static/conditional only (dynamic and +gs read attack feedback)",
 )
 def _build_passflow(spec: StrategySpec, resources: BuildResources) -> GuessingStrategy:
+    from repro.core.model import PassFlow
+
     model = resources.model
     if not isinstance(model, PassFlow):
         raise SpecError(

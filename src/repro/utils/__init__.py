@@ -1,15 +1,16 @@
-"""Shared utilities: seeding, logging, checkpoint IO, progress reporting."""
+"""Shared utilities: seeding, logging, checkpoint IO, progress reporting.
 
-from repro.utils.rng import RngStream, spawn_rng
-from repro.utils.logging import get_logger
-from repro.utils.serialization import load_checkpoint, save_checkpoint
-from repro.utils.progress import ProgressReporter
+Names load their submodule on first use (:mod:`.lazy`).
+"""
 
-__all__ = [
-    "RngStream",
-    "spawn_rng",
-    "get_logger",
-    "save_checkpoint",
-    "load_checkpoint",
-    "ProgressReporter",
-]
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".rng": ["RngStream", "spawn_rng"],
+        ".logging": ["get_logger"],
+        ".serialization": ["save_checkpoint", "load_checkpoint"],
+        ".progress": ["ProgressReporter"],
+    },
+)

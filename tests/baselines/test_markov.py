@@ -2,12 +2,20 @@
 
 import hashlib
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines.categorical import BLOCK
+from repro.baselines import categorical
+from repro.baselines import markov as markov_module
+from repro.baselines.categorical import BLOCK, choice_cdf
 from repro.baselines.markov import END, START, MarkovModel
+from repro.data.alphabet import default_alphabet
+from repro.runtime import StrategySource, run_attack
 
 #: passwords for the golden stream; the last five carry the start and
 #: end symbols, which reach ``fit`` unfiltered from corpus lines
@@ -43,6 +51,49 @@ def sample_oracle(model, count, rng):
             context = context[1:] + symbol
         out.append("".join(chars))
     return out
+
+
+def seed_probs(model, counts):
+    """The seed-era row of one context: add-``delta`` smoothed
+    probabilities over the alphabet, one list entry per position."""
+    weights = np.array(
+        [counts.get(s, 0) + model.smoothing for s in model._alphabet], dtype=np.float64
+    )
+    return weights / weights.sum()
+
+
+def drawable(model):
+    """Every password the sampler can draw, with its exact probability.
+
+    One factor per draw, from :func:`seed_probs`: a password ends at an
+    END draw, or after ``max_length`` symbols with no END drawn.
+    """
+    out = Counter()
+
+    def walk(prefix, context, p):
+        probs = seed_probs(model, model._counts.get(context, Counter()))
+        for symbol, q in zip(model._alphabet, probs):
+            if symbol == END:
+                out[prefix] += p * q
+            elif len(prefix) + 1 == model.max_length:
+                out[prefix + symbol] += p * q
+            else:
+                walk(prefix + symbol, context[1:] + symbol, p * q)
+
+    walk("", START * model.order, 1.0)
+    return out
+
+
+def refuse_cdf_builds(monkeypatch):
+    """Make every cdf builder raise, where the model imports it and at
+    its source; forked workers inherit the patch."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cdf was built after fit")
+
+    for module in (markov_module, categorical):
+        for name in ("choice_cdf", "choice_cdf_table"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
 
 
 def golden_payload(sample):
@@ -141,3 +192,134 @@ class TestRefit:
         )
         assert model.log_prob("ba") == fresh.log_prob("ba")
         assert model.top_guesses(3) == fresh.top_guesses(3)
+
+    def test_refit_replaces_the_tables(self):
+        model = MarkovModel(order=2).fit(["ab"] * 50)
+        model.sample_passwords(20, np.random.default_rng(0))
+        model.fit(["ba", "xyz"] * 25)
+        fresh = MarkovModel(order=2).fit(["ba", "xyz"] * 25)
+        assert model._rows == fresh._rows
+        assert model._prob_table.tolist() == fresh._prob_table.tolist()
+        assert model._cdf_table.tolist() == fresh._cdf_table.tolist()
+        assert model._cdfs == {}
+
+
+#: every symbol of the default alphabet, in lines ``fit`` keeps whole
+DEFAULT_SYMBOL_LINES = [
+    default_alphabet().chars[i : i + 10]
+    for i in range(0, len(default_alphabet().chars), 10)
+]
+
+
+class TestTables:
+    """``fit`` builds every row the sampler and the scorers read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lines=st.lists(
+            st.text(default_alphabet().chars[:12] + START + END, max_size=12),
+            min_size=1,
+            max_size=30,
+        ),
+        order=st.integers(1, 4),
+        smoothing=st.sampled_from([1e-6, 0.01, 2.5]),
+        every_symbol=st.booleans(),
+    )
+    def test_rows_equal_the_per_context_oracle(
+        self, lines, order, smoothing, every_symbol
+    ):
+        corpus = lines + DEFAULT_SYMBOL_LINES if every_symbol else lines
+        model = MarkovModel(order, smoothing).fit(corpus)
+        if every_symbol:
+            assert len(model._alphabet) >= 75
+        assert len(model._rows) == len(model._counts) == len(model._prob_table) - 1
+        for context, row in model._rows.items():
+            probs = seed_probs(model, model._counts[context])
+            assert model._prob_table[row].tobytes() == probs.tobytes()
+            assert model._cdf_table[row].tolist() == choice_cdf(probs)
+        unseen = seed_probs(model, Counter())
+        assert model._prob_table[-1].tobytes() == unseen.tobytes()
+        assert model._unseen_cdf == choice_cdf(unseen)
+
+    def test_sampling_builds_no_cdf(self, corpus, monkeypatch):
+        train = corpus[:600] + GOLDEN_CORPUS
+        expected = MarkovModel(order=3).fit(train).sample_passwords(
+            BLOCK + 1, np.random.default_rng(4)
+        )
+        model = MarkovModel(order=3).fit(train)
+        refuse_cdf_builds(monkeypatch)
+        assert model.sample_passwords(BLOCK + 1, np.random.default_rng(4)) == expected
+        # unseen contexts were visited too, through the one shared list
+        assert any(context not in model._rows for context in model._cdfs)
+
+    def test_forked_shards_build_no_cdf(self, corpus, monkeypatch):
+        train, test_set = corpus[:1500], set(corpus[1500:])
+        source = StrategySource("markov:3", corpus=train)
+        source.pin(source.build())  # fitted in the parent, as the CLI does
+        refuse_cdf_builds(monkeypatch)
+        reports = {
+            executor: run_attack(
+                source,
+                test_set,
+                [500, 3000],
+                seed=5,
+                workers=2,
+                schedule="elastic",
+                executor=executor,
+            ).as_dict()
+            for executor in ("processpool", "local")
+        }
+        assert reports["processpool"] == reports["local"]
+        assert "shard_errors" not in reports["local"]
+        assert reports["local"]["rows"][-1]["guesses"] == 3000
+
+
+class TestMaxLength:
+    """``log_prob`` and ``top_guesses`` score what the sampler draws: a
+    password of ``max_length`` symbols ends without an END draw."""
+
+    TOYS = {
+        "mixed": ["ab", "a", "bb", "ba", "b"],
+        "a-then-b": ["ab"] * 3 + ["b"] * 2,
+    }
+
+    @pytest.fixture(params=sorted(TOYS))
+    def model(self, request):
+        toy = self.TOYS[request.param]
+        return MarkovModel(order=1, smoothing=0.5, max_length=2).fit(toy)
+
+    def test_drawable_passwords_sum_to_one(self, model):
+        exact = drawable(model)
+        assert len(exact) == 7
+        assert math.fsum(math.exp(model.log_prob(w)) for w in exact) == pytest.approx(
+            1.0, abs=1e-12
+        )
+
+    def test_each_password_scores_its_draw_probability(self, model):
+        for word, p in drawable(model).items():
+            assert math.exp(model.log_prob(word)) == pytest.approx(p, rel=1e-12, abs=0)
+
+    def test_hand_computed_probability(self):
+        toy = self.TOYS["mixed"]
+        model = MarkovModel(order=1, smoothing=0.5, max_length=2).fit(toy)
+        # P(a | start) * P(b | a), with no END factor after max_length
+        assert math.exp(model.log_prob("ab")) == pytest.approx(2.5 / 6.5 * 1.5 / 4.5)
+
+    def test_sampler_frequencies_agree(self, model):
+        n = 100_000
+        exact = drawable(model)
+        counts = Counter(model.sample_passwords(n, np.random.default_rng(0)))
+        assert set(counts) <= set(exact)
+        for word, p in exact.items():
+            assert abs(counts[word] / n - p) < 5 * math.sqrt(p * (1 - p) / n), word
+
+    def test_longer_passwords_are_never_drawn(self, model):
+        assert model.log_prob("aba") == float("-inf")
+        assert model.log_prob("abab") == float("-inf")
+
+    def test_top_guesses_rank_by_draw_probability(self, model):
+        exact = drawable(model)
+        guesses = model.top_guesses(10)
+        assert set(guesses) == set(exact) - {""}
+        ranked = [exact[g] for g in guesses]
+        assert all(a >= b * (1 - 1e-12) for a, b in zip(ranked, ranked[1:]))
