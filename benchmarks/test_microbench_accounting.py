@@ -24,7 +24,7 @@ C-speed).
 ``test_delta_payload_floor`` asserts the delta-transport bar: on a
 1M-guess sharded run, the packed-uint64
 :class:`~repro.core.guesser.KeyedCheckpointDelta` payloads crossing the
-executor result queue are >= 5x smaller (pickled) than the string-list
+pool's reply pipes are >= 5x smaller (pickled) than the string-list
 :class:`~repro.core.guesser.CheckpointDelta` payloads the string fallback
 ships, while merging to bit-identical rows.
 """
@@ -202,7 +202,7 @@ def test_delta_payload_floor(codec, stream):
       merging parent holds live while unioning (str objects carry ~50
       bytes of CPython header each; a packed key is 8 bytes flat).  This
       is the asserted >= 5x floor.
-    * **wire payload** -- the pickled bytes crossing the result queue
+    * **wire payload** -- the pickled bytes crossing a reply pipe
       (strings pickle compactly, so the shrink there is smaller but must
       never invert).
 

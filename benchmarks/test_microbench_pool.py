@@ -14,7 +14,7 @@ elastic throughput over ``local``.
 The full 2x bar only makes sense with the cores to back it: on throttled
 CI runners or boxes with fewer than 4 cores the floor relaxes to a
 sanity bar (the pool must not be pathologically slower -- fork overhead,
-delta shipping and the result pipe all stay bounded), mirroring the
+delta shipping and the reply pipes all stay bounded), mirroring the
 kernel benches' ``speedup_floor`` convention.
 
 Measured on a 2-vCPU Xeon VM (best of two per side, three rounds, host

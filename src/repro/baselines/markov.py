@@ -36,6 +36,9 @@ class MarkovModel:
         self.max_length = max_length
         self._counts: Dict[str, Counter] = {}
         self._alphabet: List[str] = []
+        # symbol -> its alphabet positions: END holds two when a corpus
+        # line contains it, and the sampler stops on either
+        self._columns: Dict[str, List[int]] = {}
         self._fitted = False
         # seen context -> its row of the tables; every other context reads
         # the last row, the smoothed-uniform one
@@ -63,11 +66,11 @@ class MarkovModel:
         self._counts = counts
         self._alphabet = sorted(symbols) + [END]
         self._rows = {context: row for row, context in enumerate(counts)}
-        # a count fills every alphabet position its symbol holds: END holds
-        # two when a corpus line contains it
+        # a count fills every alphabet position its symbol holds
         positions = defaultdict(list)
         for column, symbol in enumerate(self._alphabet):
             positions[symbol].append(column)
+        self._columns = dict(positions)
         rows, columns, values = zip(*(
             (row, column, count)
             for row, context_counts in enumerate(counts.values())
@@ -130,24 +133,24 @@ class MarkovModel:
         """Exact log-probability that ``sample_passwords`` draws ``password``.
 
         Like the sampler, a password of ``max_length`` symbols ends without
-        an END draw, and a longer one is never drawn (``-inf``).
+        an END draw, and a longer one, or one containing END, is never
+        drawn (``-inf``).  The END draw is charged every position END
+        holds.
         """
         if not self._fitted:
             raise RuntimeError("fit() the model first")
-        if len(password) > self.max_length:
+        if len(password) > self.max_length or END in password:
             return float("-inf")
         padded = START * self.order + password
         if len(password) < self.max_length:
             padded += END
         total = 0.0
         for i in range(self.order, len(padded)):
-            context = padded[i - self.order : i]
-            symbols, probs = self._distribution(context)
-            try:
-                idx = symbols.index(padded[i])
-            except ValueError:
+            columns = self._columns.get(padded[i])
+            if columns is None:
                 return float("-inf")
-            total += float(np.log(probs[idx]))
+            _, probs = self._distribution(padded[i - self.order : i])
+            total += float(np.log(sum(probs[column] for column in columns)))
         return total
 
     # ------------------------------------------------------------------
@@ -179,13 +182,11 @@ class MarkovModel:
                     completed.append((log_p, prefix))
                     continue
                 symbols, probs = self._distribution(context)
+                end = sum(probs[column] for column in self._columns[END])
+                completed.append((log_p + float(np.log(end)), prefix))
                 for symbol, prob in zip(symbols, probs):
-                    if prob <= 0:
-                        continue
-                    score = log_p + float(np.log(prob))
-                    if symbol == END:
-                        completed.append((score, prefix))
-                    else:
+                    if symbol != END and prob > 0:
+                        score = log_p + float(np.log(prob))
                         expansions.append((score, prefix + symbol, context[1:] + symbol))
             expansions.sort(key=lambda e: -e[0])
             beam = expansions[:beam_width]

@@ -120,10 +120,16 @@ def _read_corpus(path: str, alphabet) -> List[str]:
 
 
 def _load_model(path: str):
-    """The PassFlow checkpoint at ``path`` (the model code loads here)."""
+    """The PassFlow checkpoint at ``path`` (the model code loads here).
+
+    Its kernel backend loads here too, in the parent, so the workers of a
+    sharded attack inherit it through the fork.
+    """
     from repro.core.model import PassFlow
 
-    return PassFlow.load(path)
+    model = PassFlow.load(path)
+    kernels.active()
+    return model
 
 
 def _open_bank(path: str):
@@ -155,17 +161,19 @@ def _select_kernels(args) -> None:
     ``--kernels`` wins over ``REPRO_KERNELS`` and is exported back into the
     environment so spawned shard workers resolve the same backend.  Invalid
     values (and ``numba`` without numba installed) exit with the registry's
-    one-line error.
+    one-line error.  No backend is imported here: one loads on first use
+    (or in :func:`_load_model`), and only a different backend already
+    loaded in this process is switched now.
     """
     choice = getattr(args, "kernels", None)
     try:
-        if choice is not None:
-            kernels.select(choice)
-            os.environ["REPRO_KERNELS"] = choice
-        else:
-            kernels.select(None)
+        name = kernels.resolve(choice)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    if choice is not None:
+        os.environ["REPRO_KERNELS"] = choice
+    if kernels.active_name() != name:
+        kernels.select(name)
 
 
 def _emit_attack_report(report, args, budgets: List[int], described: str) -> None:
@@ -995,7 +1003,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 os.environ["REPRO_KERNELS"] = prior
             try:
-                kernels.select(None)  # re-pin the in-process backend too
+                if kernels.active_name() != kernels.resolve():
+                    kernels.select(None)  # re-pin the in-process backend too
             except ValueError:
                 pass
 

@@ -34,9 +34,9 @@ instead (``docs/kernels.md``, "Threads").
 from __future__ import annotations
 
 import contextlib
-import importlib
 import importlib.util
 import os
+import sys
 from typing import Iterator, Optional
 
 from repro.kernels import blas
@@ -83,7 +83,10 @@ def resolve(name: Optional[str] = None) -> str:
 
 
 def _load(name: str):
-    return importlib.import_module(_MODULES[name])
+    # ``__import__`` rather than ``importlib``, so ``python -X importtime``
+    # lists the backend a command loads
+    __import__(_MODULES[name])
+    return sys.modules[_MODULES[name]]
 
 
 def select(name: Optional[str] = None) -> str:
@@ -108,8 +111,12 @@ def active():
 
 
 def active_name() -> str:
-    """Name of the active backend (``numpy`` / ``numba`` / ``reference``)."""
-    return active().NAME
+    """Name of the active backend (``numpy`` / ``numba`` / ``reference``).
+
+    Resolved from ``REPRO_KERNELS`` without importing a backend when none
+    is loaded yet.
+    """
+    return _active.NAME if _active is not None else resolve()
 
 
 @contextlib.contextmanager

@@ -17,13 +17,15 @@ playbook:
   however different shards' chunks overlap in time.  Chunks are
   ``ceil(quota / DEFAULT_CHUNKS_PER_ROUND)`` guesses long
   (:func:`chunk_quotas`), a function of the round quota alone.
-* **Checkpoint-aligned re-planning.**  At deterministic round boundaries
-  the driver measures what every shard actually produced; shards that ran
-  dry (or crashed) release their unconsumed budget back to the queue and
-  :meth:`~repro.runtime.planner.ShardPlanner.replan` re-splits it over the
-  live shards, marks still summing exactly to each budget.  Dryness is a
-  property of the strategy (guess counts), never of wall-clock timing, so
-  re-planning decisions are bit-reproducible.
+* **Checkpoint-aligned re-planning.**  Before every round the driver
+  measures what every shard actually produced; shards that ran dry (or
+  crashed) release their unconsumed budget back to the queue and one rule,
+  :func:`~repro.runtime.planner.balanced_totals`, re-splits the window's
+  budget over the live shards, totals still summing exactly to it.  The
+  first round of a window is no special case: from the previous budget's
+  marks the rule gives the static plan's.  Dryness is a property of the
+  strategy (guess counts), never of wall-clock timing, so re-planning
+  decisions are bit-reproducible.
 
 The driver talks to one *shard host* per run, obtained from the
 executor's ``elastic_host(task, workers)``:
@@ -163,7 +165,6 @@ class _ShardRun:
         out = ShardOutcome(
             index=self.index,
             total=self.consumed,
-            batches=self.state.batches if self.state is not None else 0,
             window_slices=list(self.window_slices),
             method=self.method,
             crashed=repr(self.error) if self.error is not None else None,
@@ -264,39 +265,25 @@ def run_elastic(
             progress = host.progress()
             if not any(p.live for p in progress):
                 break
-            plans = planner.replan(progress, planner.budgets[j:])
-            quotas = {
-                p.index: plans[p.index].marks[0] - p.consumed
-                for p in progress
-                if p.live
-            }
-            while True:
-                alive = {p.index for p in host.progress() if p.live}
-                assignments = [
-                    (index, chunk_quotas(quota))
-                    for index, quota in sorted(quotas.items())
-                    if quota > 0 and index in alive
-                ]
-                if not assignments:
-                    break
-                host.run_round(assignments)
-                progress = host.progress()
-                if sum(p.consumed for p in progress) >= budget:
-                    break
+            while sum(p.consumed for p in progress) < budget and any(
+                p.live for p in progress
+            ):
+                # the one quota rule: dead shards stay frozen at what they
+                # consumed and the least-loaded live shards absorb the rest
+                # (deterministic: guess counts only, never timing)
                 live = [p for p in progress if p.live]
-                if not live:
-                    break
-                # released budget flows to the least-loaded survivors first,
-                # mirroring the replan rule (deterministic: depends only on
-                # guess counts, never on timing)
                 dead_total = sum(p.consumed for p in progress if not p.live)
                 targets = balanced_totals(
                     [p.consumed for p in live], budget - dead_total
                 )
-                quotas = {
-                    p.index: target - p.consumed
-                    for p, target in zip(live, targets)
-                }
+                host.run_round(
+                    [
+                        (p.index, chunk_quotas(target - p.consumed))
+                        for p, target in zip(live, targets)
+                        if target > p.consumed
+                    ]
+                )
+                progress = host.progress()
             host.close_window()
             if sum(p.consumed for p in host.progress()) < budget:
                 break

@@ -24,7 +24,7 @@ process boundary), so both produce bit-identical outcomes for a fixed
 
 Delta transport: shard accounting runs in interned-id key space whenever
 the strategy streams (N, D) index-matrix batches (every smoother-free
-PassFlow strategy does), so checkpoint deltas cross the result pipe as
+PassFlow strategy does), so checkpoint deltas cross the reply pipes as
 :class:`~repro.core.guesser.KeyedCheckpointDelta` payloads -- packed
 uint64 arrays, 8 bytes per unique guess -- and 10^7+-guess sharded
 attacks stay pipe-cheap.  Strategies without an index-matrix stream
@@ -132,7 +132,6 @@ class ShardOutcome:
 
     index: int
     total: int = 0
-    batches: int = 0
     deltas: List[Delta] = field(default_factory=list)
     window_slices: List[Tuple[int, int]] = field(default_factory=list)
     matched_samples: List[str] = field(default_factory=list)
@@ -229,7 +228,6 @@ def execute_shard(task: ShardTask, plan: ShardPlan) -> ShardOutcome:
         start = stop
     outcome.deltas = accounting.deltas
     outcome.total = accounting.total
-    outcome.batches = state.batches
     outcome.matched_samples = accounting.matched_samples
     outcome.non_matched_samples = accounting.non_matched_samples
     if accounting.mode == "encoded":

@@ -7,8 +7,9 @@ every shard draws from its own named RNG stream
 (``spawn_rng(seed, "shard-i")``), and imbalance is reconciled at the
 shared checkpoints -- by merging accounting states (static schedules), or
 by re-splitting the unconsumed budget over the shards still producing
-(:meth:`ShardPlanner.replan`, the elastic schedule's re-partitioning
-step).
+(:func:`balanced_totals`, the elastic schedule's one re-partitioning
+rule, which :func:`~repro.runtime.elastic.run_elastic` applies at every
+round boundary).
 
 For each global budget ``b`` and shard ``i`` the shard's *mark* is its
 cumulative local quota ``b // W + (1 if i < b % W else 0)``; marks sum to
@@ -16,15 +17,15 @@ cumulative local quota ``b // W + (1 if i < b % W else 0)``; marks sum to
 the union of their accounting states is the global state at exactly ``b``
 guesses -- which is how :class:`~repro.runtime.parallel.ParallelAttackEngine`
 reconstructs serial-shaped :class:`~repro.core.guesser.BudgetRow` rows.
-Re-planned marks keep the same invariant: dead shards are frozen at what
+Re-planned totals keep the same invariant: dead shards are frozen at what
 they actually consumed and live shards absorb the rest, so every budget's
-marks still sum to it exactly.
+totals still sum to it exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -90,8 +91,7 @@ class ShardProgress:
     ``consumed`` is how many guesses the shard has generated so far;
     ``live`` turns False once the shard's strategy ran dry (or crashed),
     which takes it out of every future budget split -- its remaining
-    quota is what :meth:`ShardPlanner.replan` hands back to the live
-    shards.
+    quota is what :func:`balanced_totals` hands back to the live shards.
     """
 
     index: int
@@ -150,59 +150,3 @@ class ShardPlanner:
             )
             for i in range(self.workers)
         ]
-
-    def replan(
-        self,
-        progress: Sequence[ShardProgress],
-        remaining_budgets: Optional[Sequence[int]] = None,
-    ) -> List[ShardPlan]:
-        """Checkpoint-aligned re-split of unconsumed budget over live shards.
-
-        ``progress`` reports every shard exactly once (any order);
-        ``remaining_budgets`` is the ascending tail of the global schedule
-        still ahead (defaults to the full schedule).  Dead shards are
-        frozen at their consumed totals; for each remaining budget the
-        live shards' totals are raised to cover the rest via
-        :func:`balanced_totals` (bounded water-filling with the same
-        remainder-to-low-ranks rule as :func:`split_budget`), so the
-        returned marks still sum exactly to each budget -- and, when
-        every shard is live and sitting exactly on a previous budget's
-        static marks, the new marks equal the static plan's.  Raises
-        ``ValueError`` when no shard is live, when a budget no longer
-        covers what was already consumed, or when the progress roster is
-        incomplete -- a replan that cannot keep the marks-sum invariant
-        must not silently produce a lopsided plan.
-        """
-        roster = sorted(progress, key=lambda p: p.index)
-        if [p.index for p in roster] != list(range(self.workers)):
-            raise ValueError(
-                f"replan needs progress for each of {self.workers} shards exactly once"
-            )
-        if any(p.consumed < 0 for p in roster):
-            raise ValueError("consumed guess counts must be non-negative")
-        remaining = validate_budgets(
-            list(remaining_budgets) if remaining_budgets is not None else self.budgets
-        )
-        consumed_total = sum(p.consumed for p in roster)
-        if remaining[0] < consumed_total:
-            raise ValueError(
-                f"budget {remaining[0]} no longer covers the {consumed_total} "
-                "guesses already consumed"
-            )
-        live = [p for p in roster if p.live]
-        if not live:
-            raise ValueError("no live shards left to absorb the remaining budget")
-        dead_total = consumed_total - sum(p.consumed for p in live)
-        per_budget = [
-            balanced_totals([p.consumed for p in live], b - dead_total)
-            for b in remaining
-        ]
-        ranks = {p.index: rank for rank, p in enumerate(live)}
-        plans = []
-        for p in roster:
-            if p.live:
-                marks = [totals[ranks[p.index]] for totals in per_budget]
-            else:
-                marks = [p.consumed] * len(remaining)
-            plans.append(ShardPlan(index=p.index, marks=marks, workers=self.workers))
-        return plans

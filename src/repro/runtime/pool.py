@@ -12,12 +12,15 @@ one process for the whole run and never migrate.  Separate processes give GIL-bo
 strategies (markov, PCFG, conditional PassFlow) real multi-core
 throughput.
 
-Two protocols run over the same pair of OS channels (one command pipe
-per worker, one shared result pipe):
+Every worker has its own command pipe and its own reply pipe, and each
+end of them is open in exactly one process: the parent holds the
+command writer and the reply reader, the worker the command reader and
+the reply writer.  EOF or EPIPE on a pipe therefore always means the
+peer is gone, and no lock is shared.  Two protocols run over the pipes:
 
 * **Static** (:meth:`ProcessPoolExecutor.run`): the parent sends each
   worker its shard's :class:`~repro.runtime.planner.ShardPlan`; workers
-  run :func:`~repro.runtime.executor.execute_shard` and stream back
+  run :func:`~repro.runtime.executor.execute_shard` and reply with
   compact :class:`~repro.runtime.executor.ShardOutcome`\\ s -- the same
   outcomes :class:`~repro.runtime.executor.LocalExecutor` builds
   in-process, so merged reports are bit-identical.
@@ -32,21 +35,22 @@ per worker, one shared result pipe):
   down and deltas come up -- the guess streams themselves never cross a
   process boundary.
 
+One reply loop (:meth:`_PoolHost._drain` over :meth:`_ForkServer.receive`)
+serves both: it waits on every reply pipe and process sentinel at once,
+and reports a worker's death as soon as its pipe reaches EOF after its
+last whole reply -- no timeout, no grace period.
+
 Determinism: chunk contents are fixed by named RNG streams and the
 quota-only chunk policy, and shard state is process-sticky, so for a fixed
 ``(seed, workers, schedule)`` the merged report is bit-identical to
 :class:`~repro.runtime.executor.LocalExecutor`'s.  See
 ``docs/parallel.md`` for the executor-selection matrix.
-
-Process lifecycle lives here too: :func:`picklable_exception` ships
-worker failures, :class:`CorpseWatch` spots workers that died without
-reporting, and :func:`reap_processes` tears a fleet down from any exit
-path.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import time
 import traceback
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -61,10 +65,10 @@ logger = get_logger("runtime.pool")
 def picklable_exception(exc: BaseException) -> Optional[BaseException]:
     """The exception itself when it survives pickling, else ``None``.
 
-    Worker processes ship their failures to the parent through the result
-    pipe; an exception that can cross it intact is re-raised with its
-    original type (e.g. a clean ``SpecError``), anything else degrades to
-    the traceback string the caller sends alongside.
+    Worker processes ship their failures to the parent through their
+    reply pipe; an exception that can cross it intact is re-raised with
+    its original type (e.g. a clean ``SpecError``), anything else
+    degrades to the traceback string the caller sends alongside.
     """
     try:
         import pickle
@@ -81,10 +85,10 @@ def reap_processes(processes: Sequence) -> None:
     The teardown tail of :meth:`_ForkServer.stop`: called from a
     ``finally`` so a parent raising mid-collection (KeyboardInterrupt, a
     re-raised shard error) never leaves forked children running.  Safe on
-    the clean path too -- a worker that already reported its result is
-    either exiting or blocked writing a reply nobody reads any more;
-    ``terminate`` just hastens it.  Joins get a bounded timeout with a
-    ``kill`` fallback so teardown cannot hang on a wedged child.
+    the clean path too -- a worker that already saw EOF on its command
+    pipe is exiting anyway; ``terminate`` just hastens it.  Joins get a
+    bounded timeout with a ``kill`` fallback so teardown cannot hang on
+    a wedged child.
     """
     for process in processes:
         if process.is_alive():
@@ -96,74 +100,21 @@ def reap_processes(processes: Sequence) -> None:
             process.join(timeout=5.0)
 
 
-class CorpseWatch:
-    """Detects workers that died without reporting a result.
+def _pool_worker(index: int, task: ShardTask, fleet: int, commands, replies, parent_ends) -> None:
+    """One fork-server worker: serve shard ``index``'s commands until EOF.
 
-    Both pool protocols drain the result pipe with a timeout; on every
-    timeout they feed this watch the indices of workers that are no
-    longer alive but still owe results.  A worker that just exited may
-    have its final messages still unread in the pipe, so the watch only
-    gives up after ``grace`` consecutive idle rounds with corpses
-    present; any successful receive resets it.
+    First closes ``parent_ends``, the parent's pipe ends it inherited
+    through the fork, so ``commands`` (reader) and ``replies`` (writer)
+    are its only ends: the parent's exit reads as EOF here and writes
+    fail with EPIPE, and this worker's exit reads as EOF in the parent.
+    Owns shard ``index``'s :class:`~repro.runtime.elastic._ShardRun`,
+    built on its first chunk; a build failure is that shard's crash,
+    shipped like a failing chunk.  Delta payloads are streamed
+    incrementally -- each reply carries only the checkpoints added since
+    the last one -- and the codec crosses the pipe at most once.
     """
-
-    def __init__(self, grace: int = 3) -> None:
-        self.grace = grace
-        self._idle_rounds = 0
-
-    def note_receive(self) -> None:
-        """A message arrived; the channel is live again."""
-        self._idle_rounds = 0
-
-    def note_timeout(self, dead: Sequence[int]) -> Optional[List[int]]:
-        """An idle round elapsed; returns the corpse list once out of grace."""
-        self._idle_rounds = self._idle_rounds + 1 if dead else 0
-        if self._idle_rounds >= self.grace:
-            return list(dead)
-        return None
-
-
-class _ResultChannel:
-    """The workers' shared reply pipe, guarded by one write lock.
-
-    :meth:`put` writes the whole message in the calling thread before it
-    returns, so a worker's own code only runs between whole writes: a
-    strategy that ends its process (``os._exit``) cannot leave the lock
-    held.  A ``multiprocessing.Queue`` writes from a feeder thread
-    instead, and a worker exiting while that thread held the lock would
-    wedge every survivor's replies behind it.
-    """
-
-    def __init__(self, context) -> None:
-        self._reader, self._writer = context.Pipe(duplex=False)
-        self._lock = context.Lock()
-
-    def put(self, message) -> None:
-        with self._lock:
-            self._writer.send(message)
-
-    def get(self, timeout: float):
-        """The next message, or ``None`` when none arrives in ``timeout`` s."""
-        if not self._reader.poll(timeout):
-            return None
-        return self._reader.recv()
-
-    def close(self) -> None:
-        self._reader.close()
-        self._writer.close()
-
-
-def _pool_worker(index: int, task: ShardTask, fleet: int, commands, results) -> None:
-    """One fork-server worker: serve shard ``index``'s commands until told to stop.
-
-    Owns that shard's :class:`~repro.runtime.elastic._ShardRun` state
-    (built lazily on its first chunk).  Commands arrive strictly in order
-    on this worker's pipe, so the shard's chunks always run in sequence;
-    replies go to the shared result pipe, tagged with the shard index.
-    Delta payloads are streamed incrementally -- each reply carries only
-    the checkpoints added since the last one -- and the codec crosses the
-    pipe at most once.
-    """
+    for end in parent_ends:
+        end.close()
     run: Optional[_ShardRun] = None
     streamed = 0  # deltas already shipped
     codec_sent = False
@@ -187,75 +138,51 @@ def _pool_worker(index: int, task: ShardTask, fleet: int, commands, results) -> 
         while True:
             try:
                 command = commands.recv()
-            except EOFError:  # parent is gone; nothing left to report to
+            except EOFError:  # the parent closed the pipe, or is gone
                 return
             kind = command[0]
             if kind == "chunks":
-                if run is None:
-                    run = _ShardRun(index, task, workers=fleet)
-                crashed = False
+                reply = ("round-done",)
                 for size in command[1]:
                     try:
+                        if run is None:
+                            run = _ShardRun(index, task, workers=fleet)
                         run.run_chunk(size)
                     except Exception as exc:  # noqa: BLE001 - shipped to parent
-                        run.live = False
-                        run.error = exc
-                        results.put(
-                            (
-                                "crash",
-                                index,
-                                run.consumed,
-                                picklable_exception(exc),
-                                traceback.format_exc(),
-                            )
+                        consumed = run.consumed if run is not None else 0
+                        reply = (
+                            "crash",
+                            consumed,
+                            picklable_exception(exc),
+                            traceback.format_exc(),
                         )
-                        crashed = True
                         break
-                    results.put(
-                        (
-                            "chunk",
-                            index,
-                            run.consumed,
-                            run.live,
-                            fresh_deltas(),
-                            codec_once(),
-                        )
+                    replies.send(
+                        ("chunk", run.consumed, run.live, fresh_deltas(), codec_once())
                     )
-                if not crashed:
-                    results.put(("round-done", index))
+                replies.send(reply)
             elif kind == "close":
                 if run is not None:
                     run.close_window()
-                results.put(("closed", index, fresh_deltas(), codec_once()))
+                replies.send(("closed", fresh_deltas(), codec_once()))
             elif kind == "collect":
                 outcome = None
                 if run is not None:
                     outcome = run.outcome()
                     outcome.deltas = []  # streamed already; keep the reply compact
-                results.put(("collected", index, outcome))
+                replies.send(("collected", outcome))
             elif kind == "shard":
-                _, plan = command
                 try:
-                    outcome = execute_shard(task, plan)
+                    reply = ("outcome", execute_shard(task, command[1]))
                 except BaseException as exc:  # surface failures in the parent
-                    results.put(
-                        (
-                            "error",
-                            index,
-                            picklable_exception(exc),
-                            traceback.format_exc(),
-                        )
-                    )
-                else:
-                    results.put(("outcome", index, outcome))
-            elif kind == "stop":
-                return
+                    reply = ("crash", 0, picklable_exception(exc), traceback.format_exc())
+                replies.send(reply)
     except (KeyboardInterrupt, BrokenPipeError):  # parent teardown in flight
         return
 
 
 class _ForkServer:
-    """One run's fleet of long-lived forked workers plus its channels.
+    """One run's fleet of long-lived forked workers plus their pipes.
 
     Forked once at construction, one worker per shard (workers inherit
     ``task`` -- model, corpus, test set -- through the fork, never
@@ -265,71 +192,110 @@ class _ForkServer:
     """
 
     def __init__(self, context, task: ShardTask, shards: int) -> None:
-        self.results = _ResultChannel(context)
-        self.pipes = []
+        self.commands = []  # the parent's command writer, per worker
+        self.replies = []  # the parent's reply reader, per worker
         self.procs = []
         for index in range(shards):
-            receiver, sender = context.Pipe(duplex=False)
+            command_reader, command_writer = context.Pipe(duplex=False)
+            reply_reader, reply_writer = context.Pipe(duplex=False)
+            self.commands.append(command_writer)
+            self.replies.append(reply_reader)
             process = context.Process(
                 target=_pool_worker,
-                args=(index, task, shards, receiver, self.results),
+                args=(
+                    index,
+                    task,
+                    shards,
+                    command_reader,
+                    reply_writer,
+                    self.commands + self.replies,
+                ),
                 daemon=True,
             )
             process.start()
-            receiver.close()  # the parent keeps only the sending end
-            self.pipes.append(sender)
+            command_reader.close()  # the worker's ends live in the worker only
+            reply_writer.close()
             self.procs.append(process)
         self.alive: Set[int] = set(range(shards))
         self._stopped = False
 
     def send(self, worker_id: int, message) -> None:
-        """Queue one command on a worker's pipe (drops writes to corpses)."""
+        """Queue one command on a live worker's pipe.
+
+        A worker that died is reported by :meth:`receive`, once its reply
+        pipe reaches EOF; a write to it fails silently here.
+        """
         if worker_id not in self.alive:
             return
         try:
-            self.pipes[worker_id].send(message)
-        except (BrokenPipeError, OSError):
-            self.alive.discard(worker_id)
+            self.commands[worker_id].send(message)
+        except OSError:
+            pass
 
-    def receive(self, timeout: float = 1.0):
-        """One result-pipe read; ``None`` after an idle timeout."""
-        return self.results.get(timeout)
+    def receive(self) -> Tuple[int, Optional[tuple]]:
+        """The next reply from any live worker, as ``(worker_id, reply)``.
 
-    def dead_workers(self, worker_ids) -> List[int]:
-        """The subset of ``worker_ids`` whose processes are gone."""
-        return [wid for wid in worker_ids if not self.procs[wid].is_alive()]
+        Waits, with no timeout, on every live worker's reply pipe and
+        process sentinel together.  A worker is dead once its pipe
+        reaches EOF after its last whole reply (a truncated final frame
+        counts as EOF), or once its process has exited and its pipe holds
+        nothing more; that is reported as ``(worker_id, None)``, and the
+        worker leaves :attr:`alive`.
+        """
+        # imported here: a serial command imports this module, not the pool
+        from multiprocessing.connection import wait
+
+        ready = set(
+            wait(
+                [self.replies[w] for w in self.alive]
+                + [self.procs[w].sentinel for w in self.alive]
+            )
+        )
+        worker_id = min(
+            w
+            for w in self.alive
+            if self.replies[w] in ready or self.procs[w].sentinel in ready
+        )
+        pipe = self.replies[worker_id]
+        if pipe.poll():
+            try:
+                return worker_id, pipe.recv()
+            except (EOFError, OSError):
+                pass
+        self.alive.discard(worker_id)
+        return worker_id, None
 
     def stop(self) -> None:
-        """Tear the fleet down (idempotent; callable from ``finally``)."""
+        """Tear the fleet down (idempotent; callable from ``finally``).
+
+        Closing the parent's ends is the stop signal: an idle worker
+        reads EOF and returns, a replying one gets EPIPE.
+        """
         if self._stopped:
             return
         self._stopped = True
-        for worker_id in sorted(self.alive):
-            self.send(worker_id, ("stop",))
+        for pipe in self.commands + self.replies:
+            pipe.close()
+        deadline = time.monotonic() + 2.0
         for process in self.procs:
-            process.join(timeout=2.0)
+            process.join(timeout=max(0.0, deadline - time.monotonic()))
         reap_processes(self.procs)
-        for pipe in self.pipes:
-            try:
-                pipe.close()
-            except OSError:
-                pass
-        self.results.close()
 
 
-class _PoolElasticHost:
-    """Elastic shard host whose shard state lives in forked pool workers.
+class _PoolHost:
+    """Shard state living in forked pool workers, for either schedule.
 
-    Implements the same protocol as
-    :class:`~repro.runtime.elastic._InProcessChunkHost` (``progress`` /
-    ``run_round`` / ``close_window`` / ``errors`` / ``outcomes`` /
+    For the elastic schedule it implements the same shard-host protocol
+    as :class:`~repro.runtime.elastic._InProcessChunkHost` (``progress``
+    / ``run_round`` / ``close_window`` / ``errors`` / ``outcomes`` /
     ``finish``) against a :class:`_ForkServer`: rounds go down the pipes
     as chunk descriptors, consumed counters and delta payloads stream
     back per chunk, and the parent keeps a mirror of every shard's
     progress so the driver's re-planning math never blocks on a worker.
     A worker that dies mid-run retires its shard (the unconsumed budget
     re-plans onto survivors); a strategy exception retires its shard
-    exactly like the in-process host.
+    exactly like the in-process host.  :meth:`run_static` runs whole
+    static shards through the same reply loop.
     """
 
     def __init__(self, context, task: ShardTask, shards: int) -> None:
@@ -358,13 +324,9 @@ class _PoolElasticHost:
 
     def run_round(self, assignments: Sequence[ChunkAssignment]) -> None:
         """Dispatch one round of chunk descriptors and drain its replies."""
-        pending: Set[int] = set()
         for index, sizes in assignments:
-            if index not in self.server.alive:
-                continue  # shard already retired with its dead worker
             self.server.send(index, ("chunks", list(sizes)))
-            pending.add(index)
-        self._drain(pending, "round-done")
+        self._drain({index for index, _ in assignments} & self.server.alive, "round-done")
 
     def close_window(self) -> None:
         """Cut every shard's window in its worker, then record the slices."""
@@ -375,40 +337,47 @@ class _PoolElasticHost:
             self._window_start[index] = count
 
     def outcomes(self) -> List[ShardOutcome]:
-        """Collect worker-side terminal state and assemble merged outcomes."""
+        """Collect worker-side terminal state and assemble merged outcomes.
+
+        A worker's final outcome supplies its samples, method and codec;
+        the parent's mirror supplies the streamed deltas and window
+        slices, and the whole outcome of a worker that died.
+        """
         self._broadcast(("collect",), "collected")
         results = []
         for index in range(self.shards):
-            final = self._finals.get(index)
-            results.append(
-                ShardOutcome(
-                    index=index,
-                    total=final.total if final is not None else self.consumed[index],
-                    batches=final.batches if final is not None else 0,
-                    deltas=self.deltas[index],
-                    window_slices=self.slices[index],
-                    matched_samples=(
-                        final.matched_samples if final is not None else []
-                    ),
-                    non_matched_samples=(
-                        final.non_matched_samples if final is not None else []
-                    ),
-                    method=final.method if final is not None else None,
-                    codec=(
-                        final.codec
-                        if final is not None and final.codec is not None
-                        else self.codecs[index]
-                    ),
-                    crashed=(
-                        repr(self._errors[index]) if index in self._errors else None
-                    ),
-                )
+            outcome = self._finals.get(index) or ShardOutcome(
+                index=index, total=self.consumed[index]
             )
+            outcome.deltas = self.deltas[index]
+            outcome.window_slices = self.slices[index]
+            if outcome.codec is None:
+                outcome.codec = self.codecs[index]
+            if index in self._errors:
+                outcome.crashed = repr(self._errors[index])
+            results.append(outcome)
         return results
 
     def finish(self) -> None:
         """Tear the fork server down (idempotent; called from ``finally``)."""
         self.server.stop()
+
+    def run_static(self, plans: Sequence[ShardPlan]) -> List[ShardOutcome]:
+        """Run each static shard whole on its worker and collect the outcomes.
+
+        The first failure ends the collection: a shipped exception is
+        re-raised with its original type when it pickled, and a worker
+        that died raises a ``RuntimeError`` naming its shard.
+        """
+        for plan in plans:
+            self.server.send(plan.index, ("shard", plan))
+        self._drain({plan.index for plan in plans}, "outcome")
+        if self._errors:
+            index = min(self._errors)
+            if index not in self.server.alive:
+                raise RuntimeError(f"shard(s) [{index}] died without reporting a result")
+            raise self._errors[index]
+        return [self._finals[plan.index] for plan in plans]
 
     # -- internals -----------------------------------------------------
     def _broadcast(self, command, done_kind: str) -> None:
@@ -419,23 +388,9 @@ class _PoolElasticHost:
         self._drain(expected, done_kind)
 
     def _retire(self, index: int, error: Exception) -> None:
-        if index in self._errors:
-            return
         self.live[index] = False
-        self._errors[index] = error
-        logger.warning(
-            "elastic shard %d crashed (%r); re-queueing its remaining budget",
-            index,
-            error,
-        )
-
-    def _mark_worker_dead(self, index: int) -> None:
-        """A corpse: retire its shard if still live."""
-        self.server.alive.discard(index)
-        if self.live[index]:
-            self._retire(
-                index, RuntimeError(f"pool worker {index} died without reporting")
-            )
+        self._errors.setdefault(index, error)
+        logger.warning("pool shard %d crashed (%r)", index, error)
 
     def _take(self, index: int, fresh: list, codec) -> None:
         self.deltas[index].extend(fresh)
@@ -443,34 +398,33 @@ class _PoolElasticHost:
             self.codecs[index] = codec
 
     def _drain(self, pending: Set[int], done_kind: str) -> None:
-        """Process replies until every pending shard's worker has answered.
+        """Process replies until every pending worker has answered.
 
-        Handles the streamed message kinds (``chunk``, ``crash``,
-        ``closed``, ``collected``) regardless of which barrier is being
-        waited on (``done_kind``), so the one loop serves rounds, window
-        closes and terminal collection.  Dead workers are detected by the
-        corpse watch and their shards retired, shrinking the barrier
-        instead of hanging it.
+        The one reply loop of both schedules: it handles every reply
+        kind whichever barrier is being waited on (``done_kind``), so it
+        serves static collection, rounds, window closes and terminal
+        collection.  A crash or a death answers for its worker: its shard
+        is retired, shrinking the barrier instead of hanging it.  Static
+        collection (``"outcome"``) stops at the first failure, which
+        fails the whole run.
         """
-        watch = CorpseWatch()
-        while pending:
-            message = self.server.receive()
-            if message is None:
-                corpses = watch.note_timeout(self.server.dead_workers(pending))
-                for index in corpses or ():
-                    self._mark_worker_dead(index)
-                    pending.discard(index)
+        while pending and not (done_kind == "outcome" and self._errors):
+            index, reply = self.server.receive()
+            if reply is None:
+                self._retire(
+                    index, RuntimeError(f"pool worker {index} died without reporting")
+                )
+                pending.discard(index)
                 continue
-            watch.note_receive()
-            kind, index = message[0], message[1]
+            kind = reply[0]
             if kind == "chunk":
-                _, _, consumed, live, fresh, codec = message
+                _, consumed, live, fresh, codec = reply
                 self.consumed[index] = consumed
                 self._take(index, fresh, codec)
                 if not live:
                     self.live[index] = False  # ran dry, deterministically
             elif kind == "crash":
-                _, _, consumed, exc, trace = message
+                _, consumed, exc, trace = reply
                 self.consumed[index] = consumed
                 self._retire(
                     index,
@@ -480,9 +434,9 @@ class _PoolElasticHost:
                 )
                 pending.discard(index)
             elif kind == "closed":
-                self._take(index, message[2], message[3])
-            elif kind == "collected":
-                self._finals[index] = message[2]
+                self._take(index, reply[1], reply[2])
+            elif kind in ("collected", "outcome"):
+                self._finals[index] = reply[1]
             if kind == done_kind:
                 pending.discard(index)
 
@@ -510,52 +464,16 @@ class ProcessPoolExecutor:
         :class:`~repro.runtime.executor.LocalExecutor` (the same
         :func:`~repro.runtime.executor.execute_shard` runs in the
         worker).  Raises the original worker exception when picklable,
-        or a ``RuntimeError`` naming shards whose worker died without
+        or a ``RuntimeError`` naming a shard whose worker died without
         reporting.  All children are reaped in a ``finally`` regardless
         of how collection ends.
         """
-        server = _ForkServer(self._context, task, len(plans))
-        outcomes: List[Optional[ShardOutcome]] = [None] * len(plans)
-        failure: Optional[str] = None
-        shard_exception: Optional[BaseException] = None
+        host = _PoolHost(self._context, task, len(plans))
         try:
-            for plan in plans:
-                server.send(plan.index, ("shard", plan))
-            collected = 0
-            watch = CorpseWatch()
-            while collected < len(plans) and failure is None:
-                message = server.receive()
-                if message is None:
-                    corpses = watch.note_timeout(
-                        server.dead_workers(
-                            plan.index for plan in plans if outcomes[plan.index] is None
-                        )
-                    )
-                    if corpses is not None:
-                        failure = (
-                            f"shard(s) {corpses} died without reporting a result"
-                        )
-                    continue
-                watch.note_receive()
-                kind = message[0]
-                if kind == "outcome":
-                    _, index, outcome = message
-                    outcomes[index] = outcome
-                    collected += 1
-                elif kind == "error":
-                    _, index, exc, trace = message
-                    shard_exception = exc
-                    failure = f"shard {index} failed:\n{trace}"
+            return host.run_static(plans)
         finally:
-            server.stop()
-        if failure is not None:
-            if shard_exception is not None:
-                # re-raise with the original type so callers can handle it
-                logger.warning("%s", failure)
-                raise shard_exception
-            raise RuntimeError(failure)
-        return [outcome for outcome in outcomes if outcome is not None]
+            host.finish()
 
-    def elastic_host(self, task: ShardTask, workers: int) -> _PoolElasticHost:
+    def elastic_host(self, task: ShardTask, workers: int) -> _PoolHost:
         """The elastic shard host backing ``--schedule elastic`` runs."""
-        return _PoolElasticHost(self._context, task, workers)
+        return _PoolHost(self._context, task, workers)

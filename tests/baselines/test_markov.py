@@ -281,6 +281,8 @@ class TestMaxLength:
     TOYS = {
         "mixed": ["ab", "a", "bb", "ba", "b"],
         "a-then-b": ["ab"] * 3 + ["b"] * 2,
+        # END in a corpus line: it holds two alphabet positions
+        "end-in-corpus": ["ab", "a" + END, "b"],
     }
 
     @pytest.fixture(params=sorted(TOYS))
@@ -316,6 +318,19 @@ class TestMaxLength:
     def test_longer_passwords_are_never_drawn(self, model):
         assert model.log_prob("aba") == float("-inf")
         assert model.log_prob("abab") == float("-inf")
+
+    def test_end_in_corpus_scores_what_the_sampler_draws(self):
+        """END's draw is charged both its positions, and a password
+        holding END, which the sampler stops on, is never drawn."""
+        model = MarkovModel(order=1, smoothing=0.5, max_length=2).fit(
+            self.TOYS["end-in-corpus"]
+        )
+        n = 200_000
+        freq = Counter(model.sample_passwords(n, np.random.default_rng(1)))["a"] / n
+        p = math.exp(model.log_prob("a"))
+        assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / n)
+        assert model.log_prob("a" + END) == float("-inf")
+        assert model.log_prob(END) == float("-inf")
 
     def test_top_guesses_rank_by_draw_probability(self, model):
         exact = drawable(model)

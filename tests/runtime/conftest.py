@@ -19,14 +19,15 @@ through the inherited registry.
   instance: the finite-stream shard whose budget must be re-absorbed.
 * ``crashing`` -- ``sequence`` that fails once ``at`` guesses were
   produced: ``mode=raise`` raises RuntimeError (the recoverable elastic
-  case), ``mode=exit`` kills the worker process outright with
-  ``os._exit`` (the pool's dead-worker case -- no exception payload
-  ever reaches the parent).
+  case), ``mode=exit`` ends the worker process outright with
+  ``os._exit`` and ``mode=kill`` with a SIGKILL to itself (the pool's
+  dead-worker cases -- no exception payload ever reaches the parent).
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import time
 from typing import Iterator, Optional
 
@@ -103,16 +104,17 @@ class CrashingStrategy(SequenceStrategy):
     """A ``sequence`` that fails once ``at`` guesses have been produced.
 
     ``mode="raise"`` raises RuntimeError from inside the guess stream;
-    ``mode="exit"`` terminates the whole worker process via ``os._exit``,
-    simulating an OOM-killed / segfaulted shard that never reports back.
+    ``mode="exit"`` terminates the whole worker process via ``os._exit``
+    and ``mode="kill"`` via SIGKILL, simulating an OOM-killed /
+    segfaulted shard that never reports back.
     """
 
     name = "Crashing"
 
     def __init__(self, at: int = 100, mode: str = "raise", **kwargs) -> None:
         super().__init__(**kwargs)
-        if mode not in ("raise", "exit"):
-            raise ValueError(f"mode must be 'raise' or 'exit', got {mode!r}")
+        if mode not in ("raise", "exit", "kill"):
+            raise ValueError(f"mode must be 'raise', 'exit' or 'kill', got {mode!r}")
         self._at = int(at)
         self._mode = mode
 
@@ -121,6 +123,8 @@ class CrashingStrategy(SequenceStrategy):
             if self._position > self._at:
                 if self._mode == "exit":
                     os._exit(3)
+                if self._mode == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
                 raise RuntimeError(
                     f"crashing strategy hit its mark at {self._position} guesses"
                 )

@@ -6,7 +6,7 @@ The load-bearing contracts, in test form:
   guess stream depends only on instance position (the ``sequence``
   fixture) produces bit-identical reports under both schedules, for any
   seed/workers/budgets (hypothesis-checked);
-* **replan marks always sum exactly to each budget** -- dead shards
+* **re-planned totals always sum exactly to the budget** -- dead shards
   frozen, live shards absorbing, no guess ever lost or double-planned;
 * **dry/straggler/crashed shards release their budget** -- the fleet
   still reaches every budget mark, with per-shard accounting totals
@@ -19,7 +19,6 @@ Pool-specific faults (worker corpses, orphan cleanup) live in
 
 import os
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,11 +27,12 @@ from repro.runtime import (
     LocalExecutor,
     ParallelAttackEngine,
     ShardPlanner,
-    ShardProgress,
     ShardTask,
     StrategySource,
+    balanced_totals,
     chunk_quotas,
     run_elastic,
+    split_budget,
 )
 from repro.runtime.elastic import DEFAULT_CHUNKS_PER_ROUND
 
@@ -82,58 +82,67 @@ class TestElasticEqualsStatic:
 
 
 class TestReplanInvariants:
+    """``balanced_totals``, the one quota rule of every elastic round."""
+
     @given(
         consumed=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6),
-        live_seed=st.integers(min_value=0, max_value=10**6),
-        extra=st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=4, unique=True),
+        extra=st.integers(min_value=0, max_value=400),
     )
     @settings(max_examples=60, deadline=None)
-    def test_replan_marks_sum_exactly_to_each_budget(self, consumed, live_seed, extra):
-        workers = len(consumed)
-        rng = np.random.default_rng(live_seed)
-        live = rng.random(workers) < 0.7
-        if not live.any():
-            live[int(rng.integers(workers))] = True
-        base = sum(consumed)
-        budgets = sorted(base + e for e in extra)
-        planner = ShardPlanner(budgets, workers)
-        plans = planner.replan(
-            [
-                ShardProgress(i, consumed[i], bool(live[i]))
-                for i in range(workers)
-            ],
-            budgets,
-        )
-        for j, budget in enumerate(budgets):
-            assert sum(plan.marks[j] for plan in plans) == budget
-        for i, plan in enumerate(plans):
-            assert plan.marks == sorted(plan.marks)
-            if not live[i]:
-                assert plan.marks == [consumed[i]] * len(budgets)
-            else:
-                assert all(mark >= consumed[i] for mark in plan.marks)
+    def test_totals_sum_to_target_and_never_fall(self, consumed, extra):
+        target = sum(consumed) + extra
+        totals = balanced_totals(consumed, target)
+        assert sum(totals) == target
+        assert all(total >= start for total, start in zip(totals, consumed))
 
-    def test_replan_of_untouched_fleet_matches_plan(self):
-        planner = ShardPlanner([7, 100, 1234], 5)
-        fresh = [ShardProgress(i, 0, True) for i in range(5)]
-        assert planner.replan(fresh) == planner.plan()
+    @given(
+        consumed=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6),
+        extra=st.integers(min_value=1, max_value=400),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_remainder_goes_to_low_ranks(self, consumed, extra):
+        """Raised totals sit on one water line, the extra unit on the lowest ranks."""
+        totals = balanced_totals(consumed, sum(consumed) + extra)
+        raised = [total for total, start in zip(totals, consumed) if total > start]
+        assert raised == sorted(raised, reverse=True)
+        assert max(raised) - min(raised) <= 1
 
-    def test_replan_rejects_all_dead(self):
-        planner = ShardPlanner([100], 2)
-        with pytest.raises(ValueError, match="no live shards"):
-            planner.replan([ShardProgress(0, 10, False), ShardProgress(1, 5, False)])
+    def test_remainder_example(self):
+        assert balanced_totals([0, 5, 0], 8) == [2, 5, 1]
 
-    def test_replan_rejects_overconsumed_budget(self):
-        planner = ShardPlanner([100], 2)
-        with pytest.raises(ValueError, match="no longer covers"):
-            planner.replan(
-                [ShardProgress(0, 80, True), ShardProgress(1, 40, True)], [100]
-            )
+    @given(
+        start=st.integers(min_value=0, max_value=50),
+        workers=st.integers(min_value=1, max_value=8),
+        extra=st.integers(min_value=0, max_value=400),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_starts_give_split_budget(self, start, workers, extra):
+        totals = balanced_totals([start] * workers, start * workers + extra)
+        assert totals == [start + split_budget(extra, workers, i) for i in range(workers)]
 
-    def test_replan_rejects_incomplete_roster(self):
-        planner = ShardPlanner([100], 3)
-        with pytest.raises(ValueError, match="exactly once"):
-            planner.replan([ShardProgress(0, 0, True), ShardProgress(2, 0, True)])
+    @given(
+        budgets=st.lists(
+            st.integers(min_value=1, max_value=2000), min_size=2, max_size=2, unique=True
+        ).map(sorted),
+        workers=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_static_marks_lead_to_next_marks(self, budgets, workers):
+        """From one budget's static marks the rule gives the next budget's."""
+        first, second = budgets
+        marks = [split_budget(first, workers, i) for i in range(workers)]
+        assert balanced_totals(marks, second) == [
+            split_budget(second, workers, i) for i in range(workers)
+        ]
+
+    def test_rejects_target_below_consumed(self):
+        with pytest.raises(ValueError, match="below"):
+            balanced_totals([80, 40], 100)
+
+    def test_rejects_positive_target_over_zero_shards(self):
+        with pytest.raises(ValueError, match="zero shards"):
+            balanced_totals([], 5)
+        assert balanced_totals([], 0) == []
 
     @given(quota=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=60, deadline=None)

@@ -24,7 +24,15 @@ means the fork server really tore its fleet down.
 
 import logging
 import multiprocessing
+import os
+import signal
+import struct
+import subprocess
+import sys
 import threading
+import time
+from multiprocessing.connection import Connection
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,10 +49,12 @@ from repro.runtime import (
 )
 from repro.runtime.executor import ProcessExecutor
 from repro.runtime.pool import _ForkServer
+from repro.strategies.registry import SpecError, build
 
 from runtime_fleet import ShardedSource, fork_pool
 
 TEST_SET = {f"g{n:07d}" for n in range(0, 8000, 7)}
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _no_orphans():
@@ -297,6 +307,122 @@ class TestFaultAbsorption:
         report = _engine([360], 3, "elastic", fork_pool()).run(source, seed=7)
         assert report.rows[-1].guesses == 360
         assert report.shard_errors == []
+        _no_orphans()
+
+
+#: set in the one worker process whose next reply is cut off mid-frame
+_dying = []
+
+
+class _DiesMidReply:
+    """Shard 0's worker writes part of a reply frame, then SIGKILLs itself."""
+
+    def for_shard(self, index):
+        if index == 0:
+            _dying.append(index)
+        return build("sequence?batch=16")
+
+
+def _send_or_die(connection, obj, _send=Connection.send):
+    if _dying:
+        header = struct.pack("!i", 1 << 20)  # promises a 1 MiB frame
+        os.write(connection.fileno(), header + b"a partial reply")
+        os.kill(os.getpid(), signal.SIGKILL)
+    _send(connection, obj)
+
+
+def _children(pid):
+    """The live child PIDs of ``pid``'s main thread (Linux ``/proc``)."""
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    return [int(child) for child in path.read_text().split()] if path.exists() else []
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+class TestWorkerDeath:
+    """Workers that die without a word: each death is an EOF on its pipe."""
+
+    def test_sigkilled_worker_fails_the_static_run(self):
+        with pytest.raises(RuntimeError, match="shard\\(s\\) \\[0\\] died"):
+            _engine([401], 2, "static", fork_pool()).run(
+                StrategySource("crashing?at=200&mode=kill&batch=16"), seed=3
+            )
+        _no_orphans()
+
+    def test_sigkilled_worker_retires_its_elastic_shard(self):
+        source = ShardedSource(
+            ["crashing?at=50&mode=kill&batch=16", "sequence?batch=16", "sequence?batch=16"]
+        )
+        report = _engine([600], 3, "elastic", fork_pool()).run(source, seed=7)
+        assert report.rows[-1].guesses == 600
+        assert len(report.shard_errors) == 1
+        assert report.shard_errors[0].startswith("shard 0:")
+        assert "died" in report.shard_errors[0]
+        _no_orphans()
+
+    def test_worker_dying_mid_reply_frame_does_not_hang(self, monkeypatch):
+        """A truncated frame is the end of that worker's pipe, not a wedge."""
+        executor = fork_pool()
+        monkeypatch.setattr(Connection, "send", _send_or_die)  # inherited by the fork
+        report = _within(
+            60.0, lambda: _engine([600], 2, "elastic", executor).run(_DiesMidReply(), seed=7)
+        )
+        assert report.rows[-1].guesses == 600
+        assert len(report.shard_errors) == 1
+        assert report.shard_errors[0].startswith("shard 0:")
+        assert "died" in report.shard_errors[0]
+        _no_orphans()
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["local", "processpool"])
+    def test_strategy_failing_to_build_raises_spec_error(self, pool):
+        executor = fork_pool() if pool else LocalExecutor()
+        with pytest.raises(SpecError, match="unknown strategy family 'nosuch'"):
+            _engine([400], 2, "elastic", executor).run(
+                StrategySource("nosuch?batch=16"), seed=3
+            )
+        _no_orphans()
+
+    def test_killed_attack_leaves_no_pool_worker(self, tmp_path, corpus):
+        """``kill -9`` of an attacking parent: its workers see EOF/EPIPE and exit."""
+        if not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists():
+            pytest.skip("needs Linux /proc child lists")
+        corpus_file = tmp_path / "corpus.txt"
+        corpus_file.write_text("\n".join(corpus[:2000]) + "\n")
+        attack = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "attack", "--corpus", str(corpus_file),
+                "--strategy", "markov:3", "--budgets", "1000000,2000000",
+                "--workers", "2", "--schedule", "elastic",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers = []
+        try:
+            while len(workers) < 2 and attack.poll() is None:
+                time.sleep(0.02)
+                workers = _children(attack.pid)
+            assert len(workers) == 2, "the attack never forked its two workers"
+        finally:
+            attack.kill()
+            attack.wait()
+        try:
+            deadline = time.monotonic() + 10.0
+            while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _running(pid)] == []
+        finally:
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
         _no_orphans()
 
 

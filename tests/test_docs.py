@@ -71,7 +71,8 @@ def test_relative_links_resolve(path):
 def test_no_stale_contract_phrases(path):
     """Phrases describing removed contracts must not reappear: the
     pre-keyed-transport world, accounting merge/snapshot, the knobs no
-    caller set, and pool affinity folding."""
+    caller set, pool affinity folding, and the pool's shared result
+    channel with its corpse watch and the planner's second quota path."""
     text = path.read_text()
     stale = [
         "Not available with ``track_deltas``",
@@ -83,5 +84,8 @@ def test_no_stale_contract_phrases(path):
         "chunk_size",
         "batch_size=)",
         "i % P",
+        "corpse watch",
+        "ShardPlanner.replan",
+        "_ResultChannel",
     ]
     assert [phrase for phrase in stale if phrase in text] == []
