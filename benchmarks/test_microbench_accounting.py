@@ -229,7 +229,9 @@ def test_delta_payload_floor(codec, stream):
     for string_outcome, keyed_outcome in zip(string_outcomes, keyed_outcomes):
         for sd, kd in zip(string_outcome.deltas, keyed_outcome.deltas):
             assert len(sd.new_unique) == len(kd.new_unique_keys)
-            assert sorted(sd.new_matched) == sorted(kd.decode(codec).new_matched)
+            assert sorted(sd.new_matched) == sorted(
+                codec.strings_from_keys(kd.new_matched_keys)
+            )
 
     string_payload = sum(_string_delta_payload(o.deltas) for o in string_outcomes)
     keyed_payload = sum(d.nbytes for o in keyed_outcomes for d in o.deltas)

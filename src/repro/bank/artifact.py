@@ -40,6 +40,10 @@ KEYS_NAME = "keys.npy"
 SEGMENTS_NAME = "segments.npy"
 MANIFEST_NAME = "manifest.json"
 
+#: Manifest fields every reader relies on, with their JSON types.
+_MANIFEST_FIELDS = {"total": int, "unique": int, "segments": int, "seed": int,
+                    "spec": str, "method": str, "sha256": str, "codec": dict}
+
 #: Chunk length (keys) for streaming checksum/round-trip passes, so
 #: ``verify`` never materializes the whole array either.
 _VERIFY_CHUNK = 1 << 16
@@ -69,6 +73,10 @@ def codec_from_header(header: Dict[str, object]) -> PasswordEncoder:
     try:
         alphabet = Alphabet(str(header["alphabet"]))
         codec = PasswordEncoder(alphabet, max_length=int(header["max_length"]))
+        geometry = (
+            int(header.get("pack_bits", codec.pack_bits)),
+            int(header.get("vocab_size", codec.vocab_size)),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise BankError(f"unusable codec header: {exc}") from exc
     if codec.pack_bits is None:
@@ -76,9 +84,7 @@ def codec_from_header(header: Dict[str, object]) -> PasswordEncoder:
             "codec header describes an unpackable geometry "
             f"({codec.vocab_size}-way alphabet x {codec.max_length} symbols)"
         )
-    if int(header.get("pack_bits", codec.pack_bits)) != codec.pack_bits or int(
-        header.get("vocab_size", codec.vocab_size)
-    ) != codec.vocab_size:
+    if geometry != (codec.pack_bits, codec.vocab_size):
         raise BankError(
             "codec header is internally inconsistent (pack geometry does "
             "not match its alphabet/max_length)"
@@ -174,7 +180,12 @@ class GuessBank:
     # ------------------------------------------------------------------
     @classmethod
     def open(cls, path: Union[str, Path]) -> "GuessBank":
-        """Memory-map the artifact at ``path`` (read-only), validating it."""
+        """Memory-map the artifact at ``path`` (read-only), validating it.
+
+        Every way a manifest can be malformed -- not a JSON object, a
+        foreign format or version, a missing or mistyped field, no usable
+        codec header -- raises one :class:`BankError` line.
+        """
         path = Path(path)
         manifest_path = path / MANIFEST_NAME
         if not manifest_path.is_file():
@@ -183,20 +194,26 @@ class GuessBank:
             manifest = json.loads(manifest_path.read_text())
         except ValueError as exc:
             raise BankError(f"unreadable manifest at {manifest_path}: {exc}") from exc
-        if manifest.get("format") != FORMAT:
+        if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
             raise BankError(f"{manifest_path} is not a {FORMAT} manifest")
-        if int(manifest.get("version", -1)) != VERSION:
+        if manifest.get("version") != VERSION:
             raise BankError(
                 f"bank {path} has format version {manifest.get('version')!r}; "
                 f"this build reads version {VERSION}"
             )
+        for name, kind in _MANIFEST_FIELDS.items():
+            if type(manifest.get(name)) is not kind:
+                raise BankError(
+                    f"bank {path}: manifest {name} {manifest.get(name)!r} "
+                    f"is not of type {kind.__name__}"
+                )
         try:
             keys = np.load(path / KEYS_NAME, mmap_mode="r")
         except (OSError, ValueError) as exc:
             raise BankError(f"cannot map {path / KEYS_NAME}: {exc}") from exc
         if keys.dtype != np.uint64 or keys.ndim != 1:
             raise BankError(f"{path / KEYS_NAME} is not a 1-D uint64 array")
-        if keys.size != int(manifest.get("total", -1)):
+        if keys.size != manifest["total"]:
             raise BankError(
                 f"bank {path}: manifest total {manifest.get('total')} != "
                 f"{keys.size} stored keys"
@@ -349,7 +366,7 @@ class GuessBank:
 
     def describe_lines(self) -> List[str]:
         """Human-readable manifest summary (the ``bank info`` body)."""
-        header = self.manifest["codec"]
+        codec = self.codec
         return [
             f"path:       {self.path}",
             f"spec:       {self.spec}",
@@ -359,10 +376,10 @@ class GuessBank:
             f"total:      {self.total}",
             f"unique:     {self.unique}",
             f"segments:   {self.manifest.get('segments')}",
-            f"alphabet:   {len(header['alphabet'])} chars + PAD "
-            f"(vocab {header['vocab_size']})",
-            f"max_length: {header['max_length']}",
-            f"pack_bits:  {header['pack_bits']} "
-            f"({header['pack_bits'] * header['max_length']} of 64 used)",
+            f"alphabet:   {len(codec.alphabet.chars)} chars + PAD "
+            f"(vocab {codec.vocab_size})",
+            f"max_length: {codec.max_length}",
+            f"pack_bits:  {codec.pack_bits} "
+            f"({codec.pack_bits * codec.max_length} of 64 used)",
             f"sha256:     {self.manifest['sha256']}",
         ]

@@ -125,9 +125,12 @@ def _load_model(path: str):
     Its kernel backend loads here too, in the parent, so the workers of a
     sharded attack inherit it through the fork.
     """
-    from repro.core.model import PassFlow
+    from repro.core.model import ModelLoadError, PassFlow
 
-    model = PassFlow.load(path)
+    try:
+        model = PassFlow.load(path)
+    except ModelLoadError as exc:
+        raise SystemExit(str(exc))
     kernels.active()
     return model
 

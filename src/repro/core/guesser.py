@@ -23,8 +23,8 @@ produces *before* string decoding, are interned into exact uint64 keys
 uniqueness and checkpointing all run as integer array operations --
 strings are materialized only for the handful of matches and report
 samples.  An accounting instance locks into string or encoded mode on its
-first observation; the two modes produce identical reports for identical
-guess streams.
+first observation and raises a one-line ``ValueError`` on a switch; the
+two modes produce identical reports for identical guess streams.
 
 For the sharded runtime (:mod:`repro.runtime`) accounting states are
 **delta-tracked**: with ``track_deltas=True`` every checkpoint records the
@@ -34,7 +34,8 @@ String-mode accountings emit :class:`CheckpointDelta` (string lists);
 encoded-mode accountings emit :class:`KeyedCheckpointDelta` (packed uint64
 arrays), so a 10^7-guess shard's delta payload is a few megabytes of
 integers instead of tens of megabytes of strings, and merging runs as
-sorted-array set operations.  Every accounting keeps at most
+sorted-array set operations.  A delta's type is its space: nothing else
+records how a shard accounted.  Every accounting keeps at most
 :data:`SAMPLE_CAP` matched and non-matched report samples.
 """
 
@@ -147,7 +148,7 @@ class KeyedCheckpointDelta:
     strings (rows are canonicalized before packing), so unioning keyed
     deltas counts exactly what unioning the corresponding string deltas
     would -- at 8 bytes per unique guess instead of a Python string.
-    Strings are only materialized on demand via :meth:`decode`.
+    The codec's ``strings_from_keys`` turns either array back into strings.
     """
 
     new_unique_keys: np.ndarray
@@ -158,22 +159,9 @@ class KeyedCheckpointDelta:
         """Raw transport payload size of both key arrays, in bytes."""
         return int(self.new_unique_keys.nbytes + self.new_matched_keys.nbytes)
 
-    def decode(self, codec) -> CheckpointDelta:
-        """Materialize the equivalent string-mode :class:`CheckpointDelta`.
-
-        ``codec`` must be the :class:`~repro.data.encoding.PasswordEncoder`
-        whose key space the delta was recorded in (shard outcomes carry
-        it); decoding is exact because packing is a bijection on canonical
-        rows.
-        """
-        return CheckpointDelta(
-            new_unique=codec.strings_from_keys(self.new_unique_keys),
-            new_matched=codec.strings_from_keys(self.new_matched_keys),
-        )
-
 
 #: Either delta flavor; one accounting emits only one flavor (its mode is
-#: locked at first observation), but a merger may receive both.
+#: locked at first observation), and one merge takes only one flavor.
 Delta = Union[CheckpointDelta, KeyedCheckpointDelta]
 
 
@@ -288,10 +276,9 @@ class GuessAccounting:
         self._pending_keys: List[np.ndarray] = []
         # Encoded delta tracking: the seen-key array as of the previous
         # checkpoint (diffed at the next one) plus the keys of matches made
-        # since; the codec is remembered so shard outcomes can ship it.
+        # since.
         self._delta_base_keys = np.empty(0, dtype=np.uint64)
         self._pending_matched_keys: List[int] = []
-        self._codec = None
 
     @property
     def done(self) -> bool:
@@ -320,31 +307,6 @@ class GuessAccounting:
             self._compact_keys()
             return int(self._seen_keys.size)
         return len(self.unique)
-
-    @property
-    def mode(self) -> Optional[str]:
-        """``"strings"``, ``"encoded"``, or ``None`` before any observation."""
-        return self._mode
-
-    @property
-    def supports_encoded(self) -> bool:
-        """Whether :meth:`observe_encoded` is usable on this accounting.
-
-        True until a string-mode observation locks the string path; delta
-        tracking is available in both modes (encoded accountings emit
-        :class:`KeyedCheckpointDelta` payloads).
-        """
-        return self._mode in (None, "encoded")
-
-    @property
-    def codec(self):
-        """The codec of encoded observations so far (``None`` otherwise).
-
-        Recorded on the first :meth:`observe_encoded` call; shard outcomes
-        ship it alongside keyed deltas so a merger can decode them back to
-        strings when a sibling shard fell back to string-mode deltas.
-        """
-        return self._codec
 
     # ------------------------------------------------------------------
     # vectorized path (the default)
@@ -469,8 +431,6 @@ class GuessAccounting:
         An accounting cannot mix string and encoded observations.
         """
         self._lock_mode("encoded")
-        if self._codec is None:
-            self._codec = codec
         index_matrix = np.asarray(index_matrix, dtype=np.int64)
         if self.done or index_matrix.size == 0:
             return []

@@ -10,6 +10,7 @@ configurable so tests and CPU-scale experiments can shrink the network; the
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -35,6 +36,15 @@ from repro.utils.rng import RngStream
 from repro.utils.serialization import load_checkpoint, save_checkpoint
 
 logger = get_logger("core.model")
+
+
+class ModelLoadError(ValueError):
+    """A checkpoint that cannot be loaded, as one ``cannot load model`` line."""
+
+
+#: What reading, parsing and rebuilding an untrusted checkpoint can raise.
+_LOAD_ERRORS = (OSError, EOFError, ValueError, KeyError, IndexError, TypeError,
+                AttributeError, MemoryError, zipfile.BadZipFile)
 
 
 @dataclass
@@ -274,14 +284,24 @@ class PassFlow:
 
     @classmethod
     def load(cls, path: str | Path) -> "PassFlow":
-        """Restore a model saved by :meth:`save`."""
-        state, metadata = load_checkpoint(path)
-        config = PassFlowConfig(**metadata["config"])
-        model = cls(config)
-        model.flow.load_state_dict(state)
-        model.history = TrainingHistory(
-            nll=list(metadata.get("history_nll", [])),
-            grad_norm=list(metadata.get("history_grad_norm", [])),
-        )
+        """Restore a model saved by :meth:`save`.
+
+        A checkpoint is untrusted input: whatever stops it loading -- a
+        missing or non-``.npz`` file, no metadata, a config this build
+        does not know, weights of the wrong shape -- raises
+        :class:`ModelLoadError` as ``cannot load model <path>: <reason>``.
+        """
+        try:
+            state, metadata = load_checkpoint(path)
+            config = PassFlowConfig(**metadata["config"])
+            model = cls(config)
+            model.flow.load_state_dict(state)
+            model.history = TrainingHistory(
+                nll=list(metadata.get("history_nll", [])),
+                grad_norm=list(metadata.get("history_grad_norm", [])),
+            )
+        except _LOAD_ERRORS as exc:
+            reason = " ".join(str(exc).split()) or type(exc).__name__
+            raise ModelLoadError(f"cannot load model {path}: {reason}") from exc
         model.flow.eval()
         return model

@@ -22,7 +22,10 @@ Three layers sit between a strategy spec and a Table II/III report:
   :class:`~repro.core.guesser.KeyedCheckpointDelta` packed uint64 arrays
   and the merge runs as sorted-array set operations; string-mode shards
   (baselines, smoothing) ship :class:`~repro.core.guesser.CheckpointDelta`
-  string lists, and mixed runs merge exactly in string space.
+  string lists.  A fleet is all one or all the other (a mix fails the
+  merge with one line), and a shard is opaque to the rest of the
+  runtime: one :class:`~repro.runtime.executor._ShardRun` builds its
+  strategy on first use and runs it under either schedule.
 
 Typical use::
 

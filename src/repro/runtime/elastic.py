@@ -49,14 +49,11 @@ tails included) instead of pretending the full budget was attempted.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.core.guesser import GuessAccounting
-from repro.runtime.executor import ShardOutcome, _ShardProgress, build_shard_strategy
+from repro.runtime.executor import ShardOutcome, _ShardRun
 from repro.runtime.planner import ShardPlanner, ShardProgress, balanced_totals
-from repro.strategies.engine import AttackEngine, AttackState
 from repro.utils.logging import get_logger
-from repro.utils.rng import spawn_rng
 
 logger = get_logger("runtime.elastic")
 
@@ -81,103 +78,6 @@ def chunk_quotas(quota: int) -> List[int]:
     return [size] * full + ([rest] if rest else [])
 
 
-class _ShardRun:
-    """One shard's persistent state across elastic chunks.
-
-    Owns the shard's strategy instance (feedback state survives chunk
-    boundaries, exactly as it survives batch boundaries in a static
-    shard) and its delta-tracked accounting.  ``run_chunk`` is the unit
-    the shard hosts run, one chunk at a time and in order, in whichever
-    process owns the shard.
-    """
-
-    def __init__(self, index, task, workers: int = 1) -> None:
-        self.index = index
-        self.task = task
-        self.strategy = build_shard_strategy(task.source, index)
-        self.method = getattr(self.strategy, "name", None)
-        bind_shard = getattr(self.strategy, "bind_shard", None)
-        if bind_shard is not None:
-            # same fleet-coordinate hook as the static execute_shard:
-            # position-deterministic strategies (bank replay) select their
-            # strided substream before any chunk draws guesses
-            bind_shard(index, workers)
-        self.live = True
-        self.error: Optional[Exception] = None
-        self.chunk_counter = 0
-        self.accounting: Optional[GuessAccounting] = None
-        self.state: Optional[AttackState] = None
-        self.window_slices: List[Tuple[int, int]] = []
-        self._window_start = 0
-        # stream() only reads the state's accounting; the engine instance
-        # just carries the loop (budgets here are a placeholder)
-        self._engine = AttackEngine(set(), [1])
-
-    @property
-    def consumed(self) -> int:
-        """Guesses the shard has accounted so far (crash-safe: reads accounting)."""
-        return self.accounting.total if self.accounting is not None else 0
-
-    def run_chunk(self, quota: int) -> None:
-        """Stream exactly ``quota`` more guesses (or run dry trying).
-
-        The chunk's guesses come from ``spawn_rng(seed,
-        "shard-i-chunk-k")`` through a fresh generator; the accounting
-        gains one checkpoint at the chunk target, so every chunk's
-        contribution lands in its own delta.  Producing fewer than
-        ``quota`` guesses marks the shard dry, releasing its remaining
-        budget to the next re-plan.
-        """
-        target = self.consumed + quota
-        if self.accounting is None:
-            self.accounting = GuessAccounting(
-                self.task.test_set, [target], track_deltas=True
-            )
-            self.state = AttackState(self.accounting)
-        else:
-            # extend the shard's checkpoint schedule chunk by chunk; only
-            # live shards get chunks, so targets stay strictly ascending
-            self.accounting.budgets.append(target)
-        rng = spawn_rng(
-            self.task.seed,
-            f"{self.task.label_prefix}shard-{self.index}-chunk-{self.chunk_counter}",
-        )
-        self.chunk_counter += 1
-        progress = (
-            _ShardProgress(self.task.progress) if self.task.progress is not None else None
-        )
-        for _ in self._engine.stream(self.strategy, rng, self.state, progress=progress):
-            pass
-        if self.consumed < target:
-            self.live = False
-
-    def close_window(self) -> None:
-        """Seal the current budget window: flush dry tails, record the slice."""
-        if self.accounting is not None:
-            self.accounting.cut_checkpoint()  # no-op when chunk-aligned
-        count = len(self.accounting.deltas) if self.accounting is not None else 0
-        self.window_slices.append((self._window_start, count))
-        self._window_start = count
-
-    def outcome(self) -> ShardOutcome:
-        """Freeze the run into a mergeable :class:`ShardOutcome`."""
-        accounting = self.accounting
-        out = ShardOutcome(
-            index=self.index,
-            total=self.consumed,
-            window_slices=list(self.window_slices),
-            method=self.method,
-            crashed=repr(self.error) if self.error is not None else None,
-        )
-        if accounting is not None:
-            out.deltas = accounting.deltas
-            out.matched_samples = accounting.matched_samples
-            out.non_matched_samples = accounting.non_matched_samples
-            if accounting.mode == "encoded":
-                out.codec = accounting.codec
-        return out
-
-
 #: One shard's chunk work for a round: ``(shard_index, [chunk sizes])``.
 #: Chunk boundaries are cut by the driver (:func:`chunk_quotas`) so the
 #: elastic determinism key stays centralized; hosts only execute them.
@@ -189,9 +89,10 @@ class _InProcessChunkHost:
 
     The elastic *shard-host* protocol is ``progress`` / ``run_round`` /
     ``close_window`` / ``errors`` / ``outcomes`` / ``finish``.  Here one
-    :class:`_ShardRun` per shard lives in this process and each round's
-    :class:`ChunkAssignment` list runs in shard order, each shard's
-    chunks in sequence.
+    :class:`~repro.runtime.executor._ShardRun` per shard lives in this
+    process and each round's :class:`ChunkAssignment` list runs in shard
+    order, each shard's chunks in sequence; a shard whose strategy fails
+    to build crashes on its first chunk, like any other raising chunk.
     :class:`~repro.runtime.pool.ProcessPoolExecutor` implements the same
     protocol with shard state living in forked workers instead.
     """

@@ -3,14 +3,18 @@
 The engine splits the budget schedule over W shards
 (:class:`~repro.runtime.planner.ShardPlanner`), runs each shard's own
 strategy instance on its own RNG stream through an executor, and folds the
-per-checkpoint delta payloads (packed-key
-:class:`~repro.core.guesser.KeyedCheckpointDelta` arrays when shards
-accounted in interned-id key space, string
-:class:`~repro.core.guesser.CheckpointDelta` lists otherwise) back into
-the same :class:`~repro.core.guesser.BudgetRow` checkpoints the serial
+per-checkpoint delta payloads back into the same
+:class:`~repro.core.guesser.BudgetRow` checkpoints the serial
 :class:`~repro.strategies.engine.AttackEngine` emits: at global budget
 ``b_j`` every shard has generated exactly its planned mark, so the union of
 their uniques/matches *is* the global accounting state at ``b_j`` guesses.
+The fold reads its space off the deltas themselves: packed-key
+:class:`~repro.core.guesser.KeyedCheckpointDelta` arrays union as sorted
+uint64 arrays, string :class:`~repro.core.guesser.CheckpointDelta` lists
+as Python sets, and a fleet that mixes the two fails with one
+``ValueError`` line.  A :class:`~repro.runtime.executor.StrategySource`
+without a model is built once in the parent and its fitted count
+baseline pinned, so no shard refits it.
 
 Two schedules are supported behind one ``schedule`` knob:
 
@@ -48,6 +52,7 @@ an attack runs on the serial engine or as a sharded fleet.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Sequence, Set
 
 import numpy as np
@@ -65,6 +70,7 @@ from repro.runtime.executor import (
     ShardOutcome,
     ShardTask,
     StrategyFactory,
+    StrategySource,
     build_shard_strategy,
 )
 from repro.runtime.planner import ShardPlanner
@@ -128,15 +134,14 @@ class _DeltaFold:
     """Cumulative union of shard checkpoint deltas, in key or string space.
 
     One instance accumulates the global unique/matched state as deltas
-    fold in.  Key space buffers fresh arrays and unions once per
+    fold in; the first delta fixes the space and a delta of the other
+    kind raises.  Key space buffers fresh arrays and unions once per
     :meth:`flush` (one :func:`numpy.union1d` per checkpoint, not per
-    shard delta); string space updates Python sets directly, decoding
-    keyed payloads through their shard codec when a sibling shard fell
-    back to strings.
+    shard delta); string space updates Python sets directly.
     """
 
-    def __init__(self, keyed: bool) -> None:
-        self.keyed = keyed
+    def __init__(self) -> None:
+        self.keyed: Optional[bool] = None  # fixed by the first delta
         self._unique: set = set()
         self._matched: set = set()
         self._unique_keys = np.empty(0, dtype=np.uint64)
@@ -144,14 +149,20 @@ class _DeltaFold:
         self._fresh_unique: List[np.ndarray] = []
         self._fresh_matched: List[np.ndarray] = []
 
-    def add(self, delta: Delta, codec) -> None:
+    def add(self, delta: Delta) -> None:
         """Fold one delta in (buffered in key space until :meth:`flush`)."""
-        if self.keyed:
+        keyed = isinstance(delta, KeyedCheckpointDelta)
+        if self.keyed is None:
+            self.keyed = keyed
+        elif keyed != self.keyed:
+            raise ValueError(
+                "cannot merge packed-key and string checkpoint deltas: "
+                "every shard of a fleet must account in one space"
+            )
+        if keyed:
             self._fresh_unique.append(delta.new_unique_keys)
             self._fresh_matched.append(delta.new_matched_keys)
             return
-        if isinstance(delta, KeyedCheckpointDelta):
-            delta = delta.decode(codec)
         self._unique.update(delta.new_unique)
         self._matched.update(delta.new_matched)
 
@@ -227,11 +238,17 @@ class ParallelAttackEngine:
 
         ``source`` builds one fresh strategy per shard (a
         :class:`~repro.runtime.executor.StrategySource` spec recipe, or any
-        zero-argument factory for in-process executors).  Under the static
-        schedule shard ``i`` draws from ``spawn_rng(seed,
-        f"{label}shard-{i}")``; under the elastic schedule each of its
-        chunks draws from ``spawn_rng(seed, f"{label}shard-{i}-chunk-{k}")``.
+        zero-argument factory for in-process executors).  A
+        ``StrategySource`` without a model is built once here and the
+        shards run from a copy pinned to its fitted model, so a count
+        baseline is fitted once per run, not once per shard; the caller's
+        source is left as it was.  Under the static schedule shard ``i``
+        draws from ``spawn_rng(seed, f"{label}shard-{i}")``; under the
+        elastic schedule each of its chunks draws from ``spawn_rng(seed,
+        f"{label}shard-{i}-chunk-{k}")``.
         """
+        if isinstance(source, StrategySource) and source.model is None:
+            source = replace(source).pin(source.build())
         task = ShardTask(
             source=source,
             test_set=self.test_set,
@@ -276,33 +293,6 @@ class ParallelAttackEngine:
         return spec if spec is not None else "parallel-attack"
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _keyed_merge_possible(outcomes: Sequence) -> bool:
-        """Whether every shard's deltas can be unioned in one key space.
-
-        Requires every outcome to carry keyed deltas *and* every codec to
-        agree on the full packing scheme -- vocabulary size and max length
-        fix the key layout, and the alphabet's character order fixes which
-        password each key denotes, so all three must match before keys
-        from different shards may be unioned.  Shards of one run always
-        satisfy this, but a string-mode shard -- a baseline strategy, or a
-        run that fell back to strings on its first batch -- or
-        heterogeneous per-shard codecs force the (exact) string-space
-        path.
-        """
-        if not all(outcome.keyed for outcome in outcomes):
-            return False
-        schemes = {
-            (
-                outcome.codec.vocab_size,
-                outcome.codec.max_length,
-                getattr(getattr(outcome.codec, "alphabet", None), "chars", None),
-            )
-            for outcome in outcomes
-            if outcome.codec is not None
-        }
-        return len(schemes) <= 1
-
     def _merge(
         self,
         outcomes: List[ShardOutcome],
@@ -319,22 +309,20 @@ class ParallelAttackEngine:
         schedule, every delta past the last completed window folds into a
         close-out row at the guesses actually accounted.
 
-        Runs entirely in interned-id key space when every shard shipped
-        :class:`~repro.core.guesser.KeyedCheckpointDelta` payloads: global
-        unique/matched accumulation is then a sorted uint64 array per set
-        and each checkpoint folds in with one :func:`numpy.union1d` -- no
-        strings ever materialize.  If any shard fell back to string
-        deltas, keyed payloads are decoded through their shard's codec and
-        the merge runs in string space; either way the row counts are
-        identical (keys and strings are in bijection).
+        Runs in the space the shards accounted in: for
+        :class:`~repro.core.guesser.KeyedCheckpointDelta` payloads global
+        unique/matched accumulation is a sorted uint64 array per set and
+        each checkpoint folds in with one :func:`numpy.union1d` -- no
+        strings ever materialize.  Raises ``ValueError`` when the fleet
+        mixes keyed and string deltas.
         """
-        fold = _DeltaFold(self._keyed_merge_possible(outcomes))
+        fold = _DeltaFold()
         rows: List[BudgetRow] = []
         test_size = len(self.test_set)
         for j in range(completed):
             for outcome in outcomes:
                 for delta in outcome.window_deltas(j):
-                    fold.add(delta, outcome.codec)
+                    fold.add(delta)
             # one union per budget, not per shard delta: re-sorting the
             # cumulative array W times per checkpoint is where a
             # 10^7-key merge would burn its CPU budget
@@ -344,7 +332,7 @@ class ParallelAttackEngine:
             for outcome in outcomes:
                 tail = outcome.window_slices[completed - 1][1] if completed else 0
                 for delta in outcome.deltas[tail:]:
-                    fold.add(delta, outcome.codec)
+                    fold.add(delta)
             fold.flush()
             self._close_out(rows, outcomes, fold, test_size)
         return self._report(

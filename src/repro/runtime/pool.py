@@ -27,13 +27,11 @@ peer is gone, and no lock is shared.  Two protocols run over the pipes:
 * **Elastic** (:meth:`ProcessPoolExecutor.elastic_host`): the parent
   streams *chunk descriptors* (lists of chunk sizes) down the pipes;
   workers run the chunks through the same
-  :class:`~repro.runtime.elastic._ShardRun` state machine the in-process
-  host uses and stream back per-chunk deltas (packed uint64
-  :class:`~repro.core.guesser.KeyedCheckpointDelta` arrays for encoded
-  strategies) plus consumed counters, so the elastic driver's
-  checkpoint-boundary re-planning works unchanged.  Only descriptors go
-  down and deltas come up -- the guess streams themselves never cross a
-  process boundary.
+  :class:`~repro.runtime.executor._ShardRun` the in-process host uses
+  and stream back per-chunk deltas, whichever kind the shard emits, plus
+  consumed counters, so the elastic driver's checkpoint-boundary
+  re-planning works unchanged.  Only descriptors go down and deltas come
+  up -- the guess streams themselves never cross a process boundary.
 
 One reply loop (:meth:`_PoolHost._drain` over :meth:`_ForkServer.receive`)
 serves both: it waits on every reply pipe and process sentinel at once,
@@ -52,10 +50,10 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.runtime.elastic import ChunkAssignment, _ShardRun
-from repro.runtime.executor import ShardOutcome, ShardTask, execute_shard
+from repro.runtime.elastic import ChunkAssignment
+from repro.runtime.executor import ShardOutcome, ShardTask, _ShardRun, execute_shard
 from repro.runtime.planner import ShardPlan, ShardProgress
 from repro.utils.logging import get_logger
 
@@ -107,32 +105,21 @@ def _pool_worker(index: int, task: ShardTask, fleet: int, commands, replies, par
     through the fork, so ``commands`` (reader) and ``replies`` (writer)
     are its only ends: the parent's exit reads as EOF here and writes
     fail with EPIPE, and this worker's exit reads as EOF in the parent.
-    Owns shard ``index``'s :class:`~repro.runtime.elastic._ShardRun`,
-    built on its first chunk; a build failure is that shard's crash,
-    shipped like a failing chunk.  Delta payloads are streamed
-    incrementally -- each reply carries only the checkpoints added since
-    the last one -- and the codec crosses the pipe at most once.
+    Owns shard ``index``'s :class:`~repro.runtime.executor._ShardRun`,
+    which builds its strategy on its first chunk; a build failure is that
+    shard's crash, shipped like a failing chunk.  Delta payloads are
+    streamed incrementally -- each reply carries only the checkpoints
+    added since the last one.
     """
     for end in parent_ends:
         end.close()
-    run: Optional[_ShardRun] = None
+    run = _ShardRun(index, task, workers=fleet)
     streamed = 0  # deltas already shipped
-    codec_sent = False
 
     def fresh_deltas() -> list:
         nonlocal streamed
-        if run is None or run.accounting is None:
-            return []
-        start, streamed = streamed, len(run.accounting.deltas)
-        return run.accounting.deltas[start:]
-
-    def codec_once():
-        nonlocal codec_sent
-        accounting = run.accounting if run is not None else None
-        if codec_sent or accounting is None or accounting.mode != "encoded":
-            return None
-        codec_sent = True
-        return accounting.codec
+        start, streamed = streamed, len(run.deltas)
+        return run.deltas[start:]
 
     try:
         while True:
@@ -145,31 +132,23 @@ def _pool_worker(index: int, task: ShardTask, fleet: int, commands, replies, par
                 reply = ("round-done",)
                 for size in command[1]:
                     try:
-                        if run is None:
-                            run = _ShardRun(index, task, workers=fleet)
                         run.run_chunk(size)
                     except Exception as exc:  # noqa: BLE001 - shipped to parent
-                        consumed = run.consumed if run is not None else 0
                         reply = (
                             "crash",
-                            consumed,
+                            run.consumed,
                             picklable_exception(exc),
                             traceback.format_exc(),
                         )
                         break
-                    replies.send(
-                        ("chunk", run.consumed, run.live, fresh_deltas(), codec_once())
-                    )
+                    replies.send(("chunk", run.consumed, run.live, fresh_deltas()))
                 replies.send(reply)
             elif kind == "close":
-                if run is not None:
-                    run.close_window()
-                replies.send(("closed", fresh_deltas(), codec_once()))
+                run.close_window()
+                replies.send(("closed", fresh_deltas()))
             elif kind == "collect":
-                outcome = None
-                if run is not None:
-                    outcome = run.outcome()
-                    outcome.deltas = []  # streamed already; keep the reply compact
+                outcome = run.outcome()
+                outcome.deltas = []  # streamed already; keep the reply compact
                 replies.send(("collected", outcome))
             elif kind == "shard":
                 try:
@@ -305,7 +284,6 @@ class _PoolHost:
         self.live = [True] * shards
         self._errors: Dict[int, Exception] = {}
         self.deltas: List[list] = [[] for _ in range(shards)]
-        self.codecs: List[Any] = [None] * shards
         self.slices: List[List[Tuple[int, int]]] = [[] for _ in range(shards)]
         self._window_start = [0] * shards
         self._finals: Dict[int, Optional[ShardOutcome]] = {}
@@ -339,9 +317,9 @@ class _PoolHost:
     def outcomes(self) -> List[ShardOutcome]:
         """Collect worker-side terminal state and assemble merged outcomes.
 
-        A worker's final outcome supplies its samples, method and codec;
-        the parent's mirror supplies the streamed deltas and window
-        slices, and the whole outcome of a worker that died.
+        A worker's final outcome supplies its samples and method; the
+        parent's mirror supplies the streamed deltas and window slices,
+        and the whole outcome of a worker that died.
         """
         self._broadcast(("collect",), "collected")
         results = []
@@ -351,8 +329,6 @@ class _PoolHost:
             )
             outcome.deltas = self.deltas[index]
             outcome.window_slices = self.slices[index]
-            if outcome.codec is None:
-                outcome.codec = self.codecs[index]
             if index in self._errors:
                 outcome.crashed = repr(self._errors[index])
             results.append(outcome)
@@ -392,11 +368,6 @@ class _PoolHost:
         self._errors.setdefault(index, error)
         logger.warning("pool shard %d crashed (%r)", index, error)
 
-    def _take(self, index: int, fresh: list, codec) -> None:
-        self.deltas[index].extend(fresh)
-        if codec is not None:
-            self.codecs[index] = codec
-
     def _drain(self, pending: Set[int], done_kind: str) -> None:
         """Process replies until every pending worker has answered.
 
@@ -418,9 +389,9 @@ class _PoolHost:
                 continue
             kind = reply[0]
             if kind == "chunk":
-                _, consumed, live, fresh, codec = reply
+                _, consumed, live, fresh = reply
                 self.consumed[index] = consumed
-                self._take(index, fresh, codec)
+                self.deltas[index].extend(fresh)
                 if not live:
                     self.live[index] = False  # ran dry, deterministically
             elif kind == "crash":
@@ -434,7 +405,7 @@ class _PoolHost:
                 )
                 pending.discard(index)
             elif kind == "closed":
-                self._take(index, reply[1], reply[2])
+                self.deltas[index].extend(reply[1])
             elif kind in ("collected", "outcome"):
                 self._finals[index] = reply[1]
             if kind == done_kind:
@@ -446,8 +417,8 @@ class ProcessPoolExecutor:
 
     Workers are forked once per run, one per shard, and serve commands
     until the run finishes; shard ``i`` always lives on worker ``i``, so
-    strategy state (fitted models, RNG generators, accounting codecs)
-    never migrates between processes.  Requires the ``fork`` start
+    strategy state (fitted models, RNG generators, accountings) never
+    migrates between processes.  Requires the ``fork`` start
     method -- construction raises a one-line ``RuntimeError`` where it is
     missing so callers can surface an actionable message.
     """

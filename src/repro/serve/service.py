@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.bank import BankError, GuessBank
-from repro.core.model import PassFlow
+from repro.core.model import ModelLoadError, PassFlow
 from repro.core.strength import (
     BAND_LABELS,
     UNSCORABLE_LABEL,
@@ -122,8 +122,8 @@ class StrengthService:
             )
         try:
             model = PassFlow.load(str(model_path))
-        except (OSError, ValueError, KeyError) as exc:
-            raise ServeConfigError(f"cannot load model {model_path}: {exc}") from exc
+        except ModelLoadError as exc:
+            raise ServeConfigError(str(exc)) from exc
         try:
             reference = load_password_file(
                 str(corpus_path),

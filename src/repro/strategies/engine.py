@@ -88,8 +88,11 @@ class AttackEngine:
         Stops when the final budget is reached or the strategy exhausts
         itself; a later call on the same ``state`` (with a budget
         schedule extended past its total) resumes the accounting.  A
-        ``progress`` reporter receives a rate-limited update per batch
-        (guesses/sec plus the running match count).
+        batch that carries an ``index_matrix`` is accounted as packed
+        keys, every other batch as strings; a stream must stick to one
+        kind, and a switch raises the accounting's mode-lock
+        ``ValueError``.  A ``progress`` reporter receives a rate-limited
+        update per batch (guesses/sec plus the running match count).
         """
         accounting = state.accounting
         if accounting.done:
@@ -97,37 +100,17 @@ class AttackEngine:
         emitted = len(accounting.rows)
         strategy.bind(AttackContext(accounting=accounting))
         generator = strategy.iter_guesses(rng)
-        stream_codec = None
         try:
             for batch in generator:
                 observed_before = accounting.total
-                if batch.passwords is None and accounting.supports_encoded:
-                    # interned-id fast path: strings never materialize
-                    stream_codec = batch.codec
+                if batch.index_matrix is not None:
+                    # interned-id path: strings materialize only for
+                    # matches and samples
                     new_matches = accounting.observe_encoded(
                         batch.index_matrix, batch.codec
                     )
-                elif accounting.mode == "encoded":
-                    # a string batch after encoded ones (e.g. a custom
-                    # strategy's fallback round): re-encode with the
-                    # stream's codec rather than crash on the mode lock
-                    if stream_codec is None:
-                        raise ValueError(
-                            "cannot resume an encoded attack with a string "
-                            "batch before any encoded batch supplies a codec"
-                        )
-                    try:
-                        new_matches = accounting.observe_encoded(
-                            stream_codec.indices_from_strings(batch.materialize()),
-                            stream_codec,
-                        )
-                    except (KeyError, ValueError) as exc:
-                        raise ValueError(
-                            "strategy mixed an unencodable string batch into "
-                            f"an encoded guess stream: {exc}"
-                        ) from exc
                 else:
-                    new_matches = accounting.observe(batch.materialize())
+                    new_matches = accounting.observe(batch.passwords)
                 state.batches += 1
                 if new_matches:
                     strategy.on_matches(batch, new_matches)

@@ -19,8 +19,9 @@ Spec grammar (URL-query flavored, config/CLI/service friendly)::
 Wrapper families (the scenario layer, :mod:`repro.scenarios`) take the
 spec they wrap in parentheses instead of a variant; the inner spec is any
 spec of this grammar, wrappers included, and is canonicalized
-recursively.  Literal ``(``/``)`` inside parameter values are
-percent-escaped like the other structural characters.
+recursively, at most :data:`MAX_SPEC_DEPTH` wrappers deep.  Literal
+``(``/``)`` inside parameter values are percent-escaped like the other
+structural characters.
 
 ``build(spec, ...)`` resolves the family against the registry and hands the
 parsed spec plus a :class:`BuildResources` bundle (trained model, training
@@ -48,6 +49,12 @@ ParamValue = Any  # int | float | bool | str
 
 class SpecError(ValueError):
     """Malformed spec string, unknown family, or unusable resources."""
+
+
+#: Deepest wrapper nesting a spec may have (``policy(mangle(markov:3))``
+#: nests two).  Checked before any recursion, so a hostile spec fails
+#: with one line instead of a quadratic parse or a ``RecursionError``.
+MAX_SPEC_DEPTH = 8
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +178,10 @@ def parse_spec(spec: str) -> StrategySpec:
         for pos in range(paren, len(spec)):
             if spec[pos] == "(":
                 depth += 1
+                if depth > MAX_SPEC_DEPTH:
+                    raise SpecError(
+                        f"spec nests wrappers more than {MAX_SPEC_DEPTH} deep"
+                    )
             elif spec[pos] == ")":
                 depth -= 1
                 if depth == 0:

@@ -92,14 +92,14 @@ def test_vectorized_equals_scalar(stream, budgets, batch_size):
 def test_merge_is_union(stream_a, stream_b, budgets):
     """Folded shard deltas count one accounting over both streams' sets."""
     test_set = {"abc1", "ca", "123"}
-    fold = _DeltaFold(keyed=False)
+    fold = _DeltaFold()
     observed = []
     for stream in (stream_a, stream_b):
         shard = GuessAccounting(set(test_set), budgets, track_deltas=True)
         shard.observe(stream)
         shard.cut_checkpoint()  # the tail past the last budget crossed
         for delta in shard.deltas:
-            fold.add(delta, shard.codec)
+            fold.add(delta)
         observed.append(shard.total)
     fold.flush()
     reference = GuessAccounting(set(test_set), [10**6])

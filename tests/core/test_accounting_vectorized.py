@@ -182,8 +182,11 @@ class TestEncodedEquivalence:
         rows = np.stack([codec.to_indices(p) for p in ["aa", "ab", "aa"]])
         acc.observe_encoded(rows, codec)
         assert [type(d) for d in acc.deltas] == [KeyedCheckpointDelta] * 2
-        assert sorted(acc.deltas[0].decode(codec).new_unique) == ["aa", "ab"]
-        assert acc.deltas[1].decode(codec).new_unique == []
+        assert sorted(codec.strings_from_keys(acc.deltas[0].new_unique_keys)) == [
+            "aa",
+            "ab",
+        ]
+        assert codec.strings_from_keys(acc.deltas[1].new_unique_keys) == []
 
     def test_empty_batches_observe_nothing(self, codec):
         acc = GuessAccounting({"abc"}, [5])
@@ -213,7 +216,6 @@ def merge_shards(test_set, budgets, shards):
                 window_slices=[(j, j + 1) for j in range(reached)],
                 matched_samples=accounting.matched_samples,
                 non_matched_samples=accounting.non_matched_samples,
-                codec=accounting.codec,
             )
         )
     engine = ParallelAttackEngine(
@@ -257,23 +259,17 @@ class TestMerge:
         report = merge_shards({"x"}, [6], [shard_a, shard_b])
         assert row_tuples(report) == [(6, 5, 1)]
 
-    def test_merge_decodes_mixed_modes(self, codec):
-        """A string shard beside an encoded one merges as if both were strings."""
+    @pytest.mark.parametrize("string_first", [True, False])
+    def test_merge_rejects_mixed_modes(self, codec, string_first):
+        """A string shard beside an encoded one fails the merge in one line."""
         test_set = {"pw1", "ab"}
-        streams = (["pw1", "a", "b"], ["ab", "a", "pw1", "c"])
         stringy = GuessAccounting(set(test_set), [50], track_deltas=True)
         encoded = GuessAccounting(set(test_set), [50], track_deltas=True)
-        stringy.observe(streams[0])
-        encoded.observe_encoded(codec.indices_from_strings(streams[1]), codec)
-        mixed = merge_shards(test_set, [100], [stringy, encoded])
-        assert isinstance(encoded.deltas[0], KeyedCheckpointDelta)
-        reference = [
-            GuessAccounting(set(test_set), [50], track_deltas=True) for _ in streams
-        ]
-        for accounting, stream in zip(reference, streams):
-            accounting.observe(stream)
-        assert row_tuples(mixed) == row_tuples(merge_shards(test_set, [100], reference))
-        assert row_tuples(mixed) == [(7, 5, 2)]
+        stringy.observe(["pw1", "a", "b"])
+        encoded.observe_encoded(codec.indices_from_strings(["ab", "a", "c"]), codec)
+        shards = [stringy, encoded] if string_first else [encoded, stringy]
+        with pytest.raises(ValueError, match="cannot merge packed-key and string"):
+            merge_shards(test_set, [100], shards)
 
     def test_merge_encoded_unique_union(self, codec):
         rng = np.random.default_rng(0)

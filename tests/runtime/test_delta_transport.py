@@ -1,15 +1,16 @@
-"""Key-space delta transport: decode-equivalence, merge laws, fallbacks.
+"""Key-space delta transport: decode-equivalence, merge laws, one space.
 
-The sharded runtime now ships checkpoint deltas as packed uint64 key
-arrays (:class:`~repro.core.guesser.KeyedCheckpointDelta`) whenever a
-shard accounts in interned-id mode.  Three contracts keep the Table
-II/III reports exact:
+The sharded runtime ships checkpoint deltas as packed uint64 key arrays
+(:class:`~repro.core.guesser.KeyedCheckpointDelta`) whenever a shard
+accounts in interned-id mode.  Three contracts keep the Table II/III
+reports exact:
 
-* a keyed delta *decodes* to exactly the string-mode delta the same
-  stream would have produced (hypothesis-checked on random streams),
-* merging keyed deltas is order-independent (union semantics), and
-* a run mixing keyed and string-mode shards merges bit-identically to an
-  all-string run (the merger decodes keys through the shard codec).
+* a keyed delta's keys *decode* to exactly the string-mode delta the
+  same stream would have produced (hypothesis-checked on random streams),
+* merging keyed deltas is order-independent (union semantics), and a
+  keyed run merges bit-identically to the same run in strings, and
+* a stream or a fleet that mixes keyed and string accounting fails with
+  one ``ValueError`` instead of being re-encoded or decoded.
 """
 
 import numpy as np
@@ -68,9 +69,10 @@ class TestDecodeEquivalence:
         for kd, sd in zip(keyed.deltas, stringy.deltas):
             assert isinstance(kd, KeyedCheckpointDelta)
             assert isinstance(sd, CheckpointDelta)
-            decoded = kd.decode(codec)
-            assert sorted(decoded.new_unique) == sorted(sd.new_unique)
-            assert sorted(decoded.new_matched) == sorted(sd.new_matched)
+            new_unique = codec.strings_from_keys(kd.new_unique_keys)
+            new_matched = codec.strings_from_keys(kd.new_matched_keys)
+            assert sorted(new_unique) == sorted(sd.new_unique)
+            assert sorted(new_matched) == sorted(sd.new_matched)
         assert [r.as_dict() for r in keyed.rows] == [r.as_dict() for r in stringy.rows]
 
     def test_key_roundtrip_is_exact(self, codec):
@@ -124,16 +126,17 @@ class TestMergeOrderIndependence:
     def test_accounting_merge_tracks_keyed_pending(self, codec):
         """Encoded shards' deltas fold in key space to the strings' union."""
         test_set = {"ab", "pw1"}
-        a = GuessAccounting(set(test_set), [3], track_deltas=True)
-        b = GuessAccounting(set(test_set), [3], track_deltas=True)
-        a.observe_encoded(codec.indices_from_strings(["a", "ab", "x"]), codec)
-        b.observe_encoded(codec.indices_from_strings(["pw1", "b", "x"]), codec)
-        (delta_a,), (delta_b,) = a.deltas, b.deltas  # each crossed its budget
-        keyed = _DeltaFold(keyed=True)
-        stringy = _DeltaFold(keyed=False)
+        keyed = _DeltaFold()
+        stringy = _DeltaFold()
+        for stream in (["a", "ab", "x"], ["pw1", "b", "x"]):
+            encoded = GuessAccounting(set(test_set), [3], track_deltas=True)
+            strings = GuessAccounting(set(test_set), [3], track_deltas=True)
+            encoded.observe_encoded(codec.indices_from_strings(stream), codec)
+            strings.observe(stream)
+            (keyed_delta,), (string_delta,) = encoded.deltas, strings.deltas
+            keyed.add(keyed_delta)
+            stringy.add(string_delta)
         for fold in (keyed, stringy):
-            fold.add(delta_a, codec)
-            fold.add(delta_b, codec)
             fold.flush()
             assert (fold.unique_count, fold.matched_count) == (5, 2)
         # the key-space fold holds exactly the decoded string sets
@@ -169,15 +172,19 @@ class _Replay(GuessingStrategy):
                 yield GuessBatch(self._codec.strings_from_indices(rows))
 
 
-class _MidRunFallback(_Replay):
-    """Yields encoded batches, then one string batch, then encoded again."""
+class _MidRunSwitch(_Replay):
+    """Switches batch kind after its first batch: encoded to strings, or
+    strings to encoded."""
 
     def iter_guesses(self, rng):
         for i, batch in enumerate(super().iter_guesses(rng)):
-            if i == 1:
+            if i == 0:
+                yield batch
+            elif self._encoded:
                 yield GuessBatch(batch.materialize())
             else:
-                yield batch
+                rows = self._codec.indices_from_strings(batch.passwords)
+                yield GuessBatch(None, index_matrix=rows, codec=self._codec)
 
 
 @pytest.fixture(scope="module")
@@ -219,35 +226,35 @@ class TestShardTransportParity:
             seed=11,
         )
         outcome = execute_shard(task, plans[0])
-        assert outcome.keyed and outcome.codec is codec
+        assert outcome.deltas
         assert all(isinstance(d, KeyedCheckpointDelta) for d in outcome.deltas)
 
-    def test_string_fallback_mid_run_merges_bit_identically(self, codec, replay_parts):
-        """A strategy that drops to strings mid-stream re-encodes, so its
-        shard stays in key space and the merged report is unchanged."""
-        pool, test_set = replay_parts
-        baseline = ParallelAttackEngine(
-            test_set, BUDGETS, workers=3, executor=LocalExecutor()
-        ).run(lambda: _Replay(pool, codec, encoded=True), seed=11)
-        fallback = ParallelAttackEngine(
-            test_set, BUDGETS, workers=3, executor=LocalExecutor()
-        ).run(lambda: _MidRunFallback(pool, codec, encoded=True), seed=11)
-        assert rows_of(fallback) == rows_of(baseline)
-        assert fallback.matched_samples == baseline.matched_samples
 
-    def test_mixed_shard_modes_merge_exactly(self, codec, replay_parts):
-        """Keyed and string shards in one run: merger decodes, counts agree."""
+class TestMixingFails:
+    @pytest.mark.parametrize(
+        "encoded_first", [True, False], ids=["keys-then-strings", "strings-then-keys"]
+    )
+    def test_stream_switching_batch_kind_raises(self, codec, replay_parts, encoded_first):
+        """A stream that switches batch kind hits the accounting's mode lock."""
         pool, test_set = replay_parts
+        engine = ParallelAttackEngine(
+            test_set, BUDGETS, workers=3, executor=LocalExecutor()
+        )
+        with pytest.raises(ValueError, match="cannot switch to") as info:
+            engine.run(
+                lambda: _MidRunSwitch(pool, codec, encoded=encoded_first), seed=11
+            )
+        assert "\n" not in str(info.value)
 
+    def test_fleet_of_keyed_and_string_shards_raises_from_the_merge(
+        self, codec, replay_parts
+    ):
+        """Keyed and string shards in one fleet: the merge refuses the mix."""
+        pool, test_set = replay_parts
         flavors = iter([True, False, True])
-
-        def mixed_source():
-            return _Replay(pool, codec, encoded=next(flavors))
-
-        mixed = ParallelAttackEngine(
+        engine = ParallelAttackEngine(
             test_set, BUDGETS, workers=3, executor=LocalExecutor()
-        ).run(mixed_source, seed=11)
-        uniform = ParallelAttackEngine(
-            test_set, BUDGETS, workers=3, executor=LocalExecutor()
-        ).run(lambda: _Replay(pool, codec, encoded=True), seed=11)
-        assert rows_of(mixed) == rows_of(uniform)
+        )
+        with pytest.raises(ValueError, match="cannot merge packed-key and string") as info:
+            engine.run(lambda: _Replay(pool, codec, encoded=next(flavors)), seed=11)
+        assert "\n" not in str(info.value)

@@ -130,6 +130,29 @@ class TestDeterminismAndMerging:
         assert reversed_.non_matched_samples == base.non_matched_samples
 
 
+class TestPinnedBaseline:
+    def test_count_baseline_is_fitted_once_per_run(self, attack_parts, monkeypatch):
+        """Shards run from a copy pinned to one parent-side fit; the
+        caller's source keeps no model."""
+        from repro.baselines.markov import MarkovModel
+
+        fits = []
+        fit = MarkovModel.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(1)
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(MarkovModel, "fit", counting_fit)
+        _, test_set, source = attack_parts
+        report = ParallelAttackEngine(
+            test_set, BUDGETS, workers=5, executor=LocalExecutor()
+        ).run(source, seed=7)
+        assert len(fits) == 1
+        assert source.model is None
+        assert [row.guesses for row in report.rows] == BUDGETS
+
+
 class TestShardFailure:
     def test_worker_failure_surfaces(self, attack_parts):
         _, test_set, _ = attack_parts

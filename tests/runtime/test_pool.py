@@ -389,6 +389,23 @@ class TestWorkerDeath:
             )
         _no_orphans()
 
+    def test_strategy_failing_to_build_crashes_only_its_shard(self):
+        """A shard whose strategy fails to build is that shard's crash on
+        both executors: the fleet absorbs its budget and names it."""
+        source = ShardedSource(["sequence?batch=16", "nosuch?batch=16"])
+        local, pooled = (
+            _engine([400], 2, "elastic", executor).run(source, seed=3)
+            for executor in (LocalExecutor(), fork_pool())
+        )
+        for report in (local, pooled):
+            assert report.rows[-1].guesses == 400
+            assert len(report.shard_errors) == 1
+            assert report.shard_errors[0].startswith("shard 1:")
+            assert "unknown strategy family 'nosuch'" in report.shard_errors[0]
+        assert pooled.shard_errors == local.shard_errors
+        assert _rows(pooled) == _rows(local)
+        _no_orphans()
+
     def test_killed_attack_leaves_no_pool_worker(self, tmp_path, corpus):
         """``kill -9`` of an attacking parent: its workers see EOF/EPIPE and exit."""
         if not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists():

@@ -205,9 +205,15 @@ class TestEncodedBatches:
         with pytest.raises(ValueError):
             GuessBatch(None)
 
-    def test_mixed_encoded_then_string_batches(self, trained_model):
-        """A string fallback round after encoded batches must still count."""
+    @pytest.mark.parametrize("encoded_first", [True, False])
+    def test_mixed_batch_kinds_raise(self, trained_model, encoded_first):
+        """A stream must keep one batch kind: a switch is the mode lock's error."""
         encoder = trained_model.encoder
+        rows = np.stack([encoder.to_indices("aa"), encoder.to_indices("bb")])
+        batches = [
+            GuessBatch(None, index_matrix=rows, codec=encoder),
+            GuessBatch(["cc", "aa"]),
+        ]
 
         class Mixed(GuessingStrategy):
             name = "mixed"
@@ -216,13 +222,39 @@ class TestEncodedBatches:
                 super().__init__(spec="mixed")
 
             def iter_guesses(self, rng):
-                rows = np.stack([encoder.to_indices("aa"), encoder.to_indices("bb")])
-                yield GuessBatch(None, index_matrix=rows, codec=encoder)
-                yield GuessBatch(["cc", "aa"])  # string round, one repeat
+                yield from batches if encoded_first else batches[::-1]
 
-        report = AttackEngine({"cc"}, [4]).run(Mixed(), np.random.default_rng(0))
-        assert report.final().matched == 1
-        assert report.final().unique == 3  # aa, bb, cc
+        with pytest.raises(ValueError, match="cannot switch to") as info:
+            AttackEngine({"cc"}, [4]).run(Mixed(), np.random.default_rng(0))
+        assert "\n" not in str(info.value)
+
+    def test_materialized_encoded_batch_is_accounted_as_keys(self, trained_model):
+        """A batch keeps its index matrix once strings are filled in, and the
+        engine still accounts it as keys."""
+        from repro.core.guesser import GuessAccounting, KeyedCheckpointDelta
+        from repro.strategies.engine import AttackState
+
+        encoder = trained_model.encoder
+
+        class Materializing(GuessingStrategy):
+            name = "materializing"
+
+            def __init__(self):
+                super().__init__(spec="materializing")
+
+            def iter_guesses(self, rng):
+                for pair in (("aa", "bb"), ("cc", "aa")):
+                    rows = np.stack([encoder.to_indices(p) for p in pair])
+                    batch = GuessBatch(None, index_matrix=rows, codec=encoder)
+                    batch.materialize()
+                    yield batch
+
+        state = AttackState(GuessAccounting({"cc"}, [4], track_deltas=True))
+        report = AttackEngine({"cc"}, [4]).run(
+            Materializing(), np.random.default_rng(0), state=state
+        )
+        assert (report.final().unique, report.final().matched) == (3, 1)
+        assert [type(d) for d in state.accounting.deltas] == [KeyedCheckpointDelta]
 
 
 class TestProgressReporting:

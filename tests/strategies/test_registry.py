@@ -10,6 +10,7 @@ from repro.strategies import (
     build,
     format_spec,
     parse_spec,
+    unwrap_spec,
 )
 from repro.strategies.baselines import SampledModelStrategy
 from repro.strategies.passflow import (
@@ -17,6 +18,7 @@ from repro.strategies.passflow import (
     DynamicStrategy,
     StaticStrategy,
 )
+from repro.strategies.registry import MAX_SPEC_DEPTH
 
 
 class TestParseSpec:
@@ -71,6 +73,24 @@ class TestParseSpec:
         spec = format_spec("passflow", "dynamic", {"alpha": 1, "sigma": 0.12})
         assert spec == "passflow:dynamic?alpha=1&sigma=0.12"
         assert parse_spec(spec).canonical() == spec
+
+
+def _nested(depth):
+    spec = "markov:3"
+    for _ in range(depth):
+        spec = f"policy({spec})?min_len=1"
+    return spec
+
+
+class TestSpecDepth:
+    def test_deepest_allowed_nesting_parses(self):
+        assert unwrap_spec(_nested(MAX_SPEC_DEPTH)) == parse_spec("markov:3")
+
+    @pytest.mark.parametrize("depth", [MAX_SPEC_DEPTH + 1, 1200])
+    def test_deeper_nesting_is_one_spec_error(self, depth):
+        with pytest.raises(SpecError, match=f"more than {MAX_SPEC_DEPTH} deep") as info:
+            unwrap_spec(_nested(depth))
+        assert "\n" not in str(info.value)
 
 
 class TestRegistry:

@@ -518,3 +518,127 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["synthesize", "--count", "1", "--out", str(tmp_path / "x"),
                   "--alphabet", "klingon"])
+
+
+def _one_line_failure(argv, capsys):
+    """Run a command that must fail cleanly; return its one error line.
+
+    ``SystemExit`` with a string code is how the CLI exits 1 with that
+    string as its only stderr line.
+    """
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    message = info.value.code
+    assert isinstance(message, str) and message and "\n" not in message
+    assert capsys.readouterr().out == ""
+    return message
+
+
+def _nested_spec(depth):
+    spec = "markov:3"
+    for _ in range(depth):
+        spec = f"policy({spec})?min_len=1"
+    return spec
+
+
+@pytest.fixture(scope="module")
+def hostile_checkpoints(tmp_path_factory):
+    """Model files that cannot load, by name."""
+    from repro.utils.serialization import save_checkpoint
+
+    root = tmp_path_factory.mktemp("hostile-models")
+    (root / "garbage.npz").write_bytes(b"garbage")
+    np.savez(root / "no-metadata.npz", weights=np.zeros(2))
+    save_checkpoint(root / "unknown-config-key.npz", {}, {"config": {"bogus": 1}})
+    save_checkpoint(root / "list-metadata.npz", {}, [1, 2])
+    return root
+
+
+CHECKPOINTS = [
+    "missing.npz",
+    "garbage.npz",
+    "no-metadata.npz",
+    "unknown-config-key.npz",
+    "list-metadata.npz",
+]
+
+MANIFESTS = {
+    "list": lambda good: [],
+    "string": lambda good: "x",
+    "version": lambda good: dict(good, version="x"),
+    "no-codec": lambda good: {k: v for k, v in good.items() if k != "codec"},
+    "total": lambda good: dict(good, total="many"),
+}
+
+
+class TestHostileInput:
+    """Untrusted input fails with one line, never a traceback."""
+
+    def test_deeply_nested_spec_exits_with_one_line(self, corpus_file):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.strategies.registry import MAX_SPEC_DEPTH
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "attack",
+                "--corpus", str(corpus_file),
+                "--strategy", _nested_spec(1200),
+                "--budgets", "100",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"spec nests wrappers more than {MAX_SPEC_DEPTH} deep"
+        ]
+
+    @pytest.mark.parametrize("checkpoint", CHECKPOINTS)
+    @pytest.mark.parametrize("command", ["attack", "serve"])
+    def test_unloadable_checkpoint_is_one_line(
+        self, hostile_checkpoints, corpus_file, capsys, checkpoint, command
+    ):
+        model = hostile_checkpoints / checkpoint
+        argv = {
+            "attack": [
+                "attack", "--model", str(model), "--corpus", str(corpus_file),
+                "--strategy", "passflow:static", "--budgets", "100",
+            ],
+            "serve": [
+                "serve", "--once",
+                "--spec", f"strength?model={model}&corpus={corpus_file}",
+            ],
+        }[command]
+        message = _one_line_failure(argv, capsys)
+        assert message.startswith(f"cannot load model {model}: ")
+
+    @pytest.mark.parametrize("manifest", sorted(MANIFESTS))
+    @pytest.mark.parametrize("command", ["info", "verify", "attack", "serve"])
+    def test_malformed_manifest_is_one_line(
+        self, bank_dir, corpus_file, tmp_path, capsys, manifest, command
+    ):
+        import json
+        import shutil
+
+        bank = tmp_path / "hostile.bank"
+        shutil.copytree(bank_dir, bank)
+        good = json.loads((bank / "manifest.json").read_text())
+        (bank / "manifest.json").write_text(json.dumps(MANIFESTS[manifest](good)))
+        argv = {
+            "info": ["bank", "info", str(bank)],
+            "verify": ["bank", "verify", str(bank)],
+            "attack": [
+                "attack", "--bank", str(bank), "--corpus", str(corpus_file),
+                "--budgets", "100",
+            ],
+            "serve": ["serve", "--once", "--spec", f"bank:{bank}"],
+        }[command]
+        _one_line_failure(argv, capsys)

@@ -71,8 +71,9 @@ def test_relative_links_resolve(path):
 def test_no_stale_contract_phrases(path):
     """Phrases describing removed contracts must not reappear: the
     pre-keyed-transport world, accounting merge/snapshot, the knobs no
-    caller set, pool affinity folding, and the pool's shared result
-    channel with its corpse watch and the planner's second quota path."""
+    caller set, pool affinity folding, the pool's shared result channel
+    with its corpse watch and the planner's second quota path, and the
+    codec-carrying decode of keyed deltas into a mixed-mode merge."""
     text = path.read_text()
     stale = [
         "Not available with ``track_deltas``",
@@ -87,5 +88,8 @@ def test_no_stale_contract_phrases(path):
         "corpse watch",
         "ShardPlanner.replan",
         "_ResultChannel",
+        "decode(codec)",
+        "decoded through their shard's codec",
+        "_keyed_merge_possible",
     ]
     assert [phrase for phrase in stale if phrase in text] == []
