@@ -1,20 +1,22 @@
-"""On-disk guess-bank artifacts: packed key arrays plus a JSON manifest.
+"""On-disk guess-bank artifacts: a key array plus a JSON manifest.
 
 A bank is a directory holding one strategy's ranked guess stream,
-materialized once and replayed everywhere:
+materialized once and replayed everywhere, in two files:
 
 * ``keys.npy`` -- the stream as uint64 interned-id keys in generation
   order (the :meth:`~repro.data.encoding.PasswordEncoder.pack_indices`
-  layout, identical to :class:`~repro.core.guesser.KeyedCheckpointDelta`
-  payloads).  Loaded with ``mmap_mode="r"`` so replaying shards never
-  page in more than the slices they read.
-* ``segments.npy`` -- cumulative batch-end offsets (int64), recording the
-  order-preserving segments the stream was written in.
+  layout, ``sum(idx_i * V**i)``, identical to
+  :class:`~repro.core.guesser.KeyedCheckpointDelta` payloads).  Loaded
+  with ``mmap_mode="r"`` so replaying shards never page in more than the
+  slices they read.
 * ``manifest.json`` -- the identity key ``(spec, seed, rng_label,
   alphabet, budget)`` plus a codec header (alphabet characters, max
-  length, pack geometry) sufficient to rebuild the exact
+  length, vocabulary size) sufficient to rebuild the exact
   :class:`~repro.data.encoding.PasswordEncoder` in a fresh process, and a
   SHA-256 checksum of ``keys.npy``.
+
+The format version is the key layout's record: version 2 keys are
+base-V numbers, and a version 1 bank (bit-packed keys) must be rebuilt.
 
 Artifacts are byte-deterministic: the same ``(strategy, seed, budget)``
 build writes identical files (no timestamps, sorted JSON keys), so banks
@@ -26,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,15 +36,14 @@ from repro.data.alphabet import Alphabet
 from repro.data.encoding import PasswordEncoder
 
 FORMAT = "repro-guess-bank"
-VERSION = 1
+VERSION = 2
 
 KEYS_NAME = "keys.npy"
-SEGMENTS_NAME = "segments.npy"
 MANIFEST_NAME = "manifest.json"
 
 #: Manifest fields every reader relies on, with their JSON types.
-_MANIFEST_FIELDS = {"total": int, "unique": int, "segments": int, "seed": int,
-                    "spec": str, "method": str, "sha256": str, "codec": dict}
+_MANIFEST_FIELDS = {"total": int, "unique": int, "seed": int, "spec": str,
+                    "method": str, "sha256": str, "codec": dict}
 
 #: Chunk length (keys) for streaming checksum/round-trip passes, so
 #: ``verify`` never materializes the whole array either.
@@ -58,7 +59,6 @@ def codec_header(codec: PasswordEncoder) -> Dict[str, object]:
     return {
         "alphabet": codec.alphabet.chars,
         "max_length": int(codec.max_length),
-        "pack_bits": int(codec.pack_bits),
         "vocab_size": int(codec.vocab_size),
     }
 
@@ -66,28 +66,21 @@ def codec_header(codec: PasswordEncoder) -> Dict[str, object]:
 def codec_from_header(header: Dict[str, object]) -> PasswordEncoder:
     """Rebuild the exact :class:`PasswordEncoder` a codec header describes.
 
-    The redundant geometry fields (``pack_bits``, ``vocab_size``) are
-    cross-checked against the rebuilt encoder so a hand-edited or corrupt
-    manifest fails loudly instead of silently reinterpreting keys.
+    The redundant ``vocab_size`` is cross-checked against the rebuilt
+    encoder so a hand-edited or corrupt manifest fails loudly instead of
+    silently reinterpreting keys; a geometry too large for 64-bit keys is
+    the encoder's own one-line refusal.
     """
     try:
         alphabet = Alphabet(str(header["alphabet"]))
         codec = PasswordEncoder(alphabet, max_length=int(header["max_length"]))
-        geometry = (
-            int(header.get("pack_bits", codec.pack_bits)),
-            int(header.get("vocab_size", codec.vocab_size)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        vocab_size = int(header.get("vocab_size", codec.vocab_size))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BankError(f"unusable codec header: {exc}") from exc
-    if codec.pack_bits is None:
+    if vocab_size != codec.vocab_size:
         raise BankError(
-            "codec header describes an unpackable geometry "
-            f"({codec.vocab_size}-way alphabet x {codec.max_length} symbols)"
-        )
-    if geometry != (codec.pack_bits, codec.vocab_size):
-        raise BankError(
-            "codec header is internally inconsistent (pack geometry does "
-            "not match its alphabet/max_length)"
+            "codec header is internally inconsistent (vocab_size "
+            f"{vocab_size} does not match its {codec.vocab_size}-symbol alphabet)"
         )
     return codec
 
@@ -113,7 +106,6 @@ def _sha256_of(path: Path) -> str:
 def write_bank(
     path: Union[str, Path],
     keys: np.ndarray,
-    segment_ends: Sequence[int],
     *,
     codec: PasswordEncoder,
     spec: str,
@@ -124,22 +116,15 @@ def write_bank(
     """Write a bank artifact directory and return it re-opened (mmapped).
 
     ``keys`` is the full guess stream as uint64 interned ids in generation
-    order; ``segment_ends`` the cumulative batch boundaries (last entry ==
-    ``len(keys)``).  Existing artifact files at ``path`` are overwritten --
-    builds are deterministic, so rewriting is idempotent.
+    order.  Existing artifact files at ``path`` are overwritten -- builds
+    are deterministic, so rewriting is idempotent.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if keys.ndim != 1 or keys.size == 0:
         raise BankError("a bank needs a non-empty 1-D uint64 key stream")
-    ends = np.asarray(list(segment_ends), dtype=np.int64)
-    if ends.size == 0 or int(ends[-1]) != keys.size or (np.diff(ends) <= 0).any() or ends[0] <= 0:
-        raise BankError("segment_ends must be increasing and end at len(keys)")
-    if codec.pack_bits is None:
-        raise BankError("bank codec must support 64-bit packing")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     np.save(path / KEYS_NAME, keys)
-    np.save(path / SEGMENTS_NAME, ends)
     manifest = {
         "format": FORMAT,
         "version": VERSION,
@@ -149,7 +134,6 @@ def write_bank(
         "rng_label": rng_label,
         "total": int(keys.size),
         "unique": int(np.unique(keys).size),
-        "segments": int(ends.size),
         "codec": codec_header(codec),
         "sha256": _sha256_of(path / KEYS_NAME),
     }
@@ -199,7 +183,7 @@ class GuessBank:
         if manifest.get("version") != VERSION:
             raise BankError(
                 f"bank {path} has format version {manifest.get('version')!r}; "
-                f"this build reads version {VERSION}"
+                f"this build reads version {VERSION}: rebuild the bank"
             )
         for name, kind in _MANIFEST_FIELDS.items():
             if type(manifest.get(name)) is not kind:
@@ -311,11 +295,11 @@ class GuessBank:
     def verify(self) -> List[str]:
         """Integrity-check the artifact; returns problems (empty == OK).
 
-        Checks the keys checksum against the manifest, the segment table's
-        shape, and that every key is canonical (``pack(unpack(k)) == k``,
-        chunked so the pass streams through the mmap) -- a key with
-        garbage outside its pack geometry would silently denote a
-        different password under a rebuilt codec.
+        Checks the keys checksum against the manifest, and that every key
+        is canonical (``pack(unpack(k)) == k``, chunked so the pass streams
+        through the mmap) -- a key at or above ``V**D``, or with a symbol
+        after its first PAD, would silently denote a different password
+        under a rebuilt codec.
         """
         problems: List[str] = []
         digest = _sha256_of(self.path / KEYS_NAME)
@@ -324,24 +308,6 @@ class GuessBank:
                 f"keys checksum mismatch: manifest {self.manifest.get('sha256')}, "
                 f"file {digest}"
             )
-        segments_path = self.path / SEGMENTS_NAME
-        if not segments_path.is_file():
-            problems.append(f"missing {SEGMENTS_NAME}")
-        else:
-            ends = np.load(segments_path)
-            if (
-                ends.ndim != 1
-                or ends.size == 0
-                or int(ends[-1]) != self.total
-                or (np.diff(ends) <= 0).any()
-                or int(ends[0]) <= 0
-            ):
-                problems.append("segment table is not increasing up to total")
-            elif int(self.manifest.get("segments", -1)) != ends.size:
-                problems.append(
-                    f"manifest records {self.manifest.get('segments')} segments, "
-                    f"table has {ends.size}"
-                )
         unique_seen = 0
         blocks = []
         for start in range(0, self.total, _VERIFY_CHUNK):
@@ -375,11 +341,8 @@ class GuessBank:
             f"rng_label:  {self.rng_label or '(root rng)'}",
             f"total:      {self.total}",
             f"unique:     {self.unique}",
-            f"segments:   {self.manifest.get('segments')}",
             f"alphabet:   {len(codec.alphabet.chars)} chars + PAD "
             f"(vocab {codec.vocab_size})",
             f"max_length: {codec.max_length}",
-            f"pack_bits:  {codec.pack_bits} "
-            f"({codec.pack_bits * codec.max_length} of 64 used)",
             f"sha256:     {self.manifest['sha256']}",
         ]

@@ -66,15 +66,12 @@ def build_bank(
             "(it reads attack feedback); pass force=True to bank its "
             "feedback-free stream anyway"
         )
-    if encoder is not None and encoder.pack_bits is None:
-        raise BankError("encoder alphabet/max_length does not support packing")
     if rng is None:
         rng = spawn_rng(seed, rng_label) if rng_label else np.random.default_rng(seed)
     codec = encoder
     context = AttackContext(limit=budget)
     strategy.bind(context)
     chunks = []
-    segment_ends = []
     produced = 0
     generator = strategy.iter_guesses(rng)
     try:
@@ -106,7 +103,6 @@ def build_bank(
                 continue
             chunks.append(np.asarray(keys, dtype=np.uint64))
             produced += len(keys)
-            segment_ends.append(produced)
             context.advance(len(keys))
             if progress is not None:
                 progress.update(len(keys))
@@ -125,7 +121,6 @@ def build_bank(
     return write_bank(
         out,
         np.concatenate(chunks),
-        segment_ends,
         codec=codec,
         spec=_spec_of(strategy),
         method=strategy.name,

@@ -153,12 +153,16 @@ def resolve_bank(
     scans ``*.bank`` manifests (foreign naming schemes), matching on
     canonical spec, seed and rng label -- and on alphabet when the caller
     pins one.  Ties break to the largest stream, then lexicographic path.
+    An unreadable bank (damaged, or an older format version) is a miss
+    wherever it lies, so a caller that banks on a miss rebuilds it.
     """
     directory = Path(directory)
     canonical = parse_spec(spec).canonical()
     direct = bank_path_for(directory, canonical, seed, rng_label, alphabet_chars)
-    if (direct / "manifest.json").is_file():
+    try:
         return GuessBank.open(direct)
+    except BankError:
+        pass
     candidates: List[Tuple[int, str, GuessBank]] = []
     if directory.is_dir():
         for path in sorted(directory.glob("*.bank")):

@@ -116,7 +116,21 @@ def _alphabet(name: str):
 
 
 def _read_corpus(path: str, alphabet) -> List[str]:
-    return load_password_file(path, alphabet=alphabet)
+    """The usable passwords in ``path``, or exit with one line.
+
+    A corpus the Sec. IV-D filter empties is a usage error: there is
+    nothing to train on, clean against or attack.
+    """
+    try:
+        corpus = load_password_file(path, alphabet=alphabet)
+    except OSError as exc:
+        raise SystemExit(str(exc))
+    if not corpus:
+        raise SystemExit(
+            f"no usable password in {path}: every line is empty, longer "
+            "than 10 characters or outside the alphabet"
+        )
+    return corpus
 
 
 def _load_model(path: str):

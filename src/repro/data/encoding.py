@@ -23,9 +23,13 @@ loop kept in :meth:`PasswordEncoder.from_indices` for single passwords.
 
 For the accounting core's interned-id fast path, index rows can be
 *canonicalized* (everything after the first PAD zeroed, so row <-> decoded
-string is a bijection) and bit-packed into single uint64 keys
+string is a bijection) and packed into single uint64 keys
 (:meth:`PasswordEncoder.pack_indices`), letting set membership over
-millions of guesses run as integer array operations.  The inverse
+millions of guesses run as integer array operations.  A key is the
+canonical row read as a base-V number, ``sum(idx_i * V**i)``: the D
+normalized indices above are its digits.  Every codec packs, because one
+whose ``V**D`` exceeds ``2**64`` is refused at construction (the compact
+alphabet fits up to D = 12, the default one up to D = 10).  The inverse
 (:meth:`PasswordEncoder.unpack_keys` / :meth:`PasswordEncoder.strings_from_keys`)
 is exact, which is what lets the sharded runtime transport checkpoint
 deltas as packed key arrays and materialize strings only on demand.
@@ -33,7 +37,7 @@ deltas as packed key arrays and materialize strings only on demand.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -57,6 +61,17 @@ class PasswordEncoder:
         self.alphabet = alphabet
         self.max_length = int(max_length)
         self.vocab_size = len(alphabet)  # includes PAD
+        # a key is a base-V number of max_length digits; V >= 2, so a
+        # length past 64 never fits and its power is never evaluated
+        if self.max_length > 64 or self.vocab_size**self.max_length > 2**64:
+            raise ValueError(
+                f"a {self.vocab_size}-symbol alphabet (PAD included) at "
+                f"max_length={self.max_length} does not fit 64-bit keys "
+                f"({self.vocab_size}^{self.max_length} > 2^64)"
+            )
+        self._radix = np.array(
+            [self.vocab_size**i for i in range(self.max_length)], dtype=np.uint64
+        )
         self.bin_width = 1.0 / self.vocab_size
         # vectorized-decode lookup table: index -> character ('' for PAD)
         self._char_lut = np.array(
@@ -69,10 +84,6 @@ class PasswordEncoder:
         self._codepoint_lut[0] = Alphabet.PAD_INDEX
         for i, ch in enumerate(alphabet.chars):
             self._codepoint_lut[ord(ch)] = i + 1
-        # interned-id packing: bits per symbol, None when a row of
-        # max_length symbols cannot fit one uint64 key
-        bits = int(self.vocab_size - 1).bit_length()
-        self.pack_bits: Optional[int] = bits if bits * self.max_length <= 64 else None
 
     # ------------------------------------------------------------------
     # string <-> indices
@@ -209,20 +220,12 @@ class PasswordEncoder:
         exactly when the rows decode to the same string: the keys are
         collision-free interned ids, fit for exact vectorized set
         membership (:meth:`repro.core.guesser.GuessAccounting.observe_encoded`).
-        Raises :class:`ValueError` when ``alphabet_bits * max_length > 64``
-        (:attr:`pack_bits` is ``None``); callers fall back to strings.
+        A key is ``sum(idx_i * V**i)``; every partial sum is below
+        ``V**D <= 2**64``, so the uint64 arithmetic never wraps.
         """
-        if self.pack_bits is None:
-            raise ValueError(
-                f"cannot pack {self.max_length} symbols of "
-                f"{self.vocab_size}-way alphabet into 64 bits"
-            )
         index_matrix = np.atleast_2d(np.asarray(index_matrix, dtype=np.int64))
         canonical = self._canonical(index_matrix).astype(np.uint64)
-        shifts = (
-            np.arange(canonical.shape[1], dtype=np.uint64) * np.uint64(self.pack_bits)
-        )
-        return (canonical << shifts).sum(axis=1, dtype=np.uint64)
+        return canonical @ self._radix
 
     def can_encode(self, password: str) -> bool:
         """Whether this codec can represent ``password`` at all."""
@@ -240,15 +243,14 @@ class PasswordEncoder:
         return self.pack_indices(indices)
 
     def unpack_keys(self, keys: np.ndarray) -> np.ndarray:
-        """uint64 keys -> (N, D) canonical index matrix (pack inverse)."""
-        if self.pack_bits is None:
-            raise ValueError("alphabet/max_length does not support packing")
+        """uint64 keys -> (N, D) canonical index matrix (pack inverse).
+
+        Digit ``i`` is ``key // V**i % V``; a key at or above ``V**D``
+        loses its high part, so ``pack(unpack(k)) != k`` exposes it.
+        """
         keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
-        shifts = (
-            np.arange(self.max_length, dtype=np.uint64) * np.uint64(self.pack_bits)
-        )
-        mask = np.uint64((1 << self.pack_bits) - 1)
-        return ((keys >> shifts) & mask).astype(np.int64)
+        digits = keys // self._radix % np.uint64(self.vocab_size)
+        return digits.astype(np.int64)
 
     def strings_from_keys(self, keys: np.ndarray) -> List[str]:
         """uint64 interned-id keys -> password strings (exact inverse).

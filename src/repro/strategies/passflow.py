@@ -135,12 +135,11 @@ def _encoded_batch(model, smoother, latents, features) -> Optional[GuessBatch]:
     """An interned-id batch when strings are provably not needed.
 
     Smoothing consumes and rewrites the strings (and reads the seen set),
-    so only smoother-free streams qualify; wide alphabets that cannot pack
-    a row into 64 bits fall back to strings as well.
+    so only smoother-free streams qualify.
     """
-    encoder = model.encoder
-    if smoother is not None or encoder.pack_bits is None:
+    if smoother is not None:
         return None
+    encoder = model.encoder
     return GuessBatch(
         None,
         latents=latents,

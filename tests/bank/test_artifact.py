@@ -26,7 +26,6 @@ class TestCodecHeader:
     def test_round_trip_rebuilds_identical_codec(self, bank_encoder):
         rebuilt = codec_from_header(codec_header(bank_encoder))
         assert same_codec(rebuilt, bank_encoder)
-        assert rebuilt.pack_bits == bank_encoder.pack_bits
         assert rebuilt.alphabet.chars == bank_encoder.alphabet.chars
 
     def test_round_trip_preserves_keys(self, bank_encoder):
@@ -71,17 +70,15 @@ class TestCodecHeader:
 
     def test_inconsistent_geometry_rejected(self, bank_encoder):
         header = codec_header(bank_encoder)
-        header["pack_bits"] = int(header["pack_bits"]) + 1
+        header["vocab_size"] = int(header["vocab_size"]) + 1
         with pytest.raises(BankError, match="inconsistent"):
             codec_from_header(header)
 
     def test_unpackable_geometry_rejected(self):
-        codec = PasswordEncoder(Alphabet("ab"), max_length=80)
-        assert codec.pack_bits is None
-        with pytest.raises(BankError, match="unpackable"):
-            codec_from_header(
-                {"alphabet": "ab", "max_length": 80, "pack_bits": 2, "vocab_size": 3}
-            )
+        with pytest.raises(ValueError, match="does not fit 64-bit keys"):
+            PasswordEncoder(Alphabet("ab"), max_length=80)
+        with pytest.raises(BankError, match="unusable codec header"):
+            codec_from_header({"alphabet": "ab", "max_length": 80, "vocab_size": 3})
 
     def test_missing_field_rejected(self, bank_encoder):
         header = codec_header(bank_encoder)
@@ -96,20 +93,6 @@ class TestWriteBank:
             write_bank(
                 tmp_path / "e.bank",
                 np.empty(0, dtype=np.uint64),
-                [],
-                codec=bank_encoder,
-                spec="s",
-                method="m",
-                seed=0,
-            )
-
-    def test_rejects_bad_segment_table(self, tmp_path, bank_encoder):
-        keys = bank_encoder.pack_passwords(["aa", "bb", "cc"])
-        with pytest.raises(BankError, match="segment_ends"):
-            write_bank(
-                tmp_path / "s.bank",
-                keys,
-                [2, 2, 3],
                 codec=bank_encoder,
                 spec="s",
                 method="m",
@@ -121,9 +104,7 @@ class TestWriteBank:
         first = tmp_path / "a.bank"
         second = tmp_path / "b.bank"
         for out in (first, second):
-            write_bank(
-                out, keys, [2, 4], codec=bank_encoder, spec="s", method="m", seed=3
-            )
+            write_bank(out, keys, codec=bank_encoder, spec="s", method="m", seed=3)
         for name in (KEYS_NAME, MANIFEST_NAME):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -162,7 +143,7 @@ class TestOpenAndVerify:
     def test_verify_flags_corrupt_keys(self, tmp_path, markov_bank):
         path = tmp_path / "corrupt.bank"
         path.mkdir()
-        for name in (KEYS_NAME, MANIFEST_NAME, "segments.npy"):
+        for name in (KEYS_NAME, MANIFEST_NAME):
             (path / name).write_bytes((markov_bank.path / name).read_bytes())
         keys = np.load(path / KEYS_NAME)
         keys[5] = np.uint64(2**63)  # garbage outside the pack geometry

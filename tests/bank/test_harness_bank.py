@@ -51,6 +51,27 @@ class TestBankedRuns:
         assert first.as_dict() == live.as_dict()
         assert second.as_dict() == live.as_dict()
 
+    def test_stale_bank_is_rebuilt_in_place(self, tmp_path, harness_test_set):
+        """An older-format bank where the identity key points is a miss:
+        the harness rebuilds it instead of raising ``BankError``."""
+        import json
+
+        from repro.bank.artifact import VERSION
+
+        live = EvalContext(PROFILES["tiny"], cache_dir=tmp_path).run_attack(
+            "markov:2", "bank-stale"
+        )
+        banks = tmp_path / "banks"
+        ctx = EvalContext(PROFILES["tiny"], cache_dir=tmp_path, bank_dir=banks)
+        ctx.run_attack("markov:2", "bank-stale")
+        (artifact,) = banks.glob("*.bank")
+        manifest_path = artifact / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps(dict(manifest, version=VERSION - 1)))
+        assert ctx.run_attack("markov:2", "bank-stale").as_dict() == live.as_dict()
+        assert list(banks.glob("*.bank")) == [artifact]
+        assert json.loads(manifest_path.read_text())["version"] == VERSION
+
     def test_parallel_banked_replay_matches_serial_live(
         self, tmp_path, harness_test_set
     ):

@@ -176,7 +176,7 @@ class TestResolveBank:
         directory = tmp_path / "named"
         target = bank_path_for(directory, "markov:3", bank_seed, "", alphabet.chars)
         target.mkdir(parents=True)
-        for name in ("keys.npy", "segments.npy", "manifest.json"):
+        for name in ("keys.npy", "manifest.json"):
             (target / name).write_bytes((markov_bank.path / name).read_bytes())
         found = resolve_bank(directory, "markov:3", bank_seed, "", alphabet.chars)
         assert found is not None and found.path == target
@@ -184,13 +184,19 @@ class TestResolveBank:
     def test_scan_matches_foreign_names(self, markov_bank, bank_seed, tmp_path):
         foreign = tmp_path / "renamed.bank"
         foreign.mkdir()
-        for name in ("keys.npy", "segments.npy", "manifest.json"):
+        for name in ("keys.npy", "manifest.json"):
             (foreign / name).write_bytes((markov_bank.path / name).read_bytes())
         found = resolve_bank(tmp_path, "markov:3", bank_seed)
         assert found is not None and found.path == foreign
 
     def test_miss_returns_none(self, tmp_path):
         assert resolve_bank(tmp_path, "markov:3", 0) is None
+
+    def test_unreadable_direct_path_is_a_miss(self, bank_seed, tmp_path):
+        target = bank_path_for(tmp_path, "markov:3", bank_seed)
+        target.mkdir()
+        (target / "manifest.json").write_text("[]")
+        assert resolve_bank(tmp_path, "markov:3", bank_seed) is None
 
     def test_path_for_is_deterministic(self, tmp_path):
         a = bank_path_for(tmp_path, "markov:3", 7, "attack-t2", "abc")

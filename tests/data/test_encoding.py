@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.alphabet import compact_alphabet, default_alphabet
+from repro.data.alphabet import Alphabet, compact_alphabet, default_alphabet
 from repro.data.encoding import PasswordEncoder
 
 
@@ -131,12 +131,85 @@ class TestInternedIds:
         ).all()
 
     def test_wide_alphabet_refuses_packing(self):
+        """The default alphabet (74 symbols + PAD) packs at the paper's
+        length of 10, 75^10 < 2^64, and is refused at 11."""
         wide = PasswordEncoder(default_alphabet(), max_length=10)
-        assert wide.pack_bits is None
-        with pytest.raises(ValueError):
-            wide.pack_indices(np.zeros((1, 10), dtype=np.int64))
-        # narrower max_length fits again
-        assert PasswordEncoder(default_alphabet(), max_length=9).pack_bits is not None
+        top = np.full((1, 10), wide.vocab_size - 1)
+        assert int(wide.pack_indices(top)[0]) == wide.vocab_size**10 - 1
+        assert wide.strings_from_keys(wide.pack_passwords(["Pa$$w0rd!?"])) == [
+            "Pa$$w0rd!?"
+        ]
+        with pytest.raises(ValueError, match="does not fit 64-bit keys"):
+            PasswordEncoder(default_alphabet(), max_length=11)
+
+    def test_huge_max_length_is_refused_at_once(self):
+        with pytest.raises(ValueError, match="does not fit 64-bit keys"):
+            PasswordEncoder(Alphabet("ab"), max_length=10**9)
+
+
+#: symbols for generated alphabets: 256 distinct characters, none NUL
+SYMBOLS = "".join(chr(code) for code in range(1, 257))
+
+
+def longest_fit(vocab_size: int) -> int:
+    """The largest D with vocab_size**D <= 2**64."""
+    length = 0
+    while vocab_size ** (length + 1) <= 2**64:
+        length += 1
+    return length
+
+
+@st.composite
+def codec_rows(draw):
+    """A codec of 1-255 characters at any length that fits, plus rows."""
+    size = draw(st.integers(min_value=1, max_value=255))
+    length = draw(st.integers(min_value=1, max_value=longest_fit(size + 1)))
+    codec = PasswordEncoder(Alphabet(SYMBOLS[:size]), max_length=length)
+    digit = st.integers(min_value=0, max_value=size)
+    rows = draw(
+        st.lists(
+            st.lists(digit, min_size=length, max_size=length), min_size=1, max_size=16
+        )
+    )
+    return codec, np.array(rows, dtype=np.int64)
+
+
+class TestKeyLayout:
+    """Keys are base-V numbers: exact up to V^D = 2^64, refused past it."""
+
+    @given(codec_rows())
+    @settings(max_examples=120, deadline=None)
+    def test_layout_property(self, drawn):
+        codec, rows = drawn
+        keys = codec.pack_indices(rows)
+        canonical = codec._canonical(rows)
+        assert (codec.unpack_keys(keys) == canonical).all()
+        # Python integers never wrap: the uint64 keys equal the exact sums
+        assert keys.tolist() == [
+            sum(int(d) * codec.vocab_size**i for i, d in enumerate(row))
+            for row in canonical
+        ]
+        bound = codec.vocab_size**codec.max_length
+        assert all(int(key) < bound for key in keys)
+        key_to_string, string_to_key = {}, {}
+        for key, string in zip(keys.tolist(), codec.strings_from_indices(rows)):
+            assert key_to_string.setdefault(key, string) == string
+            assert string_to_key.setdefault(string, key) == key
+
+    @pytest.mark.parametrize("size, length", [(1, 64), (15, 16), (255, 8)])
+    def test_exact_boundary(self, size, length):
+        """V^D == 2^64 packs, the all-top row is 2^64 - 1, and one more
+        position or one more symbol is refused at construction."""
+        codec = PasswordEncoder(Alphabet(SYMBOLS[:size]), max_length=length)
+        assert codec.vocab_size**length == 2**64
+        rows = np.array([np.full(length, size), np.arange(length) % (size + 1)])
+        keys = codec.pack_indices(rows)
+        assert int(keys[0]) == 2**64 - 1
+        assert (codec.unpack_keys(keys) == codec._canonical(rows)).all()
+        with pytest.raises(ValueError, match="does not fit 64-bit keys"):
+            PasswordEncoder(Alphabet(SYMBOLS[:size]), max_length=length + 1)
+        with pytest.raises(ValueError, match="does not fit 64-bit keys"):
+            PasswordEncoder(Alphabet(SYMBOLS[: size + 1]), max_length=length)
 
 
 class TestDequantization:

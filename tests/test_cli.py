@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bank import GuessBank
 from repro.cli import main
 
 
@@ -488,6 +489,32 @@ class TestBank:
         for key in ("rows", "matched_samples", "non_matched_samples", "method"):
             assert replay[key] == live[key]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_default_alphabet_bank_matches_live(self, tmp_path, capsys, workers):
+        """74 symbols + PAD key at length 10 (75^10 < 2^64): the default
+        alphabet banks, verifies and replays like the compact one."""
+        import json
+
+        corpus = str(tmp_path / "corpus.txt")
+        bank = str(tmp_path / "default.bank")
+        common = ["--alphabet", "default", "--corpus", corpus]
+        main(["synthesize", "--alphabet", "default", "--count", "1500",
+              "--out", corpus, "--seed", "4"])
+        main(["attack", *common, "--strategy", "markov:3", "--budgets", "300,1500",
+              "--report", str(tmp_path / "live.json")])
+        assert main(["bank", "build", *common, "--strategy", "markov:3",
+                     "--budget", "1500", "--out", bank]) == 0
+        assert main(["bank", "verify", bank]) == 0
+        assert main(["attack", "--bank", bank, "--corpus", corpus,
+                     "--budgets", "300,1500", "--workers", workers,
+                     "--report", str(tmp_path / "replay.json")]) == 0
+        capsys.readouterr()
+        live = json.loads((tmp_path / "live.json").read_text())
+        replay = json.loads((tmp_path / "replay.json").read_text())
+        for key in ("rows", "matched_samples", "non_matched_samples", "method"):
+            assert replay[key] == live[key]
+        assert live["rows"][-1]["matched"] > 0
+
     def test_attack_bank_budget_overflow_exits(self, bank_dir, corpus_file):
         with pytest.raises(SystemExit, match="cannot be replayed"):
             main(
@@ -571,6 +598,66 @@ MANIFESTS = {
 }
 
 
+def _rewrite_manifest(**fields):
+    """A damage that merges ``fields`` into a bank's manifest (``codec``
+    merges into the codec header)."""
+
+    def damage(bank):
+        import json
+
+        path = bank / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for name, value in fields.items():
+            if name == "codec":
+                manifest["codec"].update(value)
+            else:
+                manifest[name] = value
+        path.write_text(json.dumps(manifest))
+
+    return damage
+
+
+def _truncate_keys(bank):
+    path = bank / "keys.npy"
+    path.write_bytes(path.read_bytes()[:200])
+
+
+def _stale_segments(bank):
+    (bank / "segments.npy").write_bytes(b"garbage")
+
+
+def _flip_key_byte(bank):
+    path = bank / "keys.npy"
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+#: damaged bank artifacts -> the error line every bank command prints,
+#: or None when the bank still opens (verify alone sees a flipped key)
+HOSTILE_BANKS = {
+    "v1-manifest": (
+        _rewrite_manifest(version=1, segments=1, codec={"pack_bits": 6}),
+        "has format version 1; this build reads version 2: rebuild the bank",
+    ),
+    "unfit-codec": (
+        _rewrite_manifest(codec={"alphabet": "ab", "max_length": 80}),
+        "unusable codec header: a 3-symbol alphabet",
+    ),
+    "huge-max-length": (
+        _rewrite_manifest(codec={"max_length": 1000000000}),
+        "unusable codec header: ",
+    ),
+    "infinite-max-length": (
+        _rewrite_manifest(codec={"max_length": float("inf")}),
+        "unusable codec header: cannot convert float infinity",
+    ),
+    "truncated-keys": (_truncate_keys, "cannot map"),
+    "stale-segments": (_stale_segments, None),
+    "flipped-key-byte": (_flip_key_byte, None),
+}
+
+
 class TestHostileInput:
     """Untrusted input fails with one line, never a traceback."""
 
@@ -642,3 +729,91 @@ class TestHostileInput:
             "serve": ["serve", "--once", "--spec", f"bank:{bank}"],
         }[command]
         _one_line_failure(argv, capsys)
+
+    @pytest.fixture(scope="class")
+    def unusable_corpora(self, tmp_path_factory):
+        """Corpora the Sec. IV-D filter empties: no line, and only NULs
+        and latin-1 bytes outside every alphabet."""
+        root = tmp_path_factory.mktemp("unusable-corpora")
+        (root / "empty.txt").write_bytes(b"")
+        (root / "nul.txt").write_bytes(b"\xff\xff\n\x00\n\x00\x00\n")
+        return root
+
+    @pytest.mark.parametrize("corpus", ["empty.txt", "nul.txt"])
+    @pytest.mark.parametrize(
+        "command", ["attack", "target", "bank-attack", "train", "bank-build", "strength"]
+    )
+    def test_unusable_corpus_is_one_line(
+        self, unusable_corpora, corpus_file, model_file, bank_dir, tmp_path, capsys,
+        corpus, command,
+    ):
+        bad = str(unusable_corpora / corpus)
+        argv = {
+            "attack": [
+                "attack", "--corpus", bad, "--strategy", "markov:3", "--budgets", "100",
+            ],
+            "target": [
+                "attack", "--corpus", str(corpus_file), "--target-corpus", bad,
+                "--strategy", "markov:3", "--budgets", "100",
+            ],
+            "bank-attack": [
+                "attack", "--bank", str(bank_dir), "--corpus", bad, "--budgets", "100",
+            ],
+            "train": ["train", "--corpus", bad, "--out", str(tmp_path / "m.npz")],
+            "bank-build": [
+                "bank", "build", "--strategy", "markov:3", "--corpus", bad,
+                "--budget", "100", "--out", str(tmp_path / "b.bank"),
+            ],
+            "strength": [
+                "strength", "--model", str(model_file), "--corpus", bad, "love12",
+            ],
+        }[command]
+        message = _one_line_failure(argv, capsys)
+        assert message == (
+            f"no usable password in {bad}: every line is empty, longer than "
+            "10 characters or outside the alphabet"
+        )
+
+    @pytest.mark.parametrize("artifact", sorted(HOSTILE_BANKS))
+    @pytest.mark.parametrize("command", ["info", "verify", "attack", "serve"])
+    def test_hostile_bank(
+        self, bank_dir, corpus_file, tmp_path, capsys, monkeypatch, artifact, command
+    ):
+        import io
+        import json
+        import shutil
+        import time
+
+        bank = tmp_path / "hostile.bank"
+        shutil.copytree(bank_dir, bank)
+        damage, error = HOSTILE_BANKS[artifact]
+        damage(bank)
+        good = GuessBank.open(bank_dir)
+        first = good.codec.strings_from_keys(np.asarray(good.keys[:1]))[0]
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(json.dumps({"op": "lookup", "password": first}))
+        )
+        argv = {
+            "info": ["bank", "info", str(bank)],
+            "verify": ["bank", "verify", str(bank)],
+            "attack": [
+                "attack", "--bank", str(bank), "--corpus", str(corpus_file),
+                "--budgets", "100",
+            ],
+            "serve": ["serve", "--once", "--spec", f"bank:{bank}"],
+        }[command]
+        if error is not None:
+            started = time.perf_counter()
+            assert error in _one_line_failure(argv, capsys)
+            if artifact == "huge-max-length":  # refused before any V ** D
+                assert time.perf_counter() - started < 1.0
+        elif artifact == "flipped-key-byte" and command == "verify":
+            assert main(argv) == 1
+            assert capsys.readouterr().out.startswith("FAIL: keys checksum mismatch")
+        else:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            if command == "verify":
+                assert out.startswith("ok: ")
+            if command == "serve" and artifact == "stale-segments":
+                assert json.loads(out)["rank"] == 1

@@ -72,8 +72,10 @@ def test_no_stale_contract_phrases(path):
     """Phrases describing removed contracts must not reappear: the
     pre-keyed-transport world, accounting merge/snapshot, the knobs no
     caller set, pool affinity folding, the pool's shared result channel
-    with its corpse watch and the planner's second quota path, and the
-    codec-carrying decode of keyed deltas into a mixed-mode merge."""
+    with its corpse watch and the planner's second quota path, the
+    codec-carrying decode of keyed deltas into a mixed-mode merge, and
+    the bit-packed key layout with its segment table and unpackable
+    codecs."""
     text = path.read_text()
     stale = [
         "Not available with ``track_deltas``",
@@ -91,5 +93,8 @@ def test_no_stale_contract_phrases(path):
         "decode(codec)",
         "decoded through their shard's codec",
         "_keyed_merge_possible",
+        "segments.npy",
+        "pack_bits",
+        "does not support packing",
     ]
     assert [phrase for phrase in stale if phrase in text] == []
