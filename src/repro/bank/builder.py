@@ -12,7 +12,11 @@ Only *replayable* strategies qualify by default: samplers whose stream is
 a pure function of ``(spec, seed, budget)``.  Feedback-driven strategies
 (Dynamic Sampling, smoothed variants) can be banked with ``force=True``
 for throughput studies, but their replay reproduces the feedback-free
-build-time stream, not a live attack.
+build-time stream, not a live attack: the build's context advances
+without noting guesses, so a smoother sees only collisions inside a
+batch.  Every PassFlow static and dynamic batch, smoothed or not, is an
+index matrix and packs through its own codec; string batches (baselines,
+``passflow:conditional``, string wrappers) need an explicit encoder.
 """
 
 from __future__ import annotations

@@ -690,10 +690,13 @@ def cmd_serve(args) -> int:
     if (args.socket is None) == (args.port is None):
         raise SystemExit("pass exactly one of --socket or --port (or use --once)")
     server = ScoringServer(app, socket_path=args.socket, port=args.port)
+    try:
+        server.start()
+    except OSError as exc:
+        raise SystemExit(f"cannot serve on {args.socket or args.port}: {exc}")
     # SIGTERM = graceful shutdown: stop accepting, drain in-flight
     # batches, exit 0 -- what a supervisor sends on redeploy
     signal.signal(signal.SIGTERM, lambda signum, frame: app.request_shutdown())
-    server.start()
     print(f"serving on {server.address} ({len(args.spec)} spec(s))", flush=True)
     try:
         # wake regularly so the main thread sees signal-set shutdowns

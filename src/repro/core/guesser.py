@@ -17,14 +17,17 @@ per-password loop survives as :meth:`GuessAccounting.observe_scalar` and is
 the reference the parity tests compare against.
 
 :meth:`GuessAccounting.observe_encoded` is the highest-throughput mode:
-batches arrive as the (N, D) alphabet-index matrices every latent strategy
-produces *before* string decoding, are interned into exact uint64 keys
+batches arrive as the (N, D) alphabet-index matrices every PassFlow static
+and dynamic strategy, smoothed or not, produces *before* string decoding,
+are interned into exact uint64 keys
 (:meth:`repro.data.encoding.PasswordEncoder.pack_indices`), and membership,
 uniqueness and checkpointing all run as integer array operations --
 strings are materialized only for the handful of matches and report
-samples.  An accounting instance locks into string or encoded mode on its
-first observation and raises a one-line ``ValueError`` on a switch; the
-two modes produce identical reports for identical guess streams.
+samples.  String batches come from the baselines, ``passflow:conditional``
+and the string wrappers.  An accounting instance locks into string or
+encoded mode on its first observation and raises a one-line
+``ValueError`` on a switch; the two modes produce identical reports for
+identical guess streams.
 
 For the sharded runtime (:mod:`repro.runtime`) accounting states are
 **delta-tracked**: with ``track_deltas=True`` every checkpoint records the
@@ -186,6 +189,17 @@ def _sorted_contains(sorted_array: np.ndarray, values: np.ndarray) -> np.ndarray
     return sorted_array[positions] == values
 
 
+def insert_sorted(sorted_array: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Merge sorted ``values``, none of them in ``sorted_array``, into it."""
+    return np.insert(sorted_array, np.searchsorted(sorted_array, values), values)
+
+
+def seen_in_strings(seen: Set[str], keys: np.ndarray, codec) -> np.ndarray:
+    """Membership in ``seen`` of the strings ``codec`` decodes ``keys`` to."""
+    strings = codec.strings_from_keys(keys)
+    return np.fromiter(map(seen.__contains__, strings), dtype=bool, count=len(strings))
+
+
 def validate_budgets(budgets: Sequence[int]) -> List[int]:
     """The one guess-budget invariant: distinct, ascending, positive.
 
@@ -269,15 +283,15 @@ class GuessAccounting:
         else:
             self._test_hashes = None
         # Encoded ("interned id") mode state: an accounting locks into
-        # string or encoded mode on first observation.
+        # string or encoded mode on first observation.  The seen keys are
+        # a large sorted array plus a small sorted tail of newer keys.
         self._mode: Optional[str] = None
         self._packed_test: Optional[np.ndarray] = None
         self._seen_keys = np.empty(0, dtype=np.uint64)
-        self._pending_keys: List[np.ndarray] = []
-        # Encoded delta tracking: the seen-key array as of the previous
-        # checkpoint (diffed at the next one) plus the keys of matches made
-        # since.
-        self._delta_base_keys = np.empty(0, dtype=np.uint64)
+        self._tail_keys = np.empty(0, dtype=np.uint64)
+        # Encoded delta tracking: the keys first seen, and the keys of
+        # matches made, since the previous checkpoint.
+        self._pending_new_keys: List[np.ndarray] = []
         self._pending_matched_keys: List[int] = []
 
     @property
@@ -304,8 +318,7 @@ class GuessAccounting:
     def _unique_count(self) -> int:
         """Distinct guesses so far (exact in both modes)."""
         if self._mode == "encoded":
-            self._compact_keys()
-            return int(self._seen_keys.size)
+            return int(self._seen_keys.size + self._tail_keys.size)
         return len(self.unique)
 
     # ------------------------------------------------------------------
@@ -464,59 +477,59 @@ class GuessAccounting:
         new_match_indices: List[int],
     ) -> None:
         sampling = len(self.non_matched_samples) < SAMPLE_CAP
-        if sampling:
-            # compact so the sample scan can test seenness with one sorted
-            # array; cheap while the cap is still filling (early stream)
-            self._compact_keys()
         # -- matches: exact interned-id membership, decode hits only --
         if self._packed_test.size:
             hits = np.nonzero(_sorted_contains(self._packed_test, seg_keys))[0]
             if hits.size:
                 hit_strings = codec.strings_from_indices(seg_rows[hits])
-                for i, password in zip(hits.tolist(), hit_strings):
+                # a match is a sample only when no earlier segment made it
+                new = ~self.seen_mask(seg_keys[hits], codec)
+                for i, password, fresh in zip(hits.tolist(), hit_strings, new.tolist()):
                     if password in self.matched:
                         continue
                     self.matched.add(password)
                     new_match_indices.append(offset + int(i))
                     if self._track_deltas:
                         self._pending_matched_keys.append(int(seg_keys[i]))
-                    if len(self.matched_samples) < SAMPLE_CAP and not self._key_seen(
-                        seg_keys[i]
-                    ):
+                    if fresh and len(self.matched_samples) < SAMPLE_CAP:
                         self.matched_samples.append(password)
         # -- non-matched samples: first occurrences of fresh non-test keys --
         if sampling:
             first_keys, first_positions = np.unique(seg_keys, return_index=True)
             wanted = first_keys != 0  # drop the empty password
             wanted &= ~_sorted_contains(self._packed_test, first_keys)
-            wanted &= ~_sorted_contains(self._seen_keys, first_keys)
+            wanted &= ~self.seen_mask(first_keys, codec)
             for i in np.sort(first_positions[wanted]).tolist():
                 if len(self.non_matched_samples) >= SAMPLE_CAP:
                     break
                 self.non_matched_samples.append(
                     codec.strings_from_indices(seg_rows[i : i + 1])[0]
                 )
-        self._pending_keys.append(np.array(seg_keys, copy=True))
+        # -- uniqueness: fresh keys join the small sorted tail, which merges
+        # into the large sorted array once it holds a tenth as many keys,
+        # so a segment never rewrites the large array --
+        keys = np.sort(seg_keys)
+        # deduplicated by hand: a plain np.unique imports numpy.ma (about
+        # 15 ms) on first use, which every keyed attack would pay
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        fresh = keys[~self.seen_mask(keys, codec)]
+        if self._track_deltas:
+            self._pending_new_keys.append(fresh)
+        self._tail_keys = insert_sorted(self._tail_keys, fresh)
+        if 10 * self._tail_keys.size > self._seen_keys.size:
+            self._seen_keys = insert_sorted(self._seen_keys, self._tail_keys)
+            self._tail_keys = np.empty(0, dtype=np.uint64)
 
-    def _key_seen(self, key: np.uint64) -> bool:
-        """Was this interned id observed in any *previous* segment?"""
-        if bool(_sorted_contains(self._seen_keys, np.array([key]))[0]):
-            return True
-        return any(bool((block == key).any()) for block in self._pending_keys)
+    def seen_mask(self, keys: np.ndarray, codec) -> np.ndarray:
+        """Which packed ``keys`` name a guess observed so far.
 
-    def _compact_keys(self) -> None:
-        """Fold pending per-batch key arrays into the sorted seen array."""
-        if not self._pending_keys:
-            return
-        new = np.unique(np.concatenate(self._pending_keys))
-        self._pending_keys = []
-        if not self._seen_keys.size:
-            self._seen_keys = new
-            return
-        fresh = new[~_sorted_contains(self._seen_keys, new)]
-        if fresh.size:
-            insert_at = np.searchsorted(self._seen_keys, fresh)
-            self._seen_keys = np.insert(self._seen_keys, insert_at, fresh)
+        Encoded mode tests the sorted seen keys; string mode tests the
+        strings ``codec`` decodes the keys to against :attr:`unique`.
+        """
+        if self._mode == "strings":
+            return seen_in_strings(self.unique, keys, codec)
+        seen = _sorted_contains(self._seen_keys, keys)
+        return seen | _sorted_contains(self._tail_keys, keys)
 
     # ------------------------------------------------------------------
     def _emit_row(self, guesses: int) -> BudgetRow:
@@ -562,18 +575,14 @@ class GuessAccounting:
     def _take_delta(self) -> Delta:
         """Collect what this checkpoint window added, resetting the window.
 
-        Encoded mode diffs the sorted seen-key array against its state at
-        the previous checkpoint (both arrays are sorted and unique, so the
-        diff is one :func:`numpy.setdiff1d` pass) and emits a
+        Encoded mode sorts the keys its segments found fresh (disjoint
+        arrays, so their union is their concatenation) into a
         :class:`KeyedCheckpointDelta`; string mode drains the pending
         string sets into a :class:`CheckpointDelta`.
         """
         if self._mode == "encoded":
-            self._compact_keys()
-            new_unique_keys = np.setdiff1d(
-                self._seen_keys, self._delta_base_keys, assume_unique=True
-            )
-            self._delta_base_keys = self._seen_keys
+            fresh, self._pending_new_keys = self._pending_new_keys, []
+            new_unique_keys = np.sort(np.concatenate([np.empty(0, np.uint64), *fresh]))
             new_matched_keys = np.array(self._pending_matched_keys, dtype=np.uint64)
             self._pending_matched_keys = []
             return KeyedCheckpointDelta(

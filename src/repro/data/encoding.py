@@ -248,9 +248,14 @@ class PasswordEncoder:
         Digit ``i`` is ``key // V**i % V``; a key at or above ``V**D``
         loses its high part, so ``pack(unpack(k)) != k`` exposes it.
         """
-        keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
-        digits = keys // self._radix % np.uint64(self.vocab_size)
-        return digits.astype(np.int64)
+        rest = np.array(keys, dtype=np.uint64).reshape(-1)
+        digits = np.empty((rest.size, self.max_length), dtype=np.int64)
+        base = np.uint64(self.vocab_size)
+        for position in range(self.max_length):
+            quotient = rest // base
+            digits[:, position] = rest - quotient * base
+            rest = quotient
+        return digits
 
     def strings_from_keys(self, keys: np.ndarray) -> List[str]:
         """uint64 interned-id keys -> password strings (exact inverse).

@@ -18,14 +18,16 @@ Three layers sit between a strategy spec and a Table II/III report:
 * :class:`ParallelAttackEngine` merges the shards' checkpoint deltas into
   the same :class:`~repro.core.guesser.BudgetRow` checkpoints the serial
   engine emits.  Shards that account in interned-id key space (every
-  smoother-free PassFlow strategy) ship their deltas as
+  ``passflow:static`` and ``passflow:dynamic`` strategy, smoothed or
+  not) ship their deltas as
   :class:`~repro.core.guesser.KeyedCheckpointDelta` packed uint64 arrays
   and the merge runs as sorted-array set operations; string-mode shards
-  (baselines, smoothing) ship :class:`~repro.core.guesser.CheckpointDelta`
-  string lists.  A fleet is all one or all the other (a mix fails the
-  merge with one line), and a shard is opaque to the rest of the
-  runtime: one :class:`~repro.runtime.executor._ShardRun` builds its
-  strategy on first use and runs it under either schedule.
+  (baselines, ``passflow:conditional``, string wrappers) ship
+  :class:`~repro.core.guesser.CheckpointDelta` string lists.  A fleet is
+  all one or all the other (a mix fails the merge with one line), and a
+  shard is opaque to the rest of the runtime: one
+  :class:`~repro.runtime.executor._ShardRun` builds its strategy on
+  first use and runs it under either schedule.
 
 Typical use::
 

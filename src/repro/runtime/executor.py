@@ -27,12 +27,13 @@ process boundary), so both produce bit-identical outcomes for a fixed
 ``(seed, workers, schedule)``.
 
 Delta transport: a shard accounts in interned-id key space when its
-strategy streams (N, D) index-matrix batches (every smoother-free
-PassFlow strategy and bank replay does), so its checkpoint deltas cross
-the reply pipes as :class:`~repro.core.guesser.KeyedCheckpointDelta`
-payloads -- packed uint64 arrays, 8 bytes per unique guess -- and
-10^7+-guess sharded attacks stay pipe-cheap.  Strategies that stream
-strings (the baselines, smoothing modes) ship
+strategy streams (N, D) index-matrix batches (every ``passflow:static``
+and ``passflow:dynamic`` strategy, Gaussian Smoothing included, and
+bank replay do), so its checkpoint deltas cross the reply pipes as
+:class:`~repro.core.guesser.KeyedCheckpointDelta` payloads -- packed
+uint64 arrays, 8 bytes per unique guess -- and 10^7+-guess sharded
+attacks stay pipe-cheap.  Strategies that stream strings (the
+baselines, ``passflow:conditional`` and the string wrappers) ship
 :class:`~repro.core.guesser.CheckpointDelta` string lists.  A strategy
 yields one batch kind for its whole stream and a fleet builds every
 shard from one source, so a fleet is all keys or all strings; the merge

@@ -183,15 +183,12 @@ def _build_mangle(spec: StrategySpec, resources: BuildResources) -> GuessingStra
     if batch != DEFAULT_BATCH:
         params["batch"] = batch
     canonical = format_spec("mangle", params=params, inner=inner.describe())
-    try:
-        return MangleStrategy(
-            inner,
-            rules,
-            variants=variants,
-            keep=keep,
-            seed=seed,
-            batch_size=batch,
-            spec=canonical,
-        )
-    except ValueError as exc:
-        raise SpecError(f"mangle spec {spec.canonical()!r}: {exc}") from None
+    return MangleStrategy(
+        inner,
+        rules,
+        variants=variants,
+        keep=keep,
+        seed=seed,
+        batch_size=batch,
+        spec=canonical,
+    )

@@ -225,8 +225,8 @@ class PolicyFilterStrategy(GuessingStrategy):
 
     Nonconforming guesses are dropped *before* they reach accounting, so
     the guess budget counts only policy-conformant attempts.  Batch
-    provenance (``latents``/``features``) is filtered with the same mask,
-    keeping Dynamic Sampling's match feedback aligned.
+    provenance (``latents``) is filtered with the same mask, keeping
+    Dynamic Sampling's match feedback aligned.
 
     Because the budget only counts *emitted* guesses, an inner stream
     whose output the policy rejects wholesale would spin forever;
@@ -279,17 +279,15 @@ class PolicyFilterStrategy(GuessingStrategy):
         if not mask.any():
             return None
         latents = batch.latents[mask] if batch.latents is not None else None
-        features = batch.features[mask] if batch.features is not None else None
         if batch.passwords is None:
             return GuessBatch(
                 None,
                 latents=latents,
-                features=features,
                 index_matrix=batch.index_matrix[mask],
                 codec=batch.codec,
             )
         passwords = [p for p, ok in zip(batch.passwords, mask) if ok]
-        return GuessBatch(passwords, latents=latents, features=features)
+        return GuessBatch(passwords, latents=latents)
 
     def iter_guesses(self, rng: np.random.Generator) -> Iterator[GuessBatch]:
         for batch in self.inner.iter_guesses(rng):
@@ -325,10 +323,7 @@ def _build_policy(spec: StrategySpec, resources: BuildResources) -> GuessingStra
     }
     patience = reader.take("patience", None, int)
     reader.finish()
-    try:
-        policy = CompositionPolicy.from_params(raw)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"policy spec {spec.canonical()!r}: {exc}") from None
+    policy = CompositionPolicy.from_params(raw)
     inner = build(
         spec.inner,
         model=resources.model,
@@ -339,9 +334,4 @@ def _build_policy(spec: StrategySpec, resources: BuildResources) -> GuessingStra
     if patience is not None:
         params["patience"] = patience
     canonical = format_spec("policy", params=params, inner=inner.describe())
-    try:
-        return PolicyFilterStrategy(
-            inner, policy, spec=canonical, patience=patience
-        )
-    except ValueError as exc:
-        raise SpecError(f"policy spec {spec.canonical()!r}: {exc}") from None
+    return PolicyFilterStrategy(inner, policy, spec=canonical, patience=patience)

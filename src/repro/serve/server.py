@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import queue
 import socket
+import stat
 import threading
 from pathlib import Path
 from typing import Any, List, Optional, TextIO
@@ -66,19 +67,29 @@ class ScoringServer:
 
     # ------------------------------------------------------------------
     def start(self) -> "ScoringServer":
-        """Bind, listen, and start accepting (returns immediately)."""
+        """Bind, listen, and start accepting (returns immediately).
+
+        An existing ``socket_path`` is replaced only when it is a socket
+        that refuses connections, as a killed daemon's does.  A path that
+        is not a socket, a socket a live daemon answers on, and any bind
+        error raise ``OSError`` with nothing bound or removed.
+        """
         if self.socket_path is not None:
+            _remove_stale_socket(Path(self.socket_path))
             listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            path = Path(self.socket_path)
-            if path.exists():
-                path.unlink()  # stale socket from a dead daemon
-            listener.bind(str(path))
+            address = str(self.socket_path)
         else:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
+            address = (self.host, self.port)
+        try:
+            listener.bind(address)
+            listener.listen(64)
+        except OSError:
+            listener.close()
+            raise
+        if self.port is not None:
             self.port = listener.getsockname()[1]  # resolve port 0
-        listener.listen(64)
         self._listener = listener
         self.app.start()
         self._accept_thread = threading.Thread(
@@ -205,6 +216,26 @@ class ScoringServer:
         if stopped:
             self.stop()
         return stopped
+
+
+def _remove_stale_socket(path: Path) -> None:
+    """Unlink a dead daemon's socket at ``path``; refuse anything else."""
+    try:
+        mode = path.lstat().st_mode
+    except FileNotFoundError:
+        return
+    if not stat.S_ISSOCK(mode):
+        raise OSError(f"{path} exists and is not a socket")
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    probe.settimeout(1.0)
+    try:
+        probe.connect(str(path))
+    except ConnectionRefusedError:
+        path.unlink()  # nothing listens: a killed daemon's socket
+        return
+    finally:
+        probe.close()
+    raise OSError(f"a daemon is already serving on {path}")
 
 
 class PendingResponse:

@@ -11,8 +11,8 @@ same accounting.  This module gives all of them one shape:
 * the consumer (an :class:`~repro.strategies.engine.AttackEngine`, or
   :func:`~repro.strategies.engine.take` for plain sampling) *binds* an
   :class:`AttackContext` before iterating, giving the strategy a live view
-  of progress (remaining budget, guesses seen so far) without coupling it
-  to the accounting;
+  of progress (remaining budget, which packed keys were seen so far)
+  without coupling it to the accounting;
 * feedback-driven strategies (Dynamic Sampling) receive match notifications
   through :meth:`GuessingStrategy.on_matches`.
 
@@ -28,6 +28,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
+from repro.core.guesser import seen_in_strings
+
 #: Engine-wide default guess-batch size (the legacy samplers' value); spec
 #: canonicalization omits ``batch`` when it equals this.
 DEFAULT_BATCH = 2048
@@ -37,23 +39,22 @@ DEFAULT_BATCH = 2048
 class GuessBatch:
     """One batch of generated guesses plus optional generative provenance.
 
-    ``latents`` / ``features`` carry the latent points and pre-binning
-    data-space floats the passwords were decoded from, when the strategy
-    has them; feedback consumers (Dynamic Sampling's matched-latent memory)
-    and smoothing read these instead of re-encoding.
+    ``latents`` carries the latent points the guesses were decoded from,
+    when the strategy has them; Dynamic Sampling's matched-latent memory
+    reads them instead of re-encoding.
 
-    **Encoded batches**: a strategy that never inspects its own guess
-    strings (and never reads ``context.seen``) may yield ``passwords=None``
-    with an ``index_matrix`` (the (N, D) alphabet-index rows) and the
-    ``codec`` that decodes them.  Consumers that can, account the batch as
-    interned ids without ever materializing strings
+    **Encoded batches**: a strategy may yield ``passwords=None`` with an
+    ``index_matrix`` (the (N, D) alphabet-index rows) and the ``codec``
+    that decodes them.  Every ``passflow:static`` and ``passflow:dynamic``
+    batch, smoothed or not, is one; strings come only from the baselines,
+    ``passflow:conditional`` and the string wrappers.  Consumers that can,
+    account the batch as interned ids without ever materializing strings
     (:meth:`~repro.core.guesser.GuessAccounting.observe_encoded`); everyone
     else calls :meth:`materialize`.
     """
 
     passwords: Optional[List[str]]
     latents: Optional[np.ndarray] = None
-    features: Optional[np.ndarray] = None
     index_matrix: Optional[np.ndarray] = None
     codec: Optional[object] = None
 
@@ -85,10 +86,10 @@ class AttackContext:
 
     * **accounting mode** (attack): wraps a
       :class:`~repro.core.guesser.GuessAccounting`; ``remaining`` and
-      ``seen`` mirror the accounting as the engine updates it.
+      :meth:`seen_mask` mirror the accounting as the engine updates it.
     * **standalone mode** (plain sampling, or an unbound strategy):
-      optionally capped by ``limit``; ``seen`` is a private set the
-      consumer maintains via :meth:`note`.
+      optionally capped by ``limit``; :meth:`seen_mask` tests a private
+      set of strings the consumer maintains via :meth:`note`.
     """
 
     def __init__(self, accounting=None, limit: Optional[int] = None) -> None:
@@ -108,19 +109,17 @@ class AttackContext:
             return None
         return max(0, self._limit - self._produced)
 
-    @property
-    def seen(self) -> Set[str]:
-        """Every distinct guess produced so far (for collision breaking)."""
-        if self._accounting is not None:
-            return self._accounting.unique
-        return self._seen
+    def seen_mask(self, keys: np.ndarray, codec) -> np.ndarray:
+        """Which packed ``keys`` name a guess produced so far.
 
-    @property
-    def matched(self) -> Set[str]:
-        """Test-set passwords matched so far (empty outside an attack)."""
+        The collision test of Gaussian Smoothing.  A keyed accounting
+        tests its sorted seen keys; a context that holds strings (a string
+        accounting under a wrapper, or standalone sampling) tests the keys
+        decoded by ``codec``.
+        """
         if self._accounting is not None:
-            return self._accounting.matched
-        return set()
+            return self._accounting.seen_mask(keys, codec)
+        return seen_in_strings(self._seen, keys, codec)
 
     def next_count(self, batch_size: int) -> int:
         """The batch size a strategy should produce next.
@@ -151,8 +150,9 @@ class AttackContext:
         The encoded companion of :meth:`note`: consumers that account
         batches themselves (e.g. the guess-bank builder packing encoded
         batches) advance the produced counter so ``remaining`` shrinks,
-        without materializing passwords.  ``seen`` is left untouched --
-        only strategies that never read it should be driven this way.
+        without materializing passwords.  The seen set is left untouched --
+        only strategies that never ask :meth:`seen_mask` should be driven
+        this way.
         """
         if self._accounting is not None:
             return
@@ -173,11 +173,11 @@ class GuessingStrategy(abc.ABC):
     name: str = "strategy"
 
     #: True when the guess stream is a pure function of ``(spec, seed,
-    #: budget)``: no attack feedback (``on_matches``), no reads of
-    #: ``context.seen``/``context.matched``.  Such streams can be
-    #: materialized once into a guess bank and replayed bit-identically;
-    #: feedback-driven strategies must keep ``False`` (the conservative
-    #: default for third-party subclasses).
+    #: budget)``: no attack feedback (``on_matches``), no calls to
+    #: ``context.seen_mask``.  Such streams can be materialized once into
+    #: a guess bank and replayed bit-identically; feedback-driven
+    #: strategies must keep ``False`` (the conservative default for
+    #: third-party subclasses).
     replayable: bool = False
 
     def __init__(self, spec: Optional[str] = None) -> None:

@@ -13,7 +13,9 @@ smoothed-static arm of Table V-style ablations.
 The streaming loops here are RNG-faithful ports of the seed-era eager
 static and Algorithm 1 attack loops: driven by an
 :class:`~repro.strategies.engine.AttackEngine` over the same budgets they
-reproduce those loops' reports exactly.
+reproduce those loops' reports exactly.  Every static and dynamic batch,
+smoothed or not, is an index matrix: Gaussian Smoothing breaks collisions
+on the rows' packed keys, so no guess string is decoded to make it.
 
 The latent decodes these loops spend their time in dispatch through the
 active kernel backend (:mod:`repro.kernels`, ``--kernels`` /
@@ -107,9 +109,9 @@ class StaticStrategy(GuessingStrategy):
         self.smoother = smoother
         self.batch_size = batch_size
         self.name = name
-        # Smoothing reads ``context.seen`` (collision breaking), which
-        # depends on the whole attack so far -- only the smoother-free
-        # stream is a pure function of (spec, seed, budget).
+        # Smoothing asks the context which keys it has seen (collision
+        # breaking), which depends on the whole attack so far -- only an
+        # unsmoothed stream is a pure function of (spec, seed, budget).
         self.replayable = smoother is None
 
     def iter_guesses(self, rng: np.random.Generator) -> Iterator[GuessBatch]:
@@ -118,35 +120,25 @@ class StaticStrategy(GuessingStrategy):
             if count < 1:
                 return
             latents = self.model.sample_latents(count, rng=rng, prior=self.prior)
-            features = self.model.decode_latents_to_features(latents)
-            encoded = _encoded_batch(self.model, self.smoother, latents, features)
-            if encoded is not None:
-                yield encoded
-                continue
-            passwords = self.model.encoder.decode_batch(features)
-            if self.smoother is not None:
-                passwords = self.smoother.smooth(
-                    passwords, features, self.context.seen, rng
-                )
-            yield GuessBatch(passwords, latents=latents, features=features)
+            yield _keyed_batch(self, latents, rng)
 
 
-def _encoded_batch(model, smoother, latents, features) -> Optional[GuessBatch]:
-    """An interned-id batch when strings are provably not needed.
+def _keyed_batch(strategy, latents: np.ndarray, rng: np.random.Generator) -> GuessBatch:
+    """Decode ``latents`` to one index-matrix batch.
 
-    Smoothing consumes and rewrites the strings (and reads the seen set),
-    so only smoother-free streams qualify.
+    The decoded features are binned to index rows; a strategy with a
+    smoother then breaks the rows' collisions in key space against the
+    guesses its context has seen.
     """
-    if smoother is not None:
-        return None
-    encoder = model.encoder
-    return GuessBatch(
-        None,
-        latents=latents,
-        features=features,
-        index_matrix=encoder.floats_to_indices(features),
-        codec=encoder,
-    )
+    encoder = strategy.model.encoder
+    features = strategy.model.decode_latents_to_features(latents)
+    rows = encoder.floats_to_indices(features)
+    if strategy.smoother is not None:
+        context = strategy.context
+        rows = strategy.smoother.smooth(
+            rows, features, lambda keys: context.seen_mask(keys, encoder), rng
+        )
+    return GuessBatch(None, latents=latents, index_matrix=rows, codec=encoder)
 
 
 class DynamicStrategy(GuessingStrategy):
@@ -227,17 +219,7 @@ class DynamicStrategy(GuessingStrategy):
             latents = self.model.sample_latents(count, rng=rng, prior=prior)
             if prior is not None:
                 self._note_usage()
-            features = self.model.decode_latents_to_features(latents)
-            encoded = _encoded_batch(self.model, self.smoother, latents, features)
-            if encoded is not None:
-                yield encoded
-                continue
-            passwords = self.model.encoder.decode_batch(features)
-            if self.smoother is not None:
-                passwords = self.smoother.smooth(
-                    passwords, features, self.context.seen, rng
-                )
-            yield GuessBatch(passwords, latents=latents, features=features)
+            yield _keyed_batch(self, latents, rng)
 
     def on_matches(self, batch: GuessBatch, indices: Sequence[int]) -> None:
         if batch.latents is None:

@@ -56,6 +56,28 @@ class SpecError(ValueError):
 #: with one line instead of a quadratic parse or a ``RecursionError``.
 MAX_SPEC_DEPTH = 8
 
+#: An error line repeats at most this many characters of a spec, a
+#: value or a cause, and at most this many unknown parameter names.
+_CLIP_CHARS = 80
+_CLIP_NAMES = 5
+
+
+def _clip(text: object) -> str:
+    """``text`` shortened for an error line: its head plus its length."""
+    text = str(text)
+    if len(text) <= _CLIP_CHARS:
+        return text
+    return f"{text[:_CLIP_CHARS]}...[{len(text)} chars]"
+
+
+def _clip_names(names) -> str:
+    """The first ``_CLIP_NAMES`` sorted names, plus how many more."""
+    names = sorted(names)
+    shown = ", ".join(_clip(name) for name in names[:_CLIP_NAMES])
+    if len(names) > _CLIP_NAMES:
+        shown += f" and {len(names) - _CLIP_NAMES} more"
+    return shown
+
 
 # ----------------------------------------------------------------------
 # spec parsing / formatting
@@ -151,9 +173,13 @@ def _parse_query(query: str, spec: str) -> Dict[str, ParamValue]:
         key, sep, value = pair.partition("=")
         key = key.strip()
         if not sep or not key:
-            raise SpecError(f"malformed parameter {pair!r} in spec {spec!r}")
+            raise SpecError(
+                f"malformed parameter {_clip(pair)!r} in spec {_clip(spec)!r}"
+            )
         if key in params:
-            raise SpecError(f"duplicate parameter {key!r} in spec {spec!r}")
+            raise SpecError(
+                f"duplicate parameter {_clip(key)!r} in spec {_clip(spec)!r}"
+            )
         parsed_value = _parse_value(value.strip())
         if isinstance(parsed_value, str):
             parsed_value = _unescape_text(parsed_value)
@@ -188,23 +214,24 @@ def parse_spec(spec: str) -> StrategySpec:
                     close = pos
                     break
         if close == -1:
-            raise SpecError(f"unbalanced parentheses in spec {spec!r}")
+            raise SpecError(f"unbalanced parentheses in spec {_clip(spec)!r}")
         family = spec[:paren].strip().lower()
         if not family:
-            raise SpecError(f"spec {spec!r} has no strategy family")
+            raise SpecError(f"spec {_clip(spec)!r} has no strategy family")
         if ":" in family:
             raise SpecError(
-                f"wrapper spec {spec!r} cannot take a variant; use ?key=value "
-                "parameters"
+                f"wrapper spec {_clip(spec)!r} cannot take a variant; use "
+                "?key=value parameters"
             )
         raw_inner = spec[paren + 1 : close].strip()
         if not raw_inner:
-            raise SpecError(f"wrapper spec {spec!r} has an empty inner spec")
+            raise SpecError(f"wrapper spec {_clip(spec)!r} has an empty inner spec")
         inner = parse_spec(raw_inner).canonical()
         rest = spec[close + 1 :]
         if rest and not rest.startswith("?"):
             raise SpecError(
-                f"unexpected text {rest!r} after the wrapped spec in {spec!r}"
+                f"unexpected text {_clip(rest)!r} after the wrapped spec in "
+                f"{_clip(spec)!r}"
             )
         query = rest[1:]
     else:
@@ -212,7 +239,7 @@ def parse_spec(spec: str) -> StrategySpec:
         family, _, variant_text = head.partition(":")
         family = family.strip().lower()
         if not family:
-            raise SpecError(f"spec {spec!r} has no strategy family")
+            raise SpecError(f"spec {_clip(spec)!r} has no strategy family")
         variant = variant_text.strip() or None
     params = _parse_query(query, spec) if query else {}
     return StrategySpec(
@@ -280,7 +307,11 @@ class BuildResources:
 
 
 class ParamReader:
-    """Strict parameter consumption for factories: typo-proof specs."""
+    """Strict parameter consumption for factories: typo-proof specs.
+
+    A value its ``cast`` refuses, a non-finite float and an unknown name
+    are each one :class:`SpecError`.
+    """
 
     def __init__(self, spec: StrategySpec) -> None:
         self.spec = spec
@@ -294,20 +325,21 @@ class ParamReader:
         if cast is not None:
             try:
                 value = cast(value)
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise ValueError("not a finite number")
             except (TypeError, ValueError) as exc:
                 raise SpecError(
-                    f"parameter {name}={value!r} in spec "
-                    f"{self.spec.canonical()!r}: {exc}"
+                    f"parameter {name}={_clip(repr(value))} in spec "
+                    f"{_clip(self.spec.canonical())!r}: {_clip(exc)}"
                 ) from None
         self.used[name] = value
         return value
 
     def finish(self) -> None:
         if self._pending:
-            unknown = ", ".join(sorted(self._pending))
             raise SpecError(
-                f"unknown parameter(s) {unknown} for strategy family "
-                f"{self.spec.family!r}"
+                f"unknown parameter(s) {_clip_names(self._pending)} for "
+                f"strategy family {self.spec.family!r}"
             )
 
     def canonical(self) -> str:
@@ -371,12 +403,23 @@ def build(
 
     >>> build("passflow:dynamic+gs?alpha=1&sigma=0.12", model=passflow)
     >>> build("markov:3", corpus=train_passwords)
+
+    A ``ValueError`` the factory raises (a value the strategy refuses)
+    becomes one :class:`SpecError` naming the spec; a ``SpecError``
+    passes through unchanged.
     """
     parsed = spec if isinstance(spec, StrategySpec) else parse_spec(spec)
     entry = _REGISTRY.get(parsed.family)
     if entry is None:
         known = ", ".join(sorted(_REGISTRY))
-        raise SpecError(f"unknown strategy family {parsed.family!r} (known: {known})")
+        raise SpecError(
+            f"unknown strategy family {_clip(parsed.family)!r} (known: {known})"
+        )
     factory = entry[0]
     resources = BuildResources(model=model, corpus=corpus, alphabet=alphabet)
-    return factory(parsed, resources)
+    try:
+        return factory(parsed, resources)
+    except SpecError:
+        raise
+    except ValueError as exc:
+        raise SpecError(f"spec {_clip(parsed.canonical())!r}: {_clip(exc)}") from None

@@ -30,10 +30,12 @@ from repro.runtime import (
     ParallelAttackEngine,
     ShardPlanner,
     ShardTask,
+    StrategySource,
     execute_shard,
 )
 from repro.runtime.parallel import _DeltaFold
 from repro.strategies.base import GuessBatch, GuessingStrategy
+from runtime_fleet import fork_pool
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +230,38 @@ class TestShardTransportParity:
         outcome = execute_shard(task, plans[0])
         assert outcome.deltas
         assert all(isinstance(d, KeyedCheckpointDelta) for d in outcome.deltas)
+
+
+class TestSmoothedShardsAreKeyed:
+    """``+gs`` shards account keys, so their deltas cross to the merge as
+    packed key arrays under both schedules and on both executors."""
+
+    @pytest.mark.parametrize("schedule", ["static", "elastic"])
+    @pytest.mark.parametrize("executor", ["local", "processpool"])
+    def test_dynamic_gs_shards_emit_keyed_deltas(
+        self, trained_model, trained_dataset, monkeypatch, schedule, executor
+    ):
+        folded = []
+        add = _DeltaFold.add
+
+        def recording_add(fold, delta):
+            folded.append(type(delta))
+            add(fold, delta)
+
+        monkeypatch.setattr(_DeltaFold, "add", recording_add)
+        engine = ParallelAttackEngine(
+            trained_dataset.test_set,
+            [512, 2048],
+            workers=2,
+            schedule=schedule,
+            executor=LocalExecutor() if executor == "local" else fork_pool(),
+        )
+        source = StrategySource(
+            "passflow:dynamic+gs?alpha=1&sigma=0.12&batch=128", model=trained_model
+        )
+        report = engine.run(source, seed=3)
+        assert report.final().guesses == 2048 and not report.shard_errors
+        assert folded and set(folded) == {KeyedCheckpointDelta}
 
 
 class TestMixingFails:

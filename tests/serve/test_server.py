@@ -252,3 +252,24 @@ class TestDeterminismSoak:
             stats = client.request(op="stats")
         assert stats["requests"] >= self.CLIENTS * self.REQUESTS_PER_CLIENT
         assert stats["batches"] < self.CLIENTS * self.REQUESTS_PER_CLIENT
+
+
+class TestSocketPath:
+    """``socket_path`` replaces only a dead daemon's socket; the paths it
+    refuses are one CLI line each (``tests/test_cli.py``)."""
+
+    def test_stale_socket_is_replaced(self, strength_spec, tmp_path):
+        import socket
+
+        path = tmp_path / "stale.sock"
+        dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        dead.bind(str(path))  # bound, never listening: refuses like a killed daemon
+        dead.close()
+        app = ServeApp([strength_spec], max_batch=16)
+        srv = ScoringServer(app, socket_path=str(path)).start()
+        try:
+            with ServeClient(socket_path=str(path)) as client:
+                assert client.request(op="ping") == {"ok": True, "op": "ping"}
+        finally:
+            srv.stop()
+        assert not path.exists()

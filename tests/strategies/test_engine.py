@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.guesser import GuessAccounting
+from repro.data.alphabet import Alphabet
+from repro.data.encoding import PasswordEncoder
 from repro.strategies import AttackEngine, build, take
 from repro.strategies.base import AttackContext, GuessBatch, GuessingStrategy
 
@@ -135,7 +137,9 @@ class TestContext:
         assert context.next_count(64) == 64
         context.note(["x"] * 90)
         assert context.next_count(64) == 10
-        assert "x" in context.seen
+        codec = PasswordEncoder(Alphabet("xy"), max_length=3)
+        keys = codec.pack_passwords(["x", "y"])
+        assert context.seen_mask(keys, codec).tolist() == [True, False]
 
     def test_exclusive_modes(self):
         from repro.core.guesser import GuessAccounting
@@ -161,10 +165,14 @@ class TestEncodedBatches:
             batch.index_matrix
         )
 
-    def test_smoothed_strategies_yield_strings(self, trained_model):
-        strategy = build("passflow:static?gs=true&batch=32", model=trained_model)
+    @pytest.mark.parametrize(
+        "spec", ["passflow:static?gs=true&batch=32", "passflow:dynamic+gs?batch=32"]
+    )
+    def test_smoothed_strategies_yield_keys(self, trained_model, spec):
+        strategy = build(spec, model=trained_model)
         batch = next(strategy.iter_guesses(np.random.default_rng(0)))
-        assert batch.passwords is not None
+        assert batch.passwords is None
+        assert batch.index_matrix is not None and batch.codec is trained_model.encoder
 
     def test_encoded_report_identical_to_string_path(self, trained_model, trained_dataset):
         class Materialized(GuessingStrategy):
@@ -182,11 +190,7 @@ class TestEncodedBatches:
 
             def iter_guesses(self, rng):
                 for batch in self.inner.iter_guesses(rng):
-                    yield GuessBatch(
-                        batch.materialize(),
-                        latents=batch.latents,
-                        features=batch.features,
-                    )
+                    yield GuessBatch(batch.materialize(), latents=batch.latents)
 
         test_set = trained_dataset.test_set
         encoded = AttackEngine(test_set, BUDGETS).run(

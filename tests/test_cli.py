@@ -707,6 +707,62 @@ class TestHostileInput:
         message = _one_line_failure(argv, capsys)
         assert message.startswith(f"cannot load model {model}: ")
 
+    @pytest.mark.parametrize("occupant", ["regular-file", "live-daemon", "missing-dir"])
+    def test_serve_socket_it_cannot_replace_is_one_line(
+        self, bank_dir, tmp_path, capsys, occupant
+    ):
+        from repro.serve import ScoringServer, ServeApp, ServeClient
+
+        path = tmp_path / "serve.sock"
+        live = None
+        if occupant == "regular-file":
+            path.write_bytes(b"keep me")
+        elif occupant == "live-daemon":
+            live = ScoringServer(ServeApp([f"bank:{bank_dir}"]), socket_path=str(path))
+            live.start()
+        else:
+            path = tmp_path / "missing" / "serve.sock"
+        try:
+            message = _one_line_failure(
+                ["serve", "--spec", f"bank:{bank_dir}", "--socket", str(path)], capsys
+            )
+            assert message.startswith(f"cannot serve on {path}: ")
+            if live is not None:
+                with ServeClient(socket_path=str(path)) as client:
+                    assert client.request(op="ping")["ok"]
+        finally:
+            if live is not None:
+                live.stop()
+        if occupant == "regular-file":
+            assert path.read_bytes() == b"keep me"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "passflow:static?gs=true&gs_scale=nan",
+            "passflow:static?gs=true&gs_scale=inf",
+            "passflow:static?temperature=nan",
+            "passflow:static?temperature=-1",
+            "passflow:static?batch=0",
+            "markov:3?batch=0",
+            "markov:3?smoothing=nan",
+            "markov:3?" + "&".join(f"p{i}=1" for i in range(12000)),
+            "markov:3?" + "&".join(["a=1"] * 25000),
+        ],
+        ids=lambda spec: spec if len(spec) < 60 else f"flat-{len(spec)}-chars",
+    )
+    def test_refused_spec_value_is_one_short_line(
+        self, model_file, corpus_file, capsys, spec
+    ):
+        message = _one_line_failure(
+            [
+                "attack", "--model", str(model_file), "--corpus", str(corpus_file),
+                "--strategy", spec, "--budgets", "100",
+            ],
+            capsys,
+        )
+        assert len(message) < 300
+
     @pytest.mark.parametrize("manifest", sorted(MANIFESTS))
     @pytest.mark.parametrize("command", ["info", "verify", "attack", "serve"])
     def test_malformed_manifest_is_one_line(

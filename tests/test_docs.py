@@ -73,9 +73,9 @@ def test_no_stale_contract_phrases(path):
     pre-keyed-transport world, accounting merge/snapshot, the knobs no
     caller set, pool affinity folding, the pool's shared result channel
     with its corpse watch and the planner's second quota path, the
-    codec-carrying decode of keyed deltas into a mixed-mode merge, and
-    the bit-packed key layout with its segment table and unpackable
-    codecs."""
+    codec-carrying decode of keyed deltas into a mixed-mode merge, the
+    bit-packed key layout with its segment table and unpackable codecs,
+    and PassFlow's smoothed string stream."""
     text = path.read_text()
     stale = [
         "Not available with ``track_deltas``",
@@ -96,5 +96,6 @@ def test_no_stale_contract_phrases(path):
         "segments.npy",
         "pack_bits",
         "does not support packing",
+        "smoother-free",
     ]
     assert [phrase for phrase in stale if phrase in text] == []
