@@ -15,11 +15,6 @@ from repro.autograd import Tensor, no_grad
 
 from benchmarks.conftest import assert_speedup, speedup_floor
 
-needs_numba = pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not installed"
-)
-
-
 @pytest.fixture(scope="module")
 def batch(ctx, model):
     rng = np.random.default_rng(0)
@@ -76,15 +71,15 @@ class TestKernelSpeedupFloors:
     """Hard speedup asserts for the fused kernel layer.
 
     Baselines are the seed-era composed-Tensor loops, re-run live so both
-    sides see the same machine state.  Results must also stay bitwise (or,
-    for numba, stream-) equal to the baseline -- a fast wrong kernel fails
-    here, not just in the parity suite.
+    sides see the same machine state.  Results must also stay bitwise
+    equal to the baseline -- a fast wrong kernel fails here, not just in
+    the parity suite.
 
     The floors are set for the *warm-allocator* steady state (~1.2x): in a
     long-lived process glibc stops mmapping the baseline's large
     temporaries, which narrows the gap.  A fresh process -- every CLI
     ``attack``/``sample`` invocation -- pays those page faults and sees
-    ~1.5-1.7x from the fused numpy backend (and ~3x+ with numba).
+    ~1.5-1.7x from the fused numpy backend.
     """
 
     def test_fused_numpy_decode_floor(self, model, batch):
@@ -134,41 +129,4 @@ class TestKernelSpeedupFloors:
             fused_sample,
             speedup_floor(full=1.12, relaxed=1.05),
             "fused sample_passwords",
-        )
-
-    @needs_numba
-    def test_numba_decode_floor(self, model, batch):
-        flow = model.flow
-        latents = flow.encode(batch)
-
-        def fused():
-            with kernels.use_backend("numba"):
-                return flow.decode(latents)
-
-        fused()  # JIT warmup outside the timed region
-        assert_speedup(
-            lambda: tensor_decode(flow, latents),
-            fused,
-            speedup_floor(full=3.0, relaxed=1.5),
-            "numba decode",
-        )
-
-    @needs_numba
-    def test_numba_sample_passwords_stream_and_floor(self, model):
-        def baseline_sample():
-            latents = model.sample_latents(512, rng=np.random.default_rng(1))
-            features = tensor_decode(model.flow, latents)
-            return model.encoder.decode_batch(features)
-
-        def fused_sample():
-            with kernels.use_backend("numba"):
-                return model.sample_passwords(512, rng=np.random.default_rng(1))
-
-        # JIT warmup, and stream identity survives numba
-        assert fused_sample() == baseline_sample()
-        assert_speedup(
-            baseline_sample,
-            fused_sample,
-            speedup_floor(full=3.0, relaxed=1.5),
-            "numba sample_passwords",
         )

@@ -168,14 +168,21 @@ class GuessBank:
 
         Every way a manifest can be malformed -- not a JSON object, a
         foreign format or version, a missing or mistyped field, no usable
-        codec header -- raises one :class:`BankError` line.
+        codec header -- raises one :class:`BankError` line, and so does a
+        path the system cannot read (too long, not permitted).
         """
         path = Path(path)
         manifest_path = path / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise BankError(f"no bank at {path} (missing {MANIFEST_NAME})")
         try:
+            if not manifest_path.is_file():
+                raise BankError(f"no bank at {path} (missing {MANIFEST_NAME})")
             manifest = json.loads(manifest_path.read_text())
+        except OSError as exc:
+            from repro.strategies.registry import _clip
+
+            raise BankError(
+                f"cannot read bank at {_clip(path)}: {exc.strerror or exc}"
+            ) from exc
         except ValueError as exc:
             raise BankError(f"unreadable manifest at {manifest_path}: {exc}") from exc
         if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:

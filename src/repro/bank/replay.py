@@ -31,13 +31,19 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.bank.artifact import BankError, GuessBank
-from repro.core.guesser import SAMPLE_CAP, _sorted_contains, packed_test_keys
+from repro.core.guesser import (
+    SAMPLE_CAP,
+    _sorted_contains,
+    insert_sorted,
+    packed_test_keys,
+)
 from repro.strategies.base import DEFAULT_BATCH, GuessBatch, GuessingStrategy
 from repro.strategies.registry import (
     BuildResources,
     ParamReader,
     SpecError,
     StrategySpec,
+    _clip,
     parse_spec,
     register,
 )
@@ -154,7 +160,8 @@ def resolve_bank(
     canonical spec, seed and rng label -- and on alphabet when the caller
     pins one.  Ties break to the largest stream, then lexicographic path.
     An unreadable bank (damaged, or an older format version) is a miss
-    wherever it lies, so a caller that banks on a miss rebuilds it.
+    wherever it lies, so a caller that banks on a miss rebuilds it; so is
+    a directory the system cannot read (a path too long, say).
     """
     directory = Path(directory)
     canonical = parse_spec(spec).canonical()
@@ -163,20 +170,23 @@ def resolve_bank(
         return GuessBank.open(direct)
     except BankError:
         pass
+    try:
+        paths = sorted(directory.glob("*.bank")) if directory.is_dir() else []
+    except OSError:
+        paths = []
     candidates: List[Tuple[int, str, GuessBank]] = []
-    if directory.is_dir():
-        for path in sorted(directory.glob("*.bank")):
-            try:
-                bank = GuessBank.open(path)
-            except BankError:
-                continue
-            if bank.spec != canonical or bank.seed != int(seed):
-                continue
-            if bank.rng_label != rng_label:
-                continue
-            if alphabet_chars and bank.codec.alphabet.chars != alphabet_chars:
-                continue
-            candidates.append((-bank.total, str(path), bank))
+    for path in paths:
+        try:
+            bank = GuessBank.open(path)
+        except BankError:
+            continue
+        if bank.spec != canonical or bank.seed != int(seed):
+            continue
+        if bank.rng_label != rng_label:
+            continue
+        if alphabet_chars and bank.codec.alphabet.chars != alphabet_chars:
+            continue
+        candidates.append((-bank.total, str(path), bank))
     if not candidates:
         return None
     return sorted(candidates)[0][2]
@@ -219,8 +229,8 @@ def _build_bank_replay(spec: StrategySpec, resources: BuildResources) -> Guessin
         bank = resolve_bank(directory, inner, seed, label, chars)
         if bank is None:
             raise SpecError(
-                f"no bank for spec={inner!r} seed={seed} label={label!r} "
-                f"under {directory}"
+                f"no bank for spec={_clip(inner)!r} seed={seed} "
+                f"label={_clip(label)!r} under {_clip(directory)}"
             )
     requested_chars = getattr(resources.alphabet, "chars", None)
     if requested_chars is not None and requested_chars != bank.codec.alphabet.chars:
@@ -259,7 +269,8 @@ def stream_samples(
     for start in range(0, budget, chunk):
         block = np.asarray(bank.keys[start : min(start + chunk, budget)])
         uniq, first_positions = np.unique(block, return_index=True)
-        fresh_in_block = first_positions[~_sorted_contains(seen, uniq)]
+        fresh = ~_sorted_contains(seen, uniq)
+        fresh_in_block = first_positions[fresh]
         fresh_keys = block[np.sort(fresh_in_block)]
         is_test = _sorted_contains(packed_test, fresh_keys)
         if len(matched_keys) < SAMPLE_CAP:
@@ -273,7 +284,8 @@ def stream_samples(
             )
         if len(matched_keys) >= SAMPLE_CAP and len(non_keys) >= SAMPLE_CAP:
             break
-        seen = np.union1d(seen, uniq)
+        # a merge, not np.union1d, which imports numpy.ma on first use
+        seen = insert_sorted(seen, uniq[fresh])
     matched = codec.strings_from_keys(np.asarray(matched_keys, dtype=np.uint64))
     non_matched = codec.strings_from_keys(np.asarray(non_keys, dtype=np.uint64))
     return matched, non_matched

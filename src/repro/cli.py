@@ -64,21 +64,12 @@ micro-batching scheduler, NDJSON requests over a local socket (or
 ``--once`` for stdin/stdout), rank lookups against guess banks, and a
 ``stats`` endpoint; SIGTERM drains in-flight batches and exits 0.  See
 ``docs/serve.md`` for the protocol and the determinism contract.
-
-``train``/``sample``/``attack``/``bank build``/``strength``/``serve``
-accept ``--kernels
-auto|numpy|numba|reference`` (default: the ``REPRO_KERNELS`` environment
-variable, else ``auto``) to pick the fused kernel backend the flow/NN hot
-paths run on; guess streams are backend-independent for a fixed seed and
-the attack report records the backend used, and the BLAS library and
-thread count beside it (``"blas"``).  See ``docs/kernels.md``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 import time
@@ -172,27 +163,6 @@ def _parse_budgets(raw: str) -> List[int]:
     return budgets
 
 
-def _select_kernels(args) -> None:
-    """Pin the kernel backend before any model math runs.
-
-    ``--kernels`` wins over ``REPRO_KERNELS`` and is exported back into the
-    environment so spawned shard workers resolve the same backend.  Invalid
-    values (and ``numba`` without numba installed) exit with the registry's
-    one-line error.  No backend is imported here: one loads on first use
-    (or in :func:`_load_model`), and only a different backend already
-    loaded in this process is switched now.
-    """
-    choice = getattr(args, "kernels", None)
-    try:
-        name = kernels.resolve(choice)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    if choice is not None:
-        os.environ["REPRO_KERNELS"] = choice
-    if kernels.active_name() != name:
-        kernels.select(name)
-
-
 def _emit_attack_report(report, args, budgets: List[int], described: str) -> None:
     """Shared ``attack`` tail: stdout table, shard warnings, JSON report."""
     rows = [
@@ -248,7 +218,6 @@ def cmd_synthesize(args) -> int:
 def cmd_train(args) -> int:
     from repro.core.model import PassFlow, PassFlowConfig
 
-    _select_kernels(args)
     alphabet = _alphabet(args.alphabet)
     corpus = _read_corpus(args.corpus, alphabet)
     if args.train_size and args.train_size < len(corpus):
@@ -317,7 +286,6 @@ def _spec_from_args(args) -> str:
 
 
 def cmd_sample(args) -> int:
-    _select_kernels(args)
     model = _load_model(args.model)
     spec = _spec_from_args(args)
     try:
@@ -388,7 +356,6 @@ def _parse_policy(args):
 def cmd_attack(args) -> int:
     from repro.runtime import StrategySource, resolve_executor, run_attack
 
-    _select_kernels(args)
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
     try:
@@ -483,7 +450,6 @@ def cmd_bank_build(args) -> int:
     """
     from repro.bank import BankError, build_bank
 
-    _select_kernels(args)
     try:
         parsed = parse_spec(args.strategy)
     except SpecError as exc:
@@ -648,7 +614,6 @@ def cmd_conditional(args) -> int:
 def cmd_strength(args) -> int:
     from repro.core.strength import StrengthEstimator
 
-    _select_kernels(args)
     model = _load_model(args.model)
     estimator = StrengthEstimator(model)
     if args.corpus:
@@ -672,7 +637,6 @@ def cmd_strength(args) -> int:
 
 def cmd_serve(args) -> int:
     """``serve``: the micro-batched strength-audit daemon (docs/serve.md)."""
-    _select_kernels(args)
     from repro.serve import ScoringServer, ServeApp, ServeConfigError, run_once
 
     try:
@@ -717,18 +681,6 @@ def cmd_experiments(args) -> int:
 
 
 # ----------------------------------------------------------------------
-def _add_kernels_flag(parser: argparse.ArgumentParser) -> None:
-    # a plain string (not argparse choices) so bad values surface the
-    # kernel registry's one-line error instead of argparse's usage dump
-    parser.add_argument(
-        "--kernels",
-        default=None,
-        help="kernel backend: auto|numpy|numba|reference (default: "
-        "REPRO_KERNELS, else auto = numba when installed); every backend "
-        "yields the same guesses for a fixed seed",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="console logging")
@@ -762,7 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mask", default="char-run-1")
     p.add_argument("--seed", type=int, default=0)
-    _add_kernels_flag(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="generate password guesses")
@@ -778,7 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.12)
     p.add_argument("--gamma", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    _add_kernels_flag(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("attack", help="run a guessing attack against a password file")
@@ -847,7 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
         "becomes the attack targets (cleaned against --corpus's train "
         "half), while models still train on --corpus",
     )
-    _add_kernels_flag(p)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser(
@@ -886,7 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bank a non-replayable (feedback-driven) strategy's "
         "feedback-free stream anyway",
     )
-    _add_kernels_flag(b)
     b.set_defaults(func=cmd_bank_build)
 
     b = bank_sub.add_parser("info", help="print a bank artifact's manifest summary")
@@ -950,7 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", help="reference corpus for percentile calibration")
     p.add_argument("passwords", nargs="+")
-    _add_kernels_flag(p)
     p.set_defaults(func=cmd_strength)
 
     p = sub.add_parser(
@@ -995,7 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve NDJSON from stdin to stdout in-process (no socket, "
         "no threads); exits at EOF or a shutdown request",
     )
-    _add_kernels_flag(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("experiments", help="regenerate every paper table/figure")
@@ -1009,24 +955,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verbose:
         enable_console_logging()
-    # --kernels exports REPRO_KERNELS so forked shard workers inherit the
-    # choice, but the export must not outlive the command: harnesses and
-    # tests drive main() in-process, and a leaked value would silently
-    # repoint every later kernels.select(None) call
-    prior = os.environ.get("REPRO_KERNELS")
-    try:
-        return args.func(args)
-    finally:
-        if os.environ.get("REPRO_KERNELS") != prior:
-            if prior is None:
-                os.environ.pop("REPRO_KERNELS", None)
-            else:
-                os.environ["REPRO_KERNELS"] = prior
-            try:
-                if kernels.active_name() != kernels.resolve():
-                    kernels.select(None)  # re-pin the in-process backend too
-            except ValueError:
-                pass
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -4,15 +4,15 @@ Each function here is a transliteration of the :class:`Tensor` composition
 it replaces -- the same floating-point operations, applied in the same
 order, with the same intermediate temporaries numpy would allocate.  That
 makes this backend the *semantics anchor*: ``tests/kernels/`` pins the
-``numpy`` backend bit-identical to it (``np.array_equal``) and the
-``numba`` backend equal to the last ulp, and pins it in turn against the
-live ``Tensor`` graph, so a fixed ``(seed, spec)`` guess stream decodes to
-the same passwords no matter which backend sampled it.
+``numpy`` backend bit-identical to it (``np.array_equal``) and pins it in
+turn against the live ``Tensor`` graph, so a fixed ``(seed, spec)`` guess
+stream decodes to the same passwords whichever backend sampled it.
 
 It is deliberately not fast -- use it for parity tests, debugging, and as
-the baseline the fused backends are benchmarked against.
+the baseline the fused backend is benchmarked against.  Tests switch to
+it with :func:`repro.kernels.use_backend`; no command runs it.
 
-Shared conventions (all backends):
+Shared conventions (both backends):
 
 * arrays are float64; kernels never mutate their inputs (``adam_step``,
   which updates ``param``/``m``/``v`` in place by contract, is the one

@@ -62,7 +62,9 @@ from repro.core.guesser import (
     Delta,
     GuessingReport,
     KeyedCheckpointDelta,
+    _sorted_contains,
     extend_samples,
+    insert_sorted,
 )
 from repro.runtime.elastic import run_elastic
 from repro.runtime.executor import (
@@ -130,14 +132,28 @@ def resolve_executor(name: Optional[str], workers: int):
     )
 
 
+def _fold_keys(folded: np.ndarray, fresh: List[np.ndarray]) -> np.ndarray:
+    """The sorted distinct ``folded`` keys plus every key of ``fresh``.
+
+    Shards' deltas overlap, so the fresh keys are sorted and deduplicated
+    by hand: :func:`numpy.union1d` imports ``numpy.ma`` (about 12 ms) on
+    first use, which no keyed fleet needs to pay.
+    """
+    keys = np.sort(np.concatenate(fresh))
+    distinct = np.ones(keys.size, dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
+    return insert_sorted(folded, keys[~_sorted_contains(folded, keys)])
+
+
 class _DeltaFold:
     """Cumulative union of shard checkpoint deltas, in key or string space.
 
     One instance accumulates the global unique/matched state as deltas
     fold in; the first delta fixes the space and a delta of the other
-    kind raises.  Key space buffers fresh arrays and unions once per
-    :meth:`flush` (one :func:`numpy.union1d` per checkpoint, not per
-    shard delta); string space updates Python sets directly.
+    kind raises.  Key space buffers fresh arrays and merges them into
+    sorted key arrays once per :meth:`flush` (once per checkpoint, not
+    per shard delta); string space updates Python sets directly.
     """
 
     def __init__(self) -> None:
@@ -167,16 +183,12 @@ class _DeltaFold:
         self._matched.update(delta.new_matched)
 
     def flush(self) -> None:
-        """Union buffered key arrays into the cumulative state (key space only)."""
+        """Merge buffered key arrays into the cumulative state (key space only)."""
         if self._fresh_unique:
-            self._unique_keys = np.union1d(
-                self._unique_keys, np.concatenate(self._fresh_unique)
-            )
+            self._unique_keys = _fold_keys(self._unique_keys, self._fresh_unique)
             self._fresh_unique = []
         if self._fresh_matched:
-            self._matched_keys = np.union1d(
-                self._matched_keys, np.concatenate(self._fresh_matched)
-            )
+            self._matched_keys = _fold_keys(self._matched_keys, self._fresh_matched)
             self._fresh_matched = []
 
     @property
@@ -383,8 +395,7 @@ class ParallelAttackEngine:
         """Assemble the merged report (rows plus shard-order samples).
 
         ``kernel_backend`` is stamped by the dataclass default from the
-        parent's active backend; shard workers resolve the same choice
-        because the CLI exports ``REPRO_KERNELS`` before spawning them.
+        parent's active backend, ``numpy`` outside the parity tests.
         """
         return GuessingReport(
             method=method,

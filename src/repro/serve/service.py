@@ -46,6 +46,7 @@ from repro.serve.clock import SystemClock
 from repro.serve.protocol import ProtocolError, Request
 from repro.serve.stats import ServeStats
 from repro.strategies import SpecError, parse_spec
+from repro.strategies.registry import _clip, _clip_names
 from repro.utils.rng import spawn_rng
 
 
@@ -57,7 +58,8 @@ def _positive_int(value: Any, param: str) -> int:
     """A ``strength`` spec count, or a one-line :class:`ServeConfigError`."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ServeConfigError(
-            f"strength spec parameter {param} must be a positive integer, got {value!r}"
+            f"strength spec parameter {param} must be a positive integer, "
+            f"got {_clip(repr(value))}"
         )
     return value
 
@@ -106,9 +108,9 @@ class StrengthService:
         corpus_path = params.pop("corpus", None)
         sample = _positive_int(params.pop("sample", 5000), "sample")
         if params:
-            unknown = ", ".join(sorted(str(k) for k in params))
             raise ServeConfigError(
-                f"unknown parameter(s) {unknown} for serve spec 'strength'"
+                f"unknown parameter(s) {_clip_names(map(str, params))} for "
+                "serve spec 'strength'"
             )
         if not model_path:
             raise ServeConfigError(
@@ -188,9 +190,9 @@ class BankLookupService:
         params = dict(spec.params)
         params.pop("name", None)
         if params:
-            unknown = ", ".join(sorted(str(k) for k in params))
             raise ServeConfigError(
-                f"unknown parameter(s) {unknown} for serve spec 'bank'"
+                f"unknown parameter(s) {_clip_names(map(str, params))} for "
+                "serve spec 'bank'"
             )
         if not spec.variant:
             raise ServeConfigError("bank spec needs a path: bank:<artifact dir>")
@@ -247,7 +249,7 @@ class ServeApp:
             if spec.family == "strength":
                 if name in self.strength:
                     raise ServeConfigError(
-                        f"duplicate strength service name {name!r} "
+                        f"duplicate strength service name {_clip(name)!r} "
                         "(disambiguate with &name=...)"
                     )
                 self.strength[name] = StrengthService.from_spec(
@@ -261,14 +263,14 @@ class ServeApp:
             elif spec.family == "bank":
                 if name in self.banks:
                     raise ServeConfigError(
-                        f"duplicate bank service name {name!r} "
+                        f"duplicate bank service name {_clip(name)!r} "
                         "(disambiguate with ?name=...)"
                     )
                 self.banks[name] = BankLookupService.from_spec(spec, name)
             else:
                 raise ServeConfigError(
                     f"serve spec family must be strength or bank, "
-                    f"got {spec.family!r}"
+                    f"got {_clip(spec.family)!r}"
                 )
 
     # ------------------------------------------------------------------

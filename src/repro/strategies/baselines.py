@@ -27,6 +27,7 @@ from repro.strategies.registry import (
     ParamReader,
     SpecError,
     StrategySpec,
+    _clip,
     format_spec,
     register,
 )
@@ -94,7 +95,7 @@ def _alphabet_chars(resources: BuildResources) -> Optional[str]:
 def _need_corpus(spec: StrategySpec, resources: BuildResources):
     if not resources.corpus:
         raise SpecError(
-            f"spec {spec.canonical()!r} needs either a fitted model instance "
+            f"spec {_clip(spec.canonical())!r} needs either a fitted model instance "
             "(model=...) or a training corpus (corpus=...)"
         )
     return resources.corpus
@@ -115,7 +116,7 @@ def _build_markov(spec: StrategySpec, resources: BuildResources) -> GuessingStra
             order = int(spec.variant)
         except ValueError:
             raise SpecError(
-                f"markov variant must be an integer order, got {spec.variant!r}"
+                f"markov variant must be an integer order, got {_clip(spec.variant)!r}"
             ) from None
     else:
         order = 3

@@ -17,10 +17,9 @@ reproduce those loops' reports exactly.  Every static and dynamic batch,
 smoothed or not, is an index matrix: Gaussian Smoothing breaks collisions
 on the rows' packed keys, so no guess string is decoded to make it.
 
-The latent decodes these loops spend their time in dispatch through the
-active kernel backend (:mod:`repro.kernels`, ``--kernels`` /
-``REPRO_KERNELS``); every backend yields the same guess stream for a
-fixed ``(seed, spec)``.
+These loops spend their time in latent decodes, which run on the fused
+``numpy`` kernel backend (:mod:`repro.kernels`) and yield the same guess
+stream as the ``reference`` anchor for a fixed ``(seed, spec)``.
 
 The model, its priors and its flows load where they are used, not when
 the registry imports this module (``docs/strategies.md``).
@@ -48,6 +47,7 @@ from repro.strategies.registry import (
     ParamReader,
     SpecError,
     StrategySpec,
+    _clip,
     format_spec,
     parse_bool,
     register,
@@ -399,7 +399,7 @@ def _build_passflow(spec: StrategySpec, resources: BuildResources) -> GuessingSt
         phi_builder = _PHI_BUILDERS.get(phi_name)
         if phi_builder is None:
             raise SpecError(
-                f"unknown phi {phi_name!r} (options: {sorted(_PHI_BUILDERS)})"
+                f"unknown phi {_clip(phi_name)!r} (options: {sorted(_PHI_BUILDERS)})"
             )
         config = DynamicSamplingConfig(
             alpha=alpha,
@@ -431,6 +431,6 @@ def _build_passflow(spec: StrategySpec, resources: BuildResources) -> GuessingSt
         )
 
     raise SpecError(
-        f"unknown passflow variant {variant!r} "
+        f"unknown passflow variant {_clip(variant)!r} "
         "(options: static, static+gs, dynamic, dynamic+gs, conditional)"
     )

@@ -29,7 +29,7 @@ from repro.core.strength import (
     StrengthEstimator,
 )
 
-BACKENDS = ["numpy", "reference"] + (["numba"] if kernels.numba_available() else [])
+BACKENDS = ["numpy", "reference"]
 
 # mixes encodable corpus-alphabet passwords with out-of-alphabet and
 # over-length junk the codec must sentinel out
@@ -122,10 +122,6 @@ class TestBackends:
                 assert np.isnan(batched[i]) and scores[i] == UNSCORABLE_SCORE
             else:
                 assert batched[i] == expected
-
-    def test_numba_skipped_when_unavailable(self):
-        if not kernels.numba_available():
-            assert "numba" not in BACKENDS
 
 
 class TestSentinels:

@@ -1,62 +1,37 @@
-"""Kernel backend registry: resolution, selection, and error surfaces."""
+"""Kernel backend registry: the numpy backend runs, tests switch to
+``reference`` through ``use_backend``, and no setting picks another."""
 
-import numpy as np
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import kernels
 from repro.cli import main
 from repro.core.guesser import GuessingReport
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
 
 class TestResolve:
     def test_explicit_names_resolve_to_themselves(self):
+        assert kernels.resolve() == "numpy"
         assert kernels.resolve("numpy") == "numpy"
         assert kernels.resolve("reference") == "reference"
-
-    def test_auto_prefers_numba_when_available(self, monkeypatch):
-        monkeypatch.setattr(kernels, "numba_available", lambda: True)
-        assert kernels.resolve("auto") == "numba"
-        monkeypatch.setattr(kernels, "numba_available", lambda: False)
-        assert kernels.resolve("auto") == "numpy"
-
-    def test_none_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
-        assert kernels.resolve() == "reference"
-        monkeypatch.delenv("REPRO_KERNELS")
-        assert kernels.resolve() in ("numpy", "numba")
 
     def test_invalid_value_one_line_error(self):
         with pytest.raises(ValueError) as excinfo:
             kernels.resolve("fortran")
         message = str(excinfo.value)
         assert "\n" not in message
-        assert "REPRO_KERNELS must be one of auto|numpy|numba|reference" in message
+        assert "kernel backend must be numpy or reference" in message
         assert "'fortran'" in message
 
-    def test_invalid_env_value_same_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "cuda")
-        with pytest.raises(ValueError, match="must be one of"):
-            kernels.resolve()
 
-    def test_numba_missing_one_line_error(self, monkeypatch):
-        monkeypatch.setattr(kernels, "numba_available", lambda: False)
-        with pytest.raises(ValueError) as excinfo:
-            kernels.resolve("numba")
-        message = str(excinfo.value)
-        assert "\n" not in message
-        assert "numba is not installed" in message
-
-
-class TestSelectAndActive:
-    def test_select_returns_backend_name(self):
-        previous = kernels.active_name()
-        try:
-            assert kernels.select("reference") == "reference"
-            assert kernels.active_name() == "reference"
-            assert kernels.active().NAME == "reference"
-        finally:
-            kernels.select(previous)
-
+class TestUseBackend:
     def test_use_backend_restores_previous(self):
         before = kernels.active()
         with kernels.use_backend("reference"):
@@ -89,9 +64,7 @@ class TestReportSurface:
         assert report.kernel_backend == "reference"
         assert report.as_dict()["kernel_backend"] == "reference"
 
-    def test_report_json_includes_backend(self, tmp_path, monkeypatch):
-        # setenv first so monkeypatch restores the CLI's env export
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+    def test_report_json_includes_backend(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("\n".join(["password1", "hunter2", "love99", "qwerty12"] * 8) + "\n")
         out = tmp_path / "report.json"
@@ -104,8 +77,6 @@ class TestReportSurface:
                 "markov:2",
                 "--budgets",
                 "50",
-                "--kernels",
-                "numpy",
                 "--report",
                 str(out),
             ]
@@ -114,78 +85,37 @@ class TestReportSurface:
         assert '"kernel_backend": "numpy"' in out.read_text()
 
 
-class TestCLIErrors:
-    def test_bad_kernels_flag_exits_with_one_liner(self, tmp_path):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("password1\nhunter2\n")
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "attack",
-                    "--corpus",
-                    str(corpus),
-                    "--strategy",
-                    "markov:2",
-                    "--kernels",
-                    "fortran",
-                ]
-            )
-        assert "must be one of" in str(excinfo.value)
-
-    def test_numba_flag_without_numba_exits(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(kernels, "numba_available", lambda: False)
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("password1\nhunter2\n")
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "attack",
-                    "--corpus",
-                    str(corpus),
-                    "--strategy",
-                    "markov:2",
-                    "--kernels",
-                    "numba",
-                ]
-            )
-        assert "numba is not installed" in str(excinfo.value)
-
-    def test_kernels_flag_exported_during_run_restored_after(
-        self, tmp_path, monkeypatch
-    ):
-        """--kernels is in the environment while the command runs (forked
-        shard workers inherit it) but rolled back when main() returns, so
-        in-process callers never see a leaked backend choice."""
-        import os
-
-        import repro.cli as cli_module
-
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+class TestNoSelector:
+    @pytest.mark.parametrize("value", ["reference", "numba"])
+    def test_environment_does_not_pick_the_backend(self, tmp_path, value):
+        """Every command runs the numpy backend: a ``REPRO_KERNELS`` left
+        in the environment changes neither the stamp nor the rows."""
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("\n".join(["password1", "hunter2", "love99", "qwerty12"] * 8) + "\n")
-        seen = {}
-        real_emit = cli_module._emit_attack_report
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNELS"}
+        env["PYTHONPATH"] = str(SRC)
 
-        def spying_emit(report, args, budgets, described):
-            seen["env"] = os.environ.get("REPRO_KERNELS")
-            return real_emit(report, args, budgets, described)
+        def report(extra_env):
+            out = tmp_path / f"report-{len(extra_env)}.json"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "attack",
+                    "--corpus", str(corpus),
+                    "--strategy", "markov:2",
+                    "--budgets", "20,50",
+                    "--report", str(out),
+                ],
+                env=dict(env, **extra_env),
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            return json.loads(out.read_text())
 
-        monkeypatch.setattr(cli_module, "_emit_attack_report", spying_emit)
-        main(
-            [
-                "attack",
-                "--corpus",
-                str(corpus),
-                "--strategy",
-                "markov:2",
-                "--budgets",
-                "50",
-                "--kernels",
-                "reference",
-            ]
-        )
-        assert seen["env"] == "reference"  # live for the run's workers
-        assert os.environ.get("REPRO_KERNELS") is None  # rolled back
+        plain = report({})
+        stamped = report({"REPRO_KERNELS": value})
+        assert stamped["kernel_backend"] == plain["kernel_backend"] == "numpy"
+        assert stamped["rows"] == plain["rows"]
 
 
 @pytest.fixture(autouse=True)

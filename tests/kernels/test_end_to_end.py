@@ -1,7 +1,7 @@
 """End-to-end determinism: guess streams and bank artifacts across backends.
 
 The user-facing contract from ``docs/kernels.md``: for a fixed ``(seed,
-spec)``, every backend produces the same passwords, and a ``bank build``
+spec)``, both backends produce the same passwords, and a ``bank build``
 writes byte-identical artifact files.
 """
 
@@ -12,11 +12,7 @@ from repro import kernels
 from repro.bank import build_bank
 from repro.strategies import build, take
 
-needs_numba = pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not installed"
-)
-
-BACKENDS = ["reference", "numpy"] + (["numba"] if kernels.numba_available() else [])
+BACKENDS = ["reference", "numpy"]
 
 
 def sample_stream(model, backend, spec="passflow:static?temperature=0.75", count=400):

@@ -17,11 +17,6 @@ from repro.flows.logit import LogitTransform
 from repro.flows.masks import alternating_masks
 from repro.nn.optim.adam import Adam
 
-needs_numba = pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not installed"
-)
-
-
 def build_flow(seed=0, dim=6, couplings=3):
     rng = np.random.default_rng(seed)
     bijectors = [LogitTransform(alpha=0.05)]
@@ -54,15 +49,6 @@ class TestAdamTrajectories:
     def test_reference_and_numpy_bitwise_locked(self, weight_decay):
         flow_a, losses_a = train_steps("reference", weight_decay=weight_decay)
         flow_b, losses_b = train_steps("numpy", weight_decay=weight_decay)
-        assert losses_a == losses_b
-        for pa, pb in zip(flow_a.parameters(), flow_b.parameters()):
-            assert np.array_equal(pa.data, pb.data)
-
-    @needs_numba
-    def test_numba_training_bitwise_matches_numpy(self):
-        # the numba backend delegates every training kernel to numpy
-        flow_a, losses_a = train_steps("numpy")
-        flow_b, losses_b = train_steps("numba")
         assert losses_a == losses_b
         for pa, pb in zip(flow_a.parameters(), flow_b.parameters()):
             assert np.array_equal(pa.data, pb.data)

@@ -34,7 +34,7 @@ from repro.kernels import numpy_backend
 from repro.nn.module import Module
 from repro.nn.residual import ResidualMLP
 
-BACKENDS = ["reference", "numpy"] + (["numba"] if kernels.numba_available() else [])
+BACKENDS = ["reference", "numpy"]
 THREADS = 8
 ROUNDS = 10
 DEADLINE_S = 30.0

@@ -276,38 +276,6 @@ class TestExecutorFlag:
         assert capsys.readouterr().out == ""
 
 
-class TestKernelsEnvRestore:
-    def _attack(self, corpus_file, capsys):
-        assert main(
-            [
-                "attack",
-                "--corpus", str(corpus_file),
-                "--strategy", "markov:3",
-                "--budgets", "100",
-                "--kernels", "numpy",
-            ]
-        ) == 0
-        capsys.readouterr()
-
-    def test_kernels_flag_does_not_leak_into_environ(
-        self, corpus_file, capsys, monkeypatch
-    ):
-        """Regression: --kernels exported REPRO_KERNELS permanently, silently
-        repointing every later in-process kernels.select(None) call."""
-        import os
-
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        self._attack(corpus_file, capsys)
-        assert "REPRO_KERNELS" not in os.environ
-
-    def test_prior_env_value_is_restored(self, corpus_file, capsys, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
-        self._attack(corpus_file, capsys)
-        assert os.environ["REPRO_KERNELS"] == "reference"
-
-
 class TestLatentCommands:
     def test_interpolate(self, model_file, capsys):
         assert main(["interpolate", "--model", str(model_file), "love12", "123456"]) == 0
@@ -633,8 +601,15 @@ def _flip_key_byte(bank):
     path.write_bytes(bytes(data))
 
 
+def _long_path(bank):
+    """A path over 5000 characters, which the system refuses to look up
+    (``ENAMETOOLONG``) whether or not it exists."""
+    return bank / ("x" * 5000) / "hostile.bank"
+
+
 #: damaged bank artifacts -> the error line every bank command prints,
-#: or None when the bank still opens (verify alone sees a flipped key)
+#: or None when the bank still opens (verify alone sees a flipped key);
+#: a damage that returns a path sends the commands there instead
 HOSTILE_BANKS = {
     "v1-manifest": (
         _rewrite_manifest(version=1, segments=1, codec={"pack_bits": 6}),
@@ -655,6 +630,7 @@ HOSTILE_BANKS = {
     "truncated-keys": (_truncate_keys, "cannot map"),
     "stale-segments": (_stale_segments, None),
     "flipped-key-byte": (_flip_key_byte, None),
+    "long-path": (_long_path, "cannot read bank at "),
 }
 
 
@@ -763,6 +739,63 @@ class TestHostileInput:
         )
         assert len(message) < 300
 
+    @pytest.mark.parametrize(
+        "command, prefix",
+        [
+            (
+                ["attack", "--strategy", "markov:" + "A" * 100000],
+                "markov variant must be an integer order",
+            ),
+            (
+                ["attack", "--strategy", "passflow:dynamic?phi=" + "A" * 100000],
+                "unknown phi",
+            ),
+            (
+                ["attack", "--strategy", "passflow:" + "A" * 100000],
+                "unknown passflow variant",
+            ),
+            (
+                [
+                    "serve", "--once", "--spec",
+                    "strength?" + "&".join(f"p{i}=1" for i in range(12000)),
+                ],
+                "unknown parameter(s) p0, p1, p10, p100, p1000 and 11995 more "
+                "for serve spec 'strength'",
+            ),
+            (
+                [
+                    "serve", "--once", "--spec",
+                    "bank:x.bank?" + "&".join(f"p{i}=1" for i in range(12000)),
+                ],
+                "unknown parameter(s) p0, p1, p10, p100, p1000 and 11995 more "
+                "for serve spec 'bank'",
+            ),
+            (
+                ["serve", "--once", "--spec", "A" * 100000],
+                "serve spec family must be strength or bank",
+            ),
+        ],
+        ids=[
+            "markov-variant",
+            "passflow-phi",
+            "passflow-variant",
+            "serve-strength-params",
+            "serve-bank-params",
+            "serve-family",
+        ],
+    )
+    def test_long_spec_text_is_clipped(
+        self, model_file, corpus_file, capsys, command, prefix
+    ):
+        if command[0] == "attack":
+            command = command + [
+                "--model", str(model_file), "--corpus", str(corpus_file),
+                "--budgets", "100",
+            ]
+        message = _one_line_failure(command, capsys)
+        assert message.startswith(prefix)
+        assert len(message) < 300
+
     @pytest.mark.parametrize("manifest", sorted(MANIFESTS))
     @pytest.mark.parametrize("command", ["info", "verify", "attack", "serve"])
     def test_malformed_manifest_is_one_line(
@@ -831,7 +864,9 @@ class TestHostileInput:
         )
 
     @pytest.mark.parametrize("artifact", sorted(HOSTILE_BANKS))
-    @pytest.mark.parametrize("command", ["info", "verify", "attack", "serve"])
+    @pytest.mark.parametrize(
+        "command", ["info", "verify", "attack", "serve", "lookup"]
+    )
     def test_hostile_bank(
         self, bank_dir, corpus_file, tmp_path, capsys, monkeypatch, artifact, command
     ):
@@ -843,7 +878,10 @@ class TestHostileInput:
         bank = tmp_path / "hostile.bank"
         shutil.copytree(bank_dir, bank)
         damage, error = HOSTILE_BANKS[artifact]
-        damage(bank)
+        bank = damage(bank) or bank
+        if command == "lookup" and error is not None:
+            # an unreadable bank, or directory, is a lookup miss
+            error = "no bank for spec='markov:3' seed=9 label='' under "
         good = GuessBank.open(bank_dir)
         first = good.codec.strings_from_keys(np.asarray(good.keys[:1]))[0]
         monkeypatch.setattr(
@@ -857,10 +895,16 @@ class TestHostileInput:
                 "--budgets", "100",
             ],
             "serve": ["serve", "--once", "--spec", f"bank:{bank}"],
+            "lookup": [
+                "attack", "--corpus", str(corpus_file), "--budgets", "100",
+                "--strategy", f"bank?spec=markov:3&seed=9&dir={bank.parent}",
+            ],
         }[command]
         if error is not None:
             started = time.perf_counter()
-            assert error in _one_line_failure(argv, capsys)
+            message = _one_line_failure(argv, capsys)
+            assert error in message
+            assert len(message.encode()) < 300
             if artifact == "huge-max-length":  # refused before any V ** D
                 assert time.perf_counter() - started < 1.0
         elif artifact == "flipped-key-byte" and command == "verify":

@@ -75,7 +75,7 @@ def test_no_stale_contract_phrases(path):
     with its corpse watch and the planner's second quota path, the
     codec-carrying decode of keyed deltas into a mixed-mode merge, the
     bit-packed key layout with its segment table and unpackable codecs,
-    and PassFlow's smoothed string stream."""
+    PassFlow's smoothed string stream, and the kernel backend selector."""
     text = path.read_text()
     stale = [
         "Not available with ``track_deltas``",
@@ -97,5 +97,7 @@ def test_no_stale_contract_phrases(path):
         "pack_bits",
         "does not support packing",
         "smoother-free",
+        "REPRO_KERNELS",
+        "--kernels",
     ]
     assert [phrase for phrase in stale if phrase in text] == []

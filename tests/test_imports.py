@@ -29,7 +29,6 @@ NOT_FOR_MARKOV = (
     "repro.serve",
     "repro.kernels.numpy_backend",
     "repro.kernels.reference",
-    "repro.kernels.numba_backend",
 )
 
 #: what the perfbench launcher and ``python -m repro`` import before a
@@ -110,7 +109,8 @@ def test_markov_attack_loads_no_model_code(tmp_path, corpus_file):
 
 
 def test_passflow_attack_loads_no_baseline(tmp_path, corpus_file, trained_model):
-    """The kernel backend loads in the parent, before the pool forks."""
+    """The kernel backend loads in the parent, before the pool forks, and
+    merging the shards' keyed deltas does not import ``numpy.ma``."""
     model_path = trained_model.save(tmp_path / "model.npz")
     attack = (
         "import os\n"
@@ -121,13 +121,13 @@ def test_passflow_attack_loads_no_baseline(tmp_path, corpus_file, trained_model)
         f"repro.cli.main(['attack', '--model', {str(model_path)!r}, "
         f"'--corpus', {str(corpus_file)!r}, "
         "'--strategy', 'passflow:dynamic+gs?alpha=1&sigma=0.12', "
-        "'--budgets', '200,600', '--workers', '2', '--kernels', 'numpy'])\n"
-        "result = forks"
+        "'--budgets', '200,600', '--workers', '2'])\n"
+        "result = [forks, 'numpy.ma' in sys.modules]"
     )
     fresh = run_fresh(attack, tmp_path)
     assert "repro.core.model" in fresh["modules"]
     assert loaded(fresh["modules"], "repro.baselines", "repro.eval.harness", "repro.serve") == []
-    assert fresh["result"] == [True, True]
+    assert fresh["result"] == [[True, True], False]
 
 
 def test_strategies_register_every_family_from_light_modules(tmp_path):
