@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.data.alphabet import Alphabet
 from repro.data.encoding import PasswordEncoder
+from repro.utils.text import _clip
 
 FORMAT = "repro-guess-bank"
 VERSION = 2
@@ -76,7 +77,7 @@ def codec_from_header(header: Dict[str, object]) -> PasswordEncoder:
         codec = PasswordEncoder(alphabet, max_length=int(header["max_length"]))
         vocab_size = int(header.get("vocab_size", codec.vocab_size))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise BankError(f"unusable codec header: {exc}") from exc
+        raise BankError(f"unusable codec header: {_clip(exc)}") from exc
     if vocab_size != codec.vocab_size:
         raise BankError(
             "codec header is internally inconsistent (vocab_size "
@@ -172,41 +173,43 @@ class GuessBank:
         path the system cannot read (too long, not permitted).
         """
         path = Path(path)
+        shown = _clip(path)
         manifest_path = path / MANIFEST_NAME
         try:
             if not manifest_path.is_file():
-                raise BankError(f"no bank at {path} (missing {MANIFEST_NAME})")
+                raise BankError(f"no bank at {shown} (missing {MANIFEST_NAME})")
             manifest = json.loads(manifest_path.read_text())
         except OSError as exc:
-            from repro.strategies.registry import _clip
-
             raise BankError(
-                f"cannot read bank at {_clip(path)}: {exc.strerror or exc}"
+                f"cannot read bank at {shown}: {exc.strerror or _clip(exc)}"
             ) from exc
         except ValueError as exc:
-            raise BankError(f"unreadable manifest at {manifest_path}: {exc}") from exc
+            raise BankError(
+                f"unreadable manifest in bank {shown}: {_clip(exc)}"
+            ) from exc
         if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
-            raise BankError(f"{manifest_path} is not a {FORMAT} manifest")
+            raise BankError(f"bank {shown}: {MANIFEST_NAME} is not a {FORMAT} manifest")
         if manifest.get("version") != VERSION:
             raise BankError(
-                f"bank {path} has format version {manifest.get('version')!r}; "
+                f"bank {shown} has format version {_clip(repr(manifest.get('version')))}; "
                 f"this build reads version {VERSION}: rebuild the bank"
             )
         for name, kind in _MANIFEST_FIELDS.items():
             if type(manifest.get(name)) is not kind:
                 raise BankError(
-                    f"bank {path}: manifest {name} {manifest.get(name)!r} "
+                    f"bank {shown}: manifest {name} {_clip(repr(manifest.get(name)))} "
                     f"is not of type {kind.__name__}"
                 )
         try:
             keys = np.load(path / KEYS_NAME, mmap_mode="r")
         except (OSError, ValueError) as exc:
-            raise BankError(f"cannot map {path / KEYS_NAME}: {exc}") from exc
+            reason = getattr(exc, "strerror", None) or _clip(exc)
+            raise BankError(f"cannot map {KEYS_NAME} of bank {shown}: {reason}") from exc
         if keys.dtype != np.uint64 or keys.ndim != 1:
-            raise BankError(f"{path / KEYS_NAME} is not a 1-D uint64 array")
+            raise BankError(f"bank {shown}: {KEYS_NAME} is not a 1-D uint64 array")
         if keys.size != manifest["total"]:
             raise BankError(
-                f"bank {path}: manifest total {manifest.get('total')} != "
+                f"bank {shown}: manifest total {manifest['total']} != "
                 f"{keys.size} stored keys"
             )
         return cls(path, manifest, keys)

@@ -43,10 +43,10 @@ from repro.strategies.registry import (
     ParamReader,
     SpecError,
     StrategySpec,
-    _clip,
     parse_spec,
     register,
 )
+from repro.utils.text import _clip
 
 #: Environment variable naming the default bank directory for
 #: ``bank?spec=...`` lookups (and the eval harness's ``bank_dir``).
@@ -235,8 +235,8 @@ def _build_bank_replay(spec: StrategySpec, resources: BuildResources) -> Guessin
     requested_chars = getattr(resources.alphabet, "chars", None)
     if requested_chars is not None and requested_chars != bank.codec.alphabet.chars:
         raise SpecError(
-            f"bank {bank.path} was packed under alphabet "
-            f"{bank.codec.alphabet.chars!r}, not the requested one"
+            f"bank {_clip(bank.path)} was packed under alphabet "
+            f"{_clip(repr(bank.codec.alphabet.chars))}, not the requested one"
         )
     return BankReplayStrategy(bank, batch_size=batch, spec=bank.replay_spec())
 
@@ -339,7 +339,7 @@ def replay_attack(
         raise ValueError("budgets must be non-empty")
     if budgets[-1] > bank.total:
         raise BankError(
-            f"bank {bank.path} holds {bank.total} guesses; cannot replay "
+            f"bank {_clip(bank.path)} holds {bank.total} guesses; cannot replay "
             f"a budget of {budgets[-1]}"
         )
     # imported lazily: the runtime imports the strategies package, so a

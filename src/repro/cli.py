@@ -26,10 +26,12 @@ Every workflow in the library is reachable from the shell::
         --spec bank:markov3.bank --socket /tmp/repro.sock
     python -m repro experiments --markdown results.md
 
-``attack`` and ``sample`` accept any registry spec string
-(``repro strategies`` lists the families); the bare names ``static``,
-``dynamic`` and ``dynamic+gs`` remain as shorthands wired to the
-``--alpha/--sigma/--gamma/--temperature`` flags.  Wrapper specs compose:
+``attack`` and ``sample`` name their strategy only by a registry spec
+string (``repro strategies`` lists the families), which ``build`` turns
+into the strategy; the spec carries every strategy parameter.  ``attack``
+defaults to the paper's Dynamic Sampling with Gaussian Smoothing,
+``passflow:dynamic+gs?alpha=1&gamma=2&sigma=0.12``, and ``sample`` to
+``passflow:static?temperature=0.75``.  Wrapper specs compose:
 ``policy(<spec>)?min_len=8&classes=lud`` filters a stream to a
 composition policy (``attack --policy`` is shorthand and also restricts
 the attacked test set), ``mangle(<spec>)?rules=leet,append_year``
@@ -96,6 +98,7 @@ from repro.strategies import (
 )
 from repro.utils.logging import enable_console_logging
 from repro.utils.progress import ProgressReporter
+from repro.utils.text import _clip
 
 
 def _alphabet(name: str):
@@ -115,10 +118,10 @@ def _read_corpus(path: str, alphabet) -> List[str]:
     try:
         corpus = load_password_file(path, alphabet=alphabet)
     except OSError as exc:
-        raise SystemExit(str(exc))
+        raise SystemExit(f"cannot read corpus {_clip(path)}: {exc.strerror or _clip(exc)}")
     if not corpus:
         raise SystemExit(
-            f"no usable password in {path}: every line is empty, longer "
+            f"no usable password in {_clip(path)}: every line is empty, longer "
             "than 10 characters or outside the alphabet"
         )
     return corpus
@@ -148,6 +151,33 @@ def _open_bank(path: str):
         return GuessBank.open(path)
     except BankError as exc:
         raise SystemExit(str(exc))
+
+
+def _destination(raw: str, what: str, parents: bool = False, directory: bool = False) -> Path:
+    """``raw`` as a place to write ``what`` to, or exit with one line.
+
+    Checked before the command's work starts: missing parent directories
+    are made when ``parents`` (as the writer makes them), then the file
+    (or ``directory``) is opened or made -- and removed again if this
+    made it -- so a destination the writer could not use fails at once,
+    with the system's reason.
+    """
+    path = Path(raw)
+    try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        fresh = not path.exists()
+        if directory:
+            path.mkdir(exist_ok=True)
+        else:
+            path.open("a").close()
+        if fresh and directory:
+            path.rmdir()
+        elif fresh:
+            path.unlink()
+    except OSError as exc:
+        raise SystemExit(f"cannot write {what} to {_clip(path)}: {exc.strerror or _clip(exc)}")
+    return path
 
 
 def _parse_budgets(raw: str) -> List[int]:
@@ -204,12 +234,12 @@ def cmd_synthesize(args) -> int:
     from repro.data.synthetic import SyntheticConfig, SyntheticRockYou
 
     alphabet = _alphabet(args.alphabet)
+    out = _destination(args.out, "corpus")
     config = SyntheticConfig(
         vocabulary_size=args.vocabulary_size, max_suffix_digits=args.max_suffix_digits
     )
     generator = SyntheticRockYou(np.random.default_rng(args.seed), config, alphabet)
     corpus = generator.generate(args.count)
-    out = Path(args.out)
     out.write_text("\n".join(corpus) + "\n")
     print(f"wrote {len(corpus)} passwords to {out}")
     return 0
@@ -220,6 +250,7 @@ def cmd_train(args) -> int:
 
     alphabet = _alphabet(args.alphabet)
     corpus = _read_corpus(args.corpus, alphabet)
+    _destination(args.out, "model", parents=True)
     if args.train_size and args.train_size < len(corpus):
         corpus = corpus[: args.train_size]
     if not 0.0 <= args.holdout < 1.0:
@@ -272,24 +303,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _spec_from_args(args) -> str:
-    """Resolve --strategy: registry spec strings plus legacy shorthands."""
-    name = args.strategy
-    if name == "static":
-        return f"passflow:static?temperature={args.temperature}"
-    if name in ("dynamic", "dynamic+gs"):
-        return (
-            f"passflow:{name}?alpha={args.alpha}"
-            f"&gamma={args.gamma}&sigma={args.sigma}"
-        )
-    return name
-
-
 def cmd_sample(args) -> int:
     model = _load_model(args.model)
-    spec = _spec_from_args(args)
     try:
-        strategy = build(spec, model=model)
+        strategy = build(args.strategy, model=model)
     except SpecError as exc:
         raise SystemExit(str(exc))
     for sample in take(strategy, args.count, np.random.default_rng(args.seed)):
@@ -313,7 +330,7 @@ def _attack_from_bank(args) -> int:
     budgets = _parse_budgets(args.budgets)
     if budgets[-1] > bank.total:
         raise SystemExit(
-            f"bank {bank.path} holds {bank.total} guesses; "
+            f"bank {_clip(bank.path)} holds {bank.total} guesses; "
             f"largest budget {budgets[-1]} cannot be replayed"
         )
     workers = "" if args.workers == 1 else f" across {args.workers} workers"
@@ -365,6 +382,8 @@ def cmd_attack(args) -> int:
         resolve_executor(args.executor, 1)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    if args.report:
+        _destination(args.report, "report")
     policy = _parse_policy(args)
     if args.bank:
         if policy is not None:
@@ -374,7 +393,7 @@ def cmd_attack(args) -> int:
                 "--strategy 'policy(bank:<path>)?min_len=8'"
             )
         return _attack_from_bank(args)
-    spec = _spec_from_args(args)
+    spec = args.strategy
     if policy is not None:
         spec = policy.wrap(spec)
     try:
@@ -454,6 +473,7 @@ def cmd_bank_build(args) -> int:
         parsed = parse_spec(args.strategy)
     except SpecError as exc:
         raise SystemExit(str(exc))
+    _destination(args.out, "bank", parents=True, directory=True)
     model = _load_model(args.model) if args.model else None
     if unwrap_spec(parsed).family == "passflow" and model is None:
         raise SystemExit("passflow strategies need --model <checkpoint.npz>")
@@ -645,7 +665,6 @@ def cmd_serve(args) -> int:
             max_batch=args.max_batch,
             max_queue=args.max_queue,
             default_deadline_ms=args.deadline_ms,
-            threaded=not args.once,
         )
     except ServeConfigError as exc:
         raise SystemExit(str(exc))
@@ -657,7 +676,10 @@ def cmd_serve(args) -> int:
     try:
         server.start()
     except OSError as exc:
-        raise SystemExit(f"cannot serve on {args.socket or args.port}: {exc}")
+        raise SystemExit(
+            f"cannot serve on {_clip(args.socket or args.port)}: "
+            f"{exc.strerror or _clip(exc)}"
+        )
     # SIGTERM = graceful shutdown: stop accepting, drain in-flight
     # batches, exit 0 -- what a supervisor sends on redeploy
     signal.signal(signal.SIGTERM, lambda signum, frame: app.request_shutdown())
@@ -681,8 +703,17 @@ def cmd_experiments(args) -> int:
 
 
 # ----------------------------------------------------------------------
+class _Parser(argparse.ArgumentParser):
+    """A parser (and subparsers) whose flags match only whole: an unknown
+    flag, such as a removed strategy flag, is a usage error, never read
+    as an abbreviation of a known one."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    parser = _Parser(prog="repro", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="console logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -721,13 +752,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20)
     p.add_argument(
         "--strategy",
-        default="static",
-        help="strategy spec (default static; any passflow spec works)",
+        default="passflow:static?temperature=0.75",
+        help="passflow strategy spec (default %(default)s)",
     )
-    p.add_argument("--temperature", type=float, default=0.75)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--sigma", type=float, default=0.12)
-    p.add_argument("--gamma", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
@@ -736,17 +763,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument(
         "--strategy",
-        default="dynamic+gs",
-        help="strategy spec: static|dynamic|dynamic+gs shorthands, or any "
-        "registry spec (passflow:static?temperature=0.75, markov:3, pcfg, "
-        "rules, passgan, cwae); see `repro strategies`",
+        default="passflow:dynamic+gs?alpha=1&gamma=2&sigma=0.12",
+        help="registry spec (default %(default)s; markov:3, pcfg, rules, "
+        "passgan, cwae, ...); see `repro strategies`",
     )
     p.add_argument("--alphabet", default="compact", help="used when no --model is given")
     p.add_argument("--budgets", default="1000,10000")
-    p.add_argument("--temperature", type=float, default=0.75)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--sigma", type=float, default=0.12)
-    p.add_argument("--gamma", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--workers",
@@ -939,8 +961,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--once",
         action="store_true",
-        help="serve NDJSON from stdin to stdout in-process (no socket, "
-        "no threads); exits at EOF or a shutdown request",
+        help="serve NDJSON from stdin to stdout in-process (no socket; the "
+        "batcher thread scores each request in turn); exits at EOF or a "
+        "shutdown request",
     )
     p.set_defaults(func=cmd_serve)
 

@@ -34,6 +34,7 @@ from repro.nn.optim import Adam
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 from repro.utils.serialization import load_checkpoint, save_checkpoint
+from repro.utils.text import _clip
 
 logger = get_logger("core.model")
 
@@ -301,7 +302,10 @@ class PassFlow:
                 grad_norm=list(metadata.get("history_grad_norm", [])),
             )
         except _LOAD_ERRORS as exc:
-            reason = " ".join(str(exc).split()) or type(exc).__name__
-            raise ModelLoadError(f"cannot load model {path}: {reason}") from exc
+            # an OSError's text repeats the path; its strerror does not
+            reason = getattr(exc, "strerror", None) or " ".join(str(exc).split())
+            raise ModelLoadError(
+                f"cannot load model {_clip(path)}: {_clip(reason or type(exc).__name__)}"
+            ) from exc
         model.flow.eval()
         return model

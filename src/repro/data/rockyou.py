@@ -29,7 +29,9 @@ def load_password_file(
     Parameters
     ----------
     path:
-        File to read.  RockYou is traditionally latin-1 encoded.
+        File to read.  RockYou is traditionally latin-1 encoded.  A file
+        that cannot be opened raises the system's :class:`OSError`
+        (:class:`FileNotFoundError` when it is missing).
     alphabet:
         Characters to allow (default: the library's full alphabet).
     max_length:
@@ -39,9 +41,6 @@ def load_password_file(
     """
     alphabet = alphabet or default_alphabet()
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"password file not found: {path}")
-
     kept: List[str] = []
     dropped = 0
     with path.open("r", encoding=encoding, errors="ignore") as handle:

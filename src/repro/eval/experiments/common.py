@@ -1,21 +1,14 @@
 """Shared attack runs reused by Table II and Table III drivers.
 
-The five methods are plain strategy spec strings resolved by
-:meth:`repro.eval.harness.EvalContext.strategy` against the context's
-cached artifacts and streamed through one
-:class:`repro.strategies.AttackEngine` per run -- or, when the context was
-built with ``workers > 1`` (``REPRO_ATTACK_WORKERS``), sharded across a
-:class:`repro.runtime.ParallelAttackEngine`.  The serial default keeps
-every table bit-identical to the seed-era reports.
+The five methods are plain strategy spec strings, each run once per
+context through :meth:`repro.eval.harness.EvalContext.run_attack`.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.dynamic import DynamicSamplingConfig
 from repro.core.guesser import GuessingReport
-from repro.core.penalization import NoPenalization, StepPenalization
 from repro.eval.harness import EvalContext
 
 METHODS = (
@@ -25,17 +18,6 @@ METHODS = (
     "PassFlow-Dynamic",
     "PassFlow-Dynamic+GS",
 )
-
-
-def dynamic_config(ctx: EvalContext, with_phi: bool = True) -> DynamicSamplingConfig:
-    """The scaled Dynamic Sampling parameters for this context."""
-    phi = StepPenalization(ctx.DYNAMIC_GAMMA) if with_phi else NoPenalization()
-    return DynamicSamplingConfig(
-        alpha=ctx.DYNAMIC_ALPHA,
-        sigma=ctx.DYNAMIC_SIGMA,
-        phi=phi,
-        batch_size=1024,
-    )
 
 
 def dynamic_spec(ctx: EvalContext, smoothed: bool = False, with_phi: bool = True) -> str:

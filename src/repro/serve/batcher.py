@@ -240,9 +240,10 @@ class MicroBatcher:
     def pump(self) -> int:
         """Reject expired requests and flush one batch; returns requests completed.
 
-        The non-threaded drive used by ``serve --once`` and the tests: one
-        call flushes whatever is queued, up to ``max_batch`` passwords of
-        whole requests (0 when the queue is empty).
+        One step of the worker thread's loop, which tests also drive
+        directly under virtual time: one call flushes whatever is queued,
+        up to ``max_batch`` passwords of whole requests (0 when the queue
+        is empty).
         """
         now = self.clock.monotonic()
         with self._cond:
@@ -279,9 +280,10 @@ class MicroBatcher:
     def close(self, drain: bool = True, timeout: Optional[float] = 10.0) -> None:
         """Stop accepting requests; with ``drain`` flush what is queued.
 
-        Without a worker thread (pump mode) draining happens inline, so
-        ``close`` is safe in every mode.  With ``drain=False`` queued
-        requests fail with :class:`BatcherClosed`.
+        Without a worker thread (a batcher a test drives with
+        :meth:`pump`) draining happens inline, so ``close`` is safe either
+        way.  With ``drain=False`` queued requests fail with
+        :class:`BatcherClosed`.
         """
         with self._cond:
             self._closing = True

@@ -25,6 +25,7 @@ protocol/batcher/service code path is testable without a real socket.
 
 from __future__ import annotations
 
+import errno
 import queue
 import socket
 import stat
@@ -224,8 +225,9 @@ def _remove_stale_socket(path: Path) -> None:
         mode = path.lstat().st_mode
     except FileNotFoundError:
         return
+    # errno-style, so the caller's line names the path once
     if not stat.S_ISSOCK(mode):
-        raise OSError(f"{path} exists and is not a socket")
+        raise OSError(errno.EEXIST, "the path exists and is not a socket")
     probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     probe.settimeout(1.0)
     try:
@@ -235,7 +237,7 @@ def _remove_stale_socket(path: Path) -> None:
         return
     finally:
         probe.close()
-    raise OSError(f"a daemon is already serving on {path}")
+    raise OSError(errno.EADDRINUSE, "a daemon is already serving on it")
 
 
 class PendingResponse:
@@ -262,11 +264,14 @@ class PendingResponse:
 def run_once(app: ServeApp, lines, out: TextIO) -> int:
     """The ``serve --once`` loop: NDJSON in, NDJSON out, no socket.
 
-    Serves each line through the same app/batcher path as the daemon
-    (each request is submitted, then pumped), writes one response
-    line per request, and returns 0 -- the in-process smoke mode that
-    keeps every serving code path drivable from a pipe or a test.
+    Starts ``app`` and serves each line through the same app/batcher
+    path as the daemon (each scoring request is flushed by the batcher
+    thread and answered before the next line is read), writes one
+    response line per request, and returns 0 -- the in-process smoke
+    mode that keeps every serving code path drivable from a pipe or a
+    test.
     """
+    app.start()
     for line in lines:
         if not line.strip():
             continue

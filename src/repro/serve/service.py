@@ -46,8 +46,8 @@ from repro.serve.clock import SystemClock
 from repro.serve.protocol import ProtocolError, Request
 from repro.serve.stats import ServeStats
 from repro.strategies import SpecError, parse_spec
-from repro.strategies.registry import _clip, _clip_names
 from repro.utils.rng import spawn_rng
+from repro.utils.text import _clip, _clip_names
 
 
 class ServeConfigError(ValueError):
@@ -133,7 +133,9 @@ class StrengthService:
                 max_length=model.encoder.max_length,
             )
         except OSError as exc:
-            raise ServeConfigError(f"cannot read corpus {corpus_path}: {exc}") from exc
+            raise ServeConfigError(
+                f"cannot read corpus {_clip(corpus_path)}: {exc.strerror or _clip(exc)}"
+            ) from exc
         estimator = StrengthEstimator(model)
         try:
             estimator.calibrate(reference[:sample])
@@ -229,11 +231,9 @@ class ServeApp:
         max_queue: int = 4096,
         default_deadline_ms: Optional[float] = None,
         clock=None,
-        threaded: bool = True,
     ) -> None:
         self.clock = clock if clock is not None else SystemClock()
         self.stats = ServeStats()
-        self.threaded = threaded
         self.default_deadline_ms = default_deadline_ms
         self.strength: Dict[str, StrengthService] = {}
         self.banks: Dict[str, BankLookupService] = {}
@@ -277,9 +277,8 @@ class ServeApp:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ServeApp":
-        if self.threaded:
-            for service in self.strength.values():
-                service.start()
+        for service in self.strength.values():
+            service.start()
         return self
 
     def close(self, drain: bool = True) -> None:
@@ -320,14 +319,9 @@ class ServeApp:
         return service
 
     def handle_request(self, request: Request) -> Dict[str, Any]:
-        """Serve one validated request; always returns a response object."""
+        """Serve one validated request that is not a scoring op (those go
+        through :meth:`submit_scoring`); always returns a response object."""
         started = self.clock.monotonic()
-        if request.op in protocol.SCORING_OPS:
-            try:
-                ticket = self.submit_scoring(request)
-            except ServeError as exc:
-                return protocol.error_response(str(exc), request.id)
-            return self.finish_scoring(request, ticket)
         if request.op == "guess_number":
             service = self._pick(self.strength, request.model, "model")
             results = [
@@ -371,15 +365,12 @@ class ServeApp:
             if request.deadline_ms is not None
             else self.default_deadline_ms
         )
-        ticket = service.batcher.submit(request.passwords, deadline_ms=deadline)
-        if not self.threaded:
-            service.batcher.pump()
-        return ticket
+        return service.batcher.submit(request.passwords, deadline_ms=deadline)
 
     def finish_scoring(self, request: Request, ticket) -> Dict[str, Any]:
         """Wait on a scoring ticket; returns the response object."""
         try:
-            results = ticket.result(timeout=None if self.threaded else 0.0)
+            results = ticket.result()
         except ServeError as exc:
             return protocol.error_response(str(exc), request.id)
         if request.op == "band":

@@ -27,10 +27,10 @@ from repro.strategies.registry import (
     ParamReader,
     SpecError,
     StrategySpec,
-    _clip,
     format_spec,
     register,
 )
+from repro.utils.text import _clip
 
 
 def _batch_param(reader: ParamReader) -> int:

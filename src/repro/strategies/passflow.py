@@ -10,6 +10,11 @@
 Static also accepts ``gs=true`` (``passflow:static?gs=true``) for the
 smoothed-static arm of Table V-style ablations.
 
+A spec names each of them: ``build`` hands the factory's canonical spec
+to the constructor, and ``describe()`` returns it.  A strategy
+constructed directly (say, around a prior no spec can express) has no
+spec; it still runs through the engine, ``take()`` and ``build_bank``.
+
 The streaming loops here are RNG-faithful ports of the seed-era eager
 static and Algorithm 1 attack loops: driven by an
 :class:`~repro.strategies.engine.AttackEngine` over the same budgets they
@@ -37,7 +42,6 @@ from repro.core.penalization import (
     ExponentialDecayPenalization,
     LinearDecayPenalization,
     NoPenalization,
-    PhiFunction,
     StepPenalization,
 )
 from repro.core.smoothing import GaussianSmoother
@@ -47,24 +51,16 @@ from repro.strategies.registry import (
     ParamReader,
     SpecError,
     StrategySpec,
-    _clip,
-    format_spec,
     parse_bool,
     register,
 )
+from repro.utils.text import _clip
 
 if TYPE_CHECKING:
     from repro.core.model import PassFlow
     from repro.flows.priors import GaussianMixturePrior, Prior
 
 DEFAULT_GS_SCALE = 0.75  # mirrors GaussianSmoother's sigma_scale default
-
-
-def _smoother_scale(smoother: Optional[GaussianSmoother]) -> Optional[float]:
-    """Recover a smoother's sigma_scale for spec round-tripping."""
-    if smoother is None:
-        return None
-    return round(smoother.sigma / smoother.encoder.bin_width, 6)
 
 
 class StaticStrategy(GuessingStrategy):
@@ -84,23 +80,6 @@ class StaticStrategy(GuessingStrategy):
 
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if spec is None:
-            params: Dict[str, object] = {}
-            # best effort: a StandardNormalPrior is spec-expressible as a
-            # temperature; other custom priors have no spec form
-            effective_temperature = temperature
-            if effective_temperature is None and isinstance(prior, StandardNormalPrior):
-                effective_temperature = prior.sigma
-            if effective_temperature is not None:
-                params["temperature"] = float(effective_temperature)
-            if batch_size != DEFAULT_BATCH:
-                params["batch"] = batch_size
-            if smoother is not None:
-                params["gs"] = True
-                gs_scale = _smoother_scale(smoother)
-                if gs_scale != DEFAULT_GS_SCALE:
-                    params["gs_scale"] = gs_scale
-            spec = format_spec("passflow", "static", params)
         super().__init__(spec=spec)
         self.model = model
         if prior is None and temperature is not None:
@@ -157,28 +136,11 @@ class DynamicStrategy(GuessingStrategy):
         name: Optional[str] = None,
         spec: Optional[str] = None,
     ) -> None:
-        config = config or DynamicSamplingConfig()
-        if spec is None:
-            variant = "dynamic+gs" if smoother is not None else "dynamic"
-            params: Dict[str, object] = {
-                "alpha": config.alpha,
-                "sigma": config.sigma,
-            }
-            params.update(_phi_spec_params(config.phi))
-            if config.batch_size != DEFAULT_BATCH:
-                params["batch"] = config.batch_size
-            if config.max_components != DynamicSamplingConfig().max_components:
-                params["components"] = config.max_components
-            if smoother is not None:
-                gs_scale = _smoother_scale(smoother)
-                if gs_scale != DEFAULT_GS_SCALE:
-                    params["gs_scale"] = gs_scale
-            spec = format_spec("passflow", variant, params)
         super().__init__(spec=spec)
         if name is None:
             name = "PassFlow-Dynamic+GS" if smoother is not None else "PassFlow-Dynamic"
         self.model = model
-        self.config = config
+        self.config = config or DynamicSamplingConfig()
         self.smoother = smoother
         self.name = name
         # The sets M and Mh of Algorithm 1.
@@ -268,11 +230,6 @@ class ConditionalStrategy(GuessingStrategy):
             raise ValueError("template longer than model max_length")
         if not all(ch == WILDCARD or ch in model.alphabet for ch in template):
             raise ValueError("template contains characters outside the alphabet")
-        if spec is None:
-            params: Dict[str, object] = {"template": template}
-            if population != 128:
-                params["population"] = population
-            spec = format_spec("passflow", "conditional", params)
         super().__init__(spec=spec)
         self.model = model
         self.template = template
@@ -332,19 +289,6 @@ _PHI_BUILDERS = {
     "linear": lambda gamma: LinearDecayPenalization(gamma),
     "exponential": lambda gamma: ExponentialDecayPenalization(),
 }
-
-
-def _phi_spec_params(phi: PhiFunction) -> Dict[str, object]:
-    """Spec parameters that rebuild ``phi`` (best effort for custom phis)."""
-    if isinstance(phi, StepPenalization):
-        return {"gamma": phi.gamma}  # phi=step is the spec default
-    if isinstance(phi, NoPenalization):
-        return {"phi": "none"}
-    if isinstance(phi, LinearDecayPenalization):
-        return {"gamma": phi.horizon, "phi": "linear"}
-    if isinstance(phi, ExponentialDecayPenalization):
-        return {"phi": "exponential"}
-    return {}  # custom phi objects have no spec form
 
 
 @register(

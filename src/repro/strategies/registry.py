@@ -28,6 +28,9 @@ parsed spec plus a :class:`BuildResources` bundle (trained model, training
 corpus, alphabet) to the family's factory.  Factories validate parameters
 strictly -- unknown keys raise :class:`SpecError` -- and attach the
 canonical spec string to the strategy so ``build(s).describe()`` round-trips.
+:meth:`ParamReader.canonical` is the one writer of that string: a
+strategy constructed directly has no spec, and its ``describe()`` raises
+``NotImplementedError``.
 
 Families self-register at import time via the :func:`register` decorator
 (see :mod:`repro.strategies.passflow` and
@@ -43,6 +46,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.strategies.base import GuessingStrategy
+from repro.utils.text import _clip, _clip_names
 
 ParamValue = Any  # int | float | bool | str
 
@@ -55,29 +59,6 @@ class SpecError(ValueError):
 #: nests two).  Checked before any recursion, so a hostile spec fails
 #: with one line instead of a quadratic parse or a ``RecursionError``.
 MAX_SPEC_DEPTH = 8
-
-#: An error line repeats at most this many characters of a spec, a
-#: value or a cause, and at most this many unknown parameter names.
-_CLIP_CHARS = 80
-_CLIP_NAMES = 5
-
-
-def _clip(text: object) -> str:
-    """``text`` shortened for an error line: its head plus its length."""
-    text = str(text)
-    if len(text) <= _CLIP_CHARS:
-        return text
-    return f"{text[:_CLIP_CHARS]}...[{len(text)} chars]"
-
-
-def _clip_names(names) -> str:
-    """The first ``_CLIP_NAMES`` sorted names, plus how many more."""
-    names = sorted(names)
-    shown = ", ".join(_clip(name) for name in names[:_CLIP_NAMES])
-    if len(names) > _CLIP_NAMES:
-        shown += f" and {len(names) - _CLIP_NAMES} more"
-    return shown
-
 
 # ----------------------------------------------------------------------
 # spec parsing / formatting

@@ -13,6 +13,14 @@ bytes do not depend on the machine.  PassFlow reports are deliberately
 not pinned: they depend on the float bits of the session-trained model,
 which vary with BLAS.
 
+Bank artifacts are pinned the same way: the SHA-256 of the key array
+that ``build_bank`` writes for ``markov:3``, ``pcfg`` and a ``policy``
+wrapper (train half, seed 7, budget 12000, compact alphabet), plus the
+manifest's identity fields; replaying each bank, serially or on two
+workers under either schedule, must give that family's serial report
+pin.  ``rules`` and a mangling wrapper emit characters outside the
+compact alphabet, so a bank of theirs is refused and nothing is written.
+
 A digest change means report bytes changed; that is never a side effect
 of a refactor, so recompute a pin only for a deliberate change to the
 attack, and review the new rows before committing it.
@@ -24,6 +32,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.bank import BankError, build_bank, replay_attack
+from repro.data.alphabet import compact_alphabet
+from repro.data.encoding import PasswordEncoder
 from repro.runtime import ParallelAttackEngine, StrategySource
 from repro.strategies import AttackEngine, build
 
@@ -57,6 +68,27 @@ FAMILY_SHA256 = {
         "1da5e7f5bf788f9fa7b5a4db662920265ea432435148b3b23d770a29eab943df",
     ),
 }
+
+BANK_BUDGET = 12000
+
+#: spec -> (keys.npy array SHA-256, manifest spec, method, total, unique)
+BANK_PINS = {
+    "markov:3": (
+        "f8cbc9b175c11f072956ae59e673505ec78f7f633e9960e6e4cf9a39650fe45a",
+        "markov:3", "Markov-3", 12000, 3546,
+    ),
+    "pcfg": (
+        "7b629a3360f48291cb463d593a520e2cfff0450b7df2ea458727a12a1a232127",
+        "pcfg", "PCFG", 12000, 3281,
+    ),
+    "policy(markov:3)?min_len=6&classes=ld": (
+        "1daebda023fa8024becc3a0c784f28da72157ea4841064714d28e1046751bd72",
+        "policy(markov:3)?classes=dl&min_len=6", "Markov-3+Policy", 12000, 5366,
+    ),
+}
+
+#: specs whose streams leave the compact alphabet -> the character they stop at
+UNBANKABLE = {"rules": "_", "mangle(markov:3)?rules=leet,capitalize": "K"}
 
 
 def report_digest(report) -> str:
@@ -116,3 +148,43 @@ def test_blas_free_family(markov_attack, spec):
     )
     digests = tuple(report_digest(r) for r in (serial, static, elastic))
     assert digests == FAMILY_SHA256[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(BANK_PINS))
+def test_bank_artifact(markov_attack, tmp_path, spec):
+    """The banked keys and manifest are pinned, and every replay of the
+    bank reports the family's serial pin."""
+    train, test_set = markov_attack
+    bank = build_bank(
+        build(spec, corpus=train),
+        BANK_BUDGET,
+        tmp_path / "pinned.bank",
+        seed=SEED,
+        encoder=PasswordEncoder(compact_alphabet()),
+    )
+    keys = hashlib.sha256(np.ascontiguousarray(bank.keys).tobytes()).hexdigest()
+    assert (keys, bank.spec, bank.method, bank.total, bank.unique) == BANK_PINS[spec]
+    serial = SERIAL_SHA256 if spec == "markov:3" else FAMILY_SHA256[spec][0]
+    for workers, schedule in ((1, "static"), (2, "static"), (2, "elastic")):
+        report = replay_attack(
+            bank, test_set, BUDGETS, workers=workers, schedule=schedule, seed=SEED
+        )
+        assert report_digest(report) == serial, (workers, schedule)
+
+
+@pytest.mark.parametrize("spec", sorted(UNBANKABLE))
+def test_unbankable_stream_is_refused(markov_attack, tmp_path, spec):
+    train, _ = markov_attack
+    out = tmp_path / "refused.bank"
+    with pytest.raises(BankError) as info:
+        build_bank(
+            build(spec, corpus=train),
+            BANK_BUDGET,
+            out,
+            seed=SEED,
+            encoder=PasswordEncoder(compact_alphabet()),
+        )
+    message = str(info.value)
+    assert "\n" not in message
+    assert f"character '{UNBANKABLE[spec]}' not in alphabet" in message
+    assert not out.exists()

@@ -45,7 +45,7 @@ class TestOnceMode:
     """``serve --once``: the socket-free line loop."""
 
     def run(self, spec, lines):
-        app = ServeApp([spec], threaded=False)
+        app = ServeApp([spec])
         out = io.StringIO()
         assert run_once(app, io.StringIO("\n".join(lines) + "\n"), out) == 0
         return [json.loads(line) for line in out.getvalue().splitlines()]

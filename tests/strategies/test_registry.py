@@ -215,43 +215,28 @@ class TestResourceDispatch:
         assert isinstance(strategy, SampledModelStrategy)
         assert strategy.model is not trained_model
 
-    def test_direct_construction_has_canonical_spec(self, trained_model):
+    def test_only_build_gives_a_spec(self, trained_model, tmp_path, rng):
+        """The factory's canonical string is the one spec a PassFlow
+        strategy has; one constructed directly has none, and still runs."""
+        from repro.bank import build_bank
+        from repro.strategies import take
+
+        direct = DynamicStrategy(trained_model)
+        with pytest.raises(NotImplementedError, match="has no spec"):
+            direct.describe()
+        built = build("passflow:dynamic?alpha=5", model=trained_model)
+        assert built.describe() == "passflow:dynamic?alpha=5"
+        for config in (direct.config, built.config):
+            assert (config.alpha, config.sigma, config.phi.gamma) == (5, 0.12, 2)
+        assert len(take(direct, 50, rng)) == 50
         static = StaticStrategy(trained_model, temperature=0.5)
-        assert static.describe() == "passflow:static?temperature=0.5"
-        dynamic = DynamicStrategy(trained_model)
-        assert parse_spec(dynamic.describe()).family == "passflow"
-        conditional = ConditionalStrategy(trained_model, "love**")
-        assert conditional.describe() == "passflow:conditional?template=love**"
+        bank = build_bank(static, 100, tmp_path / "direct.bank")
+        assert bank.spec == "<unspecified:PassFlow-Static>"
 
     def test_numeric_template_round_trips_through_build(self, trained_model):
         strategy = build("passflow:conditional?template=123456*", model=trained_model)
         assert strategy.template == "123456*"
         assert strategy.describe() == "passflow:conditional?template=123456*"
-
-    def test_static_describe_preserves_prior_and_gs_scale(self, trained_model):
-        from repro.core.smoothing import GaussianSmoother
-        from repro.flows.priors import StandardNormalPrior
-
-        strategy = StaticStrategy(
-            trained_model,
-            prior=StandardNormalPrior(trained_model.config.max_length, sigma=0.5),
-            smoother=GaussianSmoother(trained_model.encoder, sigma_scale=3.0),
-        )
-        spec = strategy.describe()
-        rebuilt = build(spec, model=trained_model)
-        assert rebuilt.prior.sigma == 0.5
-        assert rebuilt.smoother is not None
-        assert rebuilt.smoother.sigma == pytest.approx(strategy.smoother.sigma)
-
-    def test_dynamic_describe_preserves_phi(self, trained_model):
-        from repro.core.dynamic import DynamicSamplingConfig
-        from repro.core.penalization import NoPenalization
-
-        config = DynamicSamplingConfig(phi=NoPenalization())
-        strategy = DynamicStrategy(trained_model, config)
-        rebuilt = build(strategy.describe(), model=trained_model)
-        assert isinstance(rebuilt.config.phi, NoPenalization)
-        assert rebuilt.describe() == strategy.describe()
 
     def test_conditional_requires_template(self, trained_model):
         with pytest.raises(SpecError, match="template"):

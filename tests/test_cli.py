@@ -5,6 +5,11 @@ import pytest
 
 from repro.bank import GuessBank
 from repro.cli import main
+from repro.utils.text import _clip
+
+#: the specs ``attack`` and ``sample`` run when given no ``--strategy``
+ATTACK_DEFAULT = "passflow:dynamic+gs?alpha=1&gamma=2&sigma=0.12"
+SAMPLE_DEFAULT = "passflow:static?temperature=0.75"
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +57,23 @@ class TestSample:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 7
 
+    def test_default_strategy_is_the_static_spec(self, model_file, capsys):
+        outputs = []
+        for extra in ([], ["--strategy", SAMPLE_DEFAULT]):
+            assert main(["sample", "--model", str(model_file), "--count", "30", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestAttack:
-    @pytest.mark.parametrize("strategy", ["static", "dynamic", "dynamic+gs"])
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            "passflow:static?temperature=0.75",
+            "passflow:dynamic?alpha=1&gamma=2&sigma=0.12",
+            ATTACK_DEFAULT,
+        ],
+    )
     def test_strategies_run(self, model_file, corpus_file, capsys, strategy):
         code = main(
             [
@@ -68,6 +87,27 @@ class TestAttack:
         assert code == 0
         out = capsys.readouterr().out
         assert "matched" in out and "300" in out
+
+    def test_default_strategy_is_the_dynamic_gs_spec(
+        self, model_file, corpus_file, tmp_path, capsys
+    ):
+        reports = []
+        for name, extra in (("default", []), ("spec", ["--strategy", ATTACK_DEFAULT])):
+            path = tmp_path / f"{name}.json"
+            code = main(
+                [
+                    "attack",
+                    "--model", str(model_file),
+                    "--corpus", str(corpus_file),
+                    "--budgets", "100,300",
+                    "--report", str(path),
+                    *extra,
+                ]
+            )
+            assert code == 0
+            reports.append(path.read_text())
+        assert reports[0] == reports[1]
+        assert f"with {ATTACK_DEFAULT}," in capsys.readouterr().out
 
     def test_report_json_dump(self, corpus_file, tmp_path, capsys):
         import json
@@ -505,6 +545,25 @@ class TestStrategies:
 
 
 class TestParser:
+    @pytest.mark.parametrize("command", ["attack", "sample"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--sigma", "--gamma", "--temperature"])
+    def test_strategy_parameter_flags_are_usage_errors(
+        self, model_file, corpus_file, capsys, command, flag
+    ):
+        """A spec carries every strategy parameter; a flag that once
+        overrode one is unknown, not silently ignored or a prefix of
+        ``--alphabet``."""
+        argv = {
+            "attack": ["attack", "--corpus", str(corpus_file), "--strategy", "markov:3"],
+            "sample": ["sample", "--model", str(model_file)],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main(argv + [flag, "5"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {flag} 5" in captured.err
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -681,7 +740,7 @@ class TestHostileInput:
             ],
         }[command]
         message = _one_line_failure(argv, capsys)
-        assert message.startswith(f"cannot load model {model}: ")
+        assert message.startswith(f"cannot load model {_clip(model)}: ")
 
     @pytest.mark.parametrize("occupant", ["regular-file", "live-daemon", "missing-dir"])
     def test_serve_socket_it_cannot_replace_is_one_line(
@@ -702,7 +761,7 @@ class TestHostileInput:
             message = _one_line_failure(
                 ["serve", "--spec", f"bank:{bank_dir}", "--socket", str(path)], capsys
             )
-            assert message.startswith(f"cannot serve on {path}: ")
+            assert message.startswith(f"cannot serve on {_clip(path)}: ")
             if live is not None:
                 with ServeClient(socket_path=str(path)) as client:
                     assert client.request(op="ping")["ok"]
@@ -859,7 +918,7 @@ class TestHostileInput:
         }[command]
         message = _one_line_failure(argv, capsys)
         assert message == (
-            f"no usable password in {bad}: every line is empty, longer than "
+            f"no usable password in {_clip(bad)}: every line is empty, longer than "
             "10 characters or outside the alphabet"
         )
 
@@ -917,3 +976,85 @@ class TestHostileInput:
                 assert out.startswith("ok: ")
             if command == "serve" and artifact == "stale-segments":
                 assert json.loads(out)["rank"] == 1
+
+    @pytest.fixture(scope="class")
+    def long_path(self, tmp_path_factory):
+        """A missing path of over 3800 characters: 19 components of 200."""
+        return str(tmp_path_factory.mktemp("long") / "/".join(["x" * 200] * 19))
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "bank-info",
+            "attack-corpus",
+            "train-corpus",
+            "attack-model",
+            "strength-model",
+            "serve-model",
+            "serve-corpus",
+            "serve-socket",
+        ],
+    )
+    def test_long_missing_path_is_one_short_line(
+        self, long_path, model_file, corpus_file, bank_dir, tmp_path, capsys, command
+    ):
+        argv = {
+            "bank-info": ["bank", "info", long_path],
+            "attack-corpus": [
+                "attack", "--corpus", long_path, "--strategy", "markov:3",
+                "--budgets", "100",
+            ],
+            "train-corpus": ["train", "--corpus", long_path, "--out", str(tmp_path / "m.npz")],
+            "attack-model": [
+                "attack", "--model", long_path, "--corpus", str(corpus_file),
+                "--strategy", "passflow:static", "--budgets", "100",
+            ],
+            "strength-model": ["strength", "--model", long_path, "love12"],
+            "serve-model": [
+                "serve", "--once", "--spec", f"strength?model={long_path}&corpus={corpus_file}",
+            ],
+            "serve-corpus": [
+                "serve", "--once", "--spec", f"strength?model={model_file}&corpus={long_path}",
+            ],
+            "serve-socket": ["serve", "--spec", f"bank:{bank_dir}", "--socket", long_path],
+        }[command]
+        message = _one_line_failure(argv, capsys)
+        assert message.count(_clip(long_path)) == 1
+        assert len(message.encode()) < 300
+
+    @pytest.mark.parametrize("command", ["attack", "train", "bank-build", "synthesize"])
+    def test_unwritable_output_is_one_line_before_the_work(
+        self, corpus_file, tmp_path, capsys, monkeypatch, command
+    ):
+        blocker = tmp_path / "corpus.txt"
+        blocker.write_text("keep me\n")
+        out = str(blocker / "x")
+
+        def work(*args, **kwargs):
+            raise AssertionError("the work started before the output was checked")
+
+        monkeypatch.setattr("repro.runtime.run_attack", work)
+        monkeypatch.setattr("repro.core.model.PassFlow.fit", work)
+        monkeypatch.setattr("repro.bank.build_bank", work)
+        argv, what = {
+            "attack": (
+                [
+                    "attack", "--corpus", str(corpus_file), "--strategy", "markov:3",
+                    "--budgets", "100", "--report", out,
+                ],
+                "report",
+            ),
+            "train": (["train", "--corpus", str(corpus_file), "--out", out], "model"),
+            "bank-build": (
+                [
+                    "bank", "build", "--strategy", "markov:3", "--corpus",
+                    str(corpus_file), "--budget", "100", "--out", out,
+                ],
+                "bank",
+            ),
+            "synthesize": (["synthesize", "--count", "10", "--out", out], "corpus"),
+        }[command]
+        message = _one_line_failure(argv, capsys)
+        assert message.startswith(f"cannot write {what} to {_clip(out)}: ")
+        assert len(message.encode()) < 300
+        assert blocker.read_text() == "keep me\n"

@@ -75,7 +75,9 @@ def test_no_stale_contract_phrases(path):
     with its corpse watch and the planner's second quota path, the
     codec-carrying decode of keyed deltas into a mixed-mode merge, the
     bit-packed key layout with its segment table and unpackable codecs,
-    PassFlow's smoothed string stream, and the kernel backend selector."""
+    PassFlow's smoothed string stream, the kernel backend selector, the
+    CLI's strategy shorthands with their parameter flags, and the
+    thread-free ``serve --once``."""
     text = path.read_text()
     stale = [
         "Not available with ``track_deltas``",
@@ -99,5 +101,8 @@ def test_no_stale_contract_phrases(path):
         "smoother-free",
         "REPRO_KERNELS",
         "--kernels",
+        "shorthands wired",
+        "--alpha/--sigma/--gamma/--temperature",
+        "threaded=False",
     ]
     assert [phrase for phrase in stale if phrase in text] == []
